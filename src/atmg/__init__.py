@@ -6,7 +6,7 @@ policy gradient for the team against exact adversary best responses,
 picks a near-stationary iterate, and recovers the adversary's side of the
 equilibrium from a linear program over multiplier variables.  Everything
 is model-based and exact: values come from linear solves, best responses
-from value iteration, and the final Nash gap from explicit unilateral
+from policy iteration, and the final Nash gap from explicit unilateral
 deviations.
 """
 
@@ -47,7 +47,6 @@ from .lp import (
     LinearProgram,
     LpSolution,
     NumericInstabilityError,
-    adversary_mdp_primal_dual,
     find_feasible,
     solve,
 )

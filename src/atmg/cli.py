@@ -294,7 +294,7 @@ def cmd_verify(args) -> int:
 
     report = nash_gap(spec, x, y)
     print(json.dumps(_gap_payload(report), indent=2))
-    if report.epsilon_certified <= args.epsilon + 1e-9:
+    if report.certifies(args.epsilon):
         return EXIT_OK
     return EXIT_GAP_EXCEEDED
 

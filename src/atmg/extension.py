@@ -21,8 +21,6 @@ from .lp import FEASIBLE, OPTIMAL, LinearProgram, find_feasible, solve
 from .mdp import (
     AdversaryPolicy,
     TeamPolicy,
-    _digit_mask,
-    _weights_excluding,
     adversary_best_response,
     check_policies,
     marginal_reward_table,
@@ -73,6 +71,10 @@ class NashGapReport:
     adversary_gap: float
     epsilon_certified: float
 
+    def certifies(self, epsilon: float) -> bool:
+        """Whether the gaps show an epsilon-Nash equilibrium, with 1e-9 of slack."""
+        return self.epsilon_certified <= epsilon + 1e-9
+
 
 def extension_constants(spec: GameSpec) -> ExtensionConstants:
     """c2 bundles the Bellman-perturbation terms, c1 = 4 ell + c2."""
@@ -84,6 +86,12 @@ def extension_constants(spec: GameSpec) -> ExtensionConstants:
     c2 = (root + gamma * S * root / one_minus + gamma * S * sm.L + sm.L) / one_minus
     c1 = 4.0 * sm.ell + c2
     return ExtensionConstants(c1=c1, c2=c2)
+
+
+def _bellman_slack(spec: GameSpec, x: TeamPolicy, v: np.ndarray) -> np.ndarray:
+    """(S, B) table r(s, x, b) + gamma sum_t P(t | s, x, b) v(t) - v(s)."""
+    P_x = marginal_transition_table(spec, x)
+    return marginal_reward_table(spec, x) + spec.discount * P_x @ v - v[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -129,33 +137,29 @@ def build_lp_adv(
     n_vars = S * B
     cons = extension_constants(spec)
 
-    # W[s, j, b] = r(s, j, b) + gamma * sum_t P(t | s, j, b) v_hat(t)
-    W = spec.reward + gamma * np.einsum("sjbt,t->sjb", spec.transition, v_hat)
-
     rows: list[np.ndarray] = []
     senses: list[str] = []
     rhs: list[float] = []
 
-    # (a) team first-order rows, player-major.
-    for k in range(spec.n_players):
-        w = _weights_excluding(spec, x_hat, k)           # (S, A_joint)
-        mask = _digit_mask(spec, k)                      # (A_joint, A_k)
-        # R[s, a, b]: deviation value of player k playing a at state s.
-        R = np.einsum("sj,sjb,ja->sab", w, W, mask)
-        coef = R - v_hat[:, None, None]                  # (S, A_k, B)
+    # (a) team first-order rows, player-major.  coef[a][s, b] is the
+    # Bellman slack at (s, b) of player k deviating to the pure action a:
+    # its deviation value minus v_hat(s).
+    for k, size in enumerate(spec.team_sizes):
+        coef = [
+            _bellman_slack(spec, x_hat.with_block(k, np.tile(pure, (S, 1))), v_hat)
+            for pure in np.eye(size)
+        ]
         for s in range(S):
-            for a in range(spec.team_sizes[k]):
+            for a in range(size):
                 row = np.zeros(n_vars)
-                row[s * B : (s + 1) * B] = coef[s, a]
+                row[s * B : (s + 1) * B] = coef[a][s]
                 rows.append(row)
                 senses.append(">=")
                 rhs.append(-cons.c1 * epsilon)
 
     # (b), (c) adversary Bellman slack rows.  slack[s, b] is a constant,
     # so the row has a single nonzero coefficient.
-    r_x = marginal_reward_table(spec, x_hat)             # (S, B)
-    P_x = marginal_transition_table(spec, x_hat)         # (S, B, S)
-    slack = r_x + gamma * P_x @ v_hat - v_hat[:, None]   # (S, B)
+    slack = _bellman_slack(spec, x_hat, v_hat)
     for sense, bound in (("<=", cons.c2), (">=", -cons.c2)):
         for s in range(S):
             for b in range(B):
@@ -180,7 +184,7 @@ def build_lp_adv(
         rhs.append(1.0 / (1.0 - gamma))
 
     return LinearProgram(
-        objective=r_x.ravel().copy(),
+        objective=marginal_reward_table(spec, x_hat).ravel(),
         lhs=np.array(rows),
         senses=tuple(senses),
         rhs=np.array(rhs),
@@ -252,7 +256,7 @@ def nash_gap(spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy) -> NashGapReport
 def check_epsilon_ne(
     spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy, epsilon: float
 ) -> bool:
-    return nash_gap(spec, x, y).epsilon_certified <= epsilon + 1e-9
+    return nash_gap(spec, x, y).certifies(epsilon)
 
 
 def qnlp_residuals(
@@ -277,10 +281,7 @@ def qnlp_residuals(
     diff = x.as_vector() - x_anchor.as_vector()
     objective = float(spec.initial_dist @ v) + ell * float(diff @ diff)
 
-    r_x = marginal_reward_table(spec, x)
-    P_x = marginal_transition_table(spec, x)
-    bellman = r_x + spec.discount * P_x @ v - v[:, None]
-    violation = float(np.maximum(bellman, 0.0).max())
+    violation = float(np.maximum(_bellman_slack(spec, x, v), 0.0).max())
     for block in x.blocks:
         violation = max(violation, float(np.abs(block.sum(axis=1) - 1.0).max()))
         violation = max(violation, float(np.maximum(-block, 0.0).max()))

@@ -2,7 +2,7 @@
 
 Everything here is model-based and deterministic: induced Markov chains,
 value vectors by dense linear solve, discounted visitation measures, best
-responses by value iteration, exact policy gradients under the direct
+responses by policy iteration, exact policy gradients under the direct
 parametrization, Euclidean projection onto the product of simplices, and
 the Lipschitz/smoothness constants of the best-response value function.
 
@@ -20,13 +20,13 @@ import numpy as np
 
 from .game import GameSpec
 
-# Value-iteration tolerance: iterate until successive values differ by at
-# most VI_TOL * (1 - gamma) / (2 gamma) in sup norm, which leaves the fixed
-# point within VI_TOL / 2 of the returned vector.
-VI_TOL = 1e-10
-_VI_MAX_SWEEPS = 1_000_000
-
 _POLICY_SUM_TOL = 1e-12
+
+# Best responses treat two actions as tied when their Q-values differ by at
+# most this fraction of the state's largest |Q|.  That is far above the
+# round-off of an exact evaluation, so round-off neither breaks a tie nor
+# makes policy iteration cycle.
+_TIE_RTOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +108,10 @@ def joint_policy_vector(x: TeamPolicy, y: AdversaryPolicy) -> np.ndarray:
 
 
 def check_policies(spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy | None = None) -> None:
-    """Raise ValueError unless the policies are valid probability tables."""
+    """Raise ValueError unless the policies are valid probability tables.
+
+    Entries must pass `>= 0`, which NaN fails; inf fails the row sums.
+    """
     S = spec.state_count
     if len(x.blocks) != spec.n_players:
         raise ValueError(
@@ -117,7 +120,7 @@ def check_policies(spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy | None = No
     for k, (block, a) in enumerate(zip(x.blocks, spec.team_sizes)):
         if block.shape != (S, a):
             raise ValueError(f"block {k} has shape {block.shape}, expected {(S, a)}")
-        if (block < 0.0).any() or np.abs(block.sum(axis=1) - 1.0).max() > _POLICY_SUM_TOL:
+        if not (block >= 0.0).all() or np.abs(block.sum(axis=1) - 1.0).max() > _POLICY_SUM_TOL:
             raise ValueError(f"block {k} is not a per-state distribution")
     if y is not None:
         if y.probs.shape != (S, spec.adversary_actions):
@@ -125,7 +128,8 @@ def check_policies(spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy | None = No
                 f"adversary policy has shape {y.probs.shape}, "
                 f"expected {(S, spec.adversary_actions)}"
             )
-        if (y.probs < 0.0).any() or np.abs(y.probs.sum(axis=1) - 1.0).max() > _POLICY_SUM_TOL:
+        probs = y.probs
+        if not (probs >= 0.0).all() or np.abs(probs.sum(axis=1) - 1.0).max() > _POLICY_SUM_TOL:
             raise ValueError("adversary policy is not a per-state distribution")
 
 
@@ -134,7 +138,11 @@ def check_policies(spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy | None = No
 # ---------------------------------------------------------------------------
 
 def joint_action_distribution(spec: GameSpec, x: TeamPolicy) -> np.ndarray:
-    """(S, A_joint) table of joint team-action probabilities under x."""
+    """(S, A_joint) table of joint team-action probabilities under x.
+
+    A block of ones in place of player k's table leaves the weights of the
+    other players' part of each joint action, with player k's action free.
+    """
     digits = spec.action_digits
     w = np.ones((spec.state_count, spec.joint_action_count))
     for k, block in enumerate(x.blocks):
@@ -142,31 +150,30 @@ def joint_action_distribution(spec: GameSpec, x: TeamPolicy) -> np.ndarray:
     return w
 
 
-def _weights_excluding(spec: GameSpec, x: TeamPolicy, k: int) -> np.ndarray:
-    """(S, A_joint) product of all blocks except player k's."""
-    digits = spec.action_digits
-    w = np.ones((spec.state_count, spec.joint_action_count))
-    for other, block in enumerate(x.blocks):
-        if other != k:
-            w *= block[:, digits[:, other]]
-    return w
-
-
-def _digit_mask(spec: GameSpec, k: int) -> np.ndarray:
-    """(A_joint, A_k) one-hot selector: mask[j, a] = 1 iff digit_k(j) = a."""
-    digits = spec.action_digits[:, k]
-    mask = np.zeros((spec.joint_action_count, spec.team_sizes[k]))
-    mask[np.arange(spec.joint_action_count), digits] = 1.0
-    return mask
-
-
-# Contractions over the team and adversary axes are matmuls in a fixed
-# order.  einsum(..., optimize=True) would search for a contraction path on
-# every call, which costs more than the arithmetic on small games.
+# Contractions over the team and adversary axes are matmuls, or einsum
+# without optimize=True, in a fixed order.  optimize=True would search for
+# a contraction path on every call, which costs more than the arithmetic on
+# small games.
 
 def _mix_over_adversary(y: AdversaryPolicy, table: np.ndarray) -> np.ndarray:
     """(S, J) table sum_b y(s, b) table[s, j, b] of an (S, J, B) table."""
     return (table @ y.probs[:, :, None])[:, :, 0]
+
+
+def _per_player(spec: GameSpec, x: TeamPolicy, k: int, table: np.ndarray) -> np.ndarray:
+    """Marginalize a joint-action table onto player k's actions.
+
+    table is indexed by state first and joint action last, (S, ..., J).
+    The (S, ..., A_k) result sums, for each action a of player k, the
+    entries of the joint actions in which player k plays a, each weighted
+    by the probability that the other players choose their part of it
+    under x.  x's block k is ignored.
+    """
+    S, J, A = spec.state_count, spec.joint_action_count, spec.team_sizes[k]
+    w = joint_action_distribution(spec, x.with_block(k, np.ones((S, A))))
+    mask = np.zeros((J, A))
+    mask[np.arange(J), spec.action_digits[:, k]] = 1.0
+    return (w.reshape((S,) + (1,) * (table.ndim - 2) + (J,)) * table) @ mask
 
 
 def induced_transition(spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy) -> np.ndarray:
@@ -193,36 +200,40 @@ def marginal_transition_table(spec: GameSpec, x: TeamPolicy) -> np.ndarray:
     return flat.reshape(S, B, S)
 
 
-def marginal_reward(spec: GameSpec, s: int, x: TeamPolicy, b: int) -> float:
-    """r(s, x, b) = E_{a ~ x_s}[r(s, a, b)]."""
-    w = joint_action_distribution(spec, x)
-    return float(w[s] @ spec.reward[s, :, b])
-
-
-def marginal_transition(spec: GameSpec, s: int, x: TeamPolicy, b: int) -> np.ndarray:
-    """Distribution over next states from s when the team plays x and the adversary b."""
-    w = joint_action_distribution(spec, x)
-    return w[s] @ spec.transition[s, :, b, :]
-
-
 # ---------------------------------------------------------------------------
 # Values and visitation
 # ---------------------------------------------------------------------------
 
-def value_vector(spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy) -> np.ndarray:
-    """Exact policy evaluation: solve (I - gamma P(x,y)) v = r(x,y).
+def _bellman_matrix(P: np.ndarray, gamma: float) -> np.ndarray:
+    """I - gamma P, written over the caller's freshly built S x S matrix P."""
+    P *= -gamma
+    P.flat[:: P.shape[0] + 1] += 1.0
+    return P
 
-    I - gamma P is strictly diagonally dominant for gamma < 1, so the dense
-    solve cannot fail; the residual is checked against 1e-10 * S anyway.
+
+def _solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The one value solver: z with M z = b, for M = I - gamma P or its transpose.
+
+    Either matrix is strictly diagonally dominant (by rows or by columns)
+    for gamma < 1, so the dense solve cannot fail; the residual is checked
+    against 1e-10 * S anyway.
     """
-    P = induced_transition(spec, x, y)
-    r = induced_reward(spec, x, y)
-    M = np.eye(spec.state_count) - spec.discount * P
-    v = np.linalg.solve(M, r)
-    residual = float(np.abs(M @ v - r).max())
-    if residual > 1e-10 * spec.state_count:
+    z = np.linalg.solve(M, b)
+    residual = float(np.abs(M @ z - b).max())
+    if residual > 1e-10 * b.size:
         raise RuntimeError(f"policy evaluation residual {residual:g} is out of tolerance")
-    return v
+    return z
+
+
+def _chain(spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy) -> tuple[np.ndarray, np.ndarray]:
+    """(I - gamma P(x, y), r(x, y)) of the chain induced by (x, y)."""
+    M = _bellman_matrix(induced_transition(spec, x, y), spec.discount)
+    return M, induced_reward(spec, x, y)
+
+
+def value_vector(spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy) -> np.ndarray:
+    """Exact policy evaluation: solve (I - gamma P(x,y)) v = r(x,y)."""
+    return _solve(*_chain(spec, x, y))
 
 
 def value_rho(spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy) -> float:
@@ -235,84 +246,72 @@ def visitation(spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy) -> np.ndarray:
 
     Sums to 1/(1 - gamma); satisfies rho(s) <= d(s) <= 1/(1 - gamma).
     """
-    P = induced_transition(spec, x, y)
-    M = np.eye(spec.state_count) - spec.discount * P
-    return np.linalg.solve(M.T, spec.initial_dist)
+    M, _ = _chain(spec, x, y)
+    return _solve(M.T, spec.initial_dist)
 
 
 # ---------------------------------------------------------------------------
 # Best responses
 # ---------------------------------------------------------------------------
 
-def _value_iteration(r: np.ndarray, P: np.ndarray, gamma: float, maximize: bool):
-    """Solve the (S, actions) MDP given tables r[s, u] and P[s, u, s'].
+def _greedy(q: np.ndarray) -> np.ndarray:
+    """Per row, the lowest index whose value is within _TIE_RTOL of the row max."""
+    slack = _TIE_RTOL * np.abs(q).max(axis=1, keepdims=True)
+    return np.argmax(q >= q.max(axis=1, keepdims=True) - slack, axis=1)
 
-    Returns (v, greedy) where greedy takes the optimizing action per state,
-    ties broken toward the lowest index.  With gamma = 0 a single sweep is
-    exact.  For gamma > 0 the loop stops when the sup-norm change drops to
-    VI_TOL * (1 - gamma) / (2 gamma), which bounds the distance from the
-    fixed point by VI_TOL / 2.
+
+def _policy_iteration(r: np.ndarray, P: np.ndarray, gamma: float):
+    """Maximize the (S, actions) MDP given tables r[s, u] and P[s, u, s'].
+
+    Howard's policy iteration.  It starts from the myopic greedy policy,
+    evaluates the current policy exactly, and moves a state to its greedy
+    action only where that gains more than the tie tolerance; each move
+    raises the value, so no policy repeats and the loop ends once no state
+    gains.  Returns (v, policy): the exact value of the deterministic
+    policy it returns, which is optimal up to ties.
     """
-    reduce = np.max if maximize else np.min
-    pick = np.argmax if maximize else np.argmin
-
-    v = np.zeros(r.shape[0])
-    if gamma == 0.0:
-        q = r
-        v = reduce(q, axis=1)
-        return v, pick(q, axis=1)
-
-    threshold = VI_TOL * (1.0 - gamma) / (2.0 * gamma)
-    for _ in range(_VI_MAX_SWEEPS):
+    states = np.arange(r.shape[0])
+    policy = _greedy(r)
+    while True:
+        v = _solve(_bellman_matrix(P[states, policy], gamma), r[states, policy])
         q = r + gamma * (P @ v)
-        v_next = reduce(q, axis=1)
-        delta = float(np.abs(v_next - v).max())
-        v = v_next
-        if delta <= threshold:
-            break
-    else:
-        raise RuntimeError("value iteration failed to converge")
-    q = r + gamma * (P @ v)
-    return v, pick(q, axis=1)
+        best = _greedy(q)
+        gains = q[states, best] - q[states, policy] > _TIE_RTOL * np.abs(q).max(axis=1)
+        if not gains.any():
+            return v, policy
+        policy = np.where(gains, best, policy)
 
 
 def adversary_best_response(spec: GameSpec, x: TeamPolicy):
     """Best adversary policy against a fixed team policy x.
 
     The adversary faces the single-agent MDP with rewards r(s, x, b) and
-    transitions P(s' | s, x, b); value iteration gives its optimal value
-    vector v_hat, and one greedy extraction yields a deterministic policy.
-    rho' v_hat equals phi(x) = max_y V_rho(x, y) up to the VI tolerance.
+    transitions P(s' | s, x, b); policy iteration gives a deterministic
+    optimal policy y_star and its exact value vector v_hat, so
+    rho' v_hat = phi(x) = max_y V_rho(x, y).
 
     Returns (y_star, v_hat).
     """
     r_x = marginal_reward_table(spec, x)
     P_x = marginal_transition_table(spec, x)
-    v_hat, greedy = _value_iteration(r_x, P_x, spec.discount, maximize=True)
-    probs = np.zeros((spec.state_count, spec.adversary_actions))
-    probs[np.arange(spec.state_count), greedy] = 1.0
-    return AdversaryPolicy(probs), v_hat
+    v_hat, greedy = _policy_iteration(r_x, P_x, spec.discount)
+    return AdversaryPolicy(np.eye(spec.adversary_actions)[greedy]), v_hat
 
 
 def team_player_best_response(spec: GameSpec, k: int, x_minus_k: TeamPolicy, y: AdversaryPolicy):
     """Player k's best deviation while everyone else stays put.
 
     Team members are paid -r/n, so the deviating player faces the MDP over
-    its own A_k actions that MINIMIZES the adversary's value.  x_minus_k
-    supplies the frozen teammates; its block k is ignored.  Returns the
-    deterministic table (S, A_k) and the minimized value rho' v.
+    its own A_k actions that MINIMIZES the adversary's value; policy
+    iteration maximizes its negation.  x_minus_k supplies the frozen
+    teammates; its block k is ignored.  Returns the deterministic table
+    (S, A_k) and the minimized value rho' v.
     """
-    w = _weights_excluding(spec, x_minus_k, k)
-    mask = _digit_mask(spec, k)
-    # U[s, j] and PT[s, j, s']: reward and transition mixed over b ~ y only.
-    U = _mix_over_adversary(y, spec.reward)
-    PT = (y.probs[:, None, None, :] @ spec.transition)[:, :, 0, :]
-    r_k = (w * U) @ mask
-    P_k = mask.T @ (w[:, :, None] * PT)
-    v_min, greedy = _value_iteration(r_k, P_k, spec.discount, maximize=False)
-    table = np.zeros((spec.state_count, spec.team_sizes[k]))
-    table[np.arange(spec.state_count), greedy] = 1.0
-    return table, float(spec.initial_dist @ v_min)
+    r_k = _per_player(spec, x_minus_k, k, _mix_over_adversary(y, spec.reward))
+    # P_k[s, s', a]; the (S, S', J) transition mixed over b ~ y is a temporary.
+    P_k = _per_player(spec, x_minus_k, k, np.einsum("sb,sjbt->stj", y.probs, spec.transition))
+    v_max, greedy = _policy_iteration(-r_k, P_k.transpose(0, 2, 1), spec.discount)
+    return np.eye(spec.team_sizes[k])[greedy], -float(spec.initial_dist @ v_max)
 
 
 # ---------------------------------------------------------------------------
@@ -331,16 +330,14 @@ def policy_gradient(spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy) -> np.nda
     The identity holds for the multilinear extension off the simplex too,
     which is what the finite-difference oracle checks.
     """
-    v = value_vector(spec, x, y)
-    d = visitation(spec, x, y)
+    M, r = _chain(spec, x, y)
+    v = _solve(M, r)
+    d = _solve(M.T, spec.initial_dist)
     # W[s, j]: payoff of joint action j mixed over b ~ y, with continuation.
     W = _mix_over_adversary(y, spec.reward + spec.discount * (spec.transition @ v))
-    parts = []
-    for k in range(spec.n_players):
-        w = _weights_excluding(spec, x, k)
-        qbar = (w * W) @ _digit_mask(spec, k)
-        parts.append((d[:, None] * qbar).ravel())
-    return np.concatenate(parts)
+    return np.concatenate(
+        [(d[:, None] * _per_player(spec, x, k, W)).ravel() for k in range(spec.n_players)]
+    )
 
 
 def adversary_policy_gradient(spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy) -> np.ndarray:
@@ -350,8 +347,9 @@ def adversary_policy_gradient(spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy)
     Together with policy_gradient this makes up the full joint gradient,
     which the smoothness certificates measure.
     """
-    v = value_vector(spec, x, y)
-    d = visitation(spec, x, y)
+    M, r = _chain(spec, x, y)
+    v = _solve(M, r)
+    d = _solve(M.T, spec.initial_dist)
     q = marginal_reward_table(spec, x) + spec.discount * (
         marginal_transition_table(spec, x) @ v
     )

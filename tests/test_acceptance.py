@@ -35,9 +35,9 @@ from atmg import (
     visitation,
 )
 from atmg.game import grid_world
-from atmg.lp import adversary_mdp_primal_dual
 from atmg.mdp import AdversaryPolicy, adversary_policy_gradient, policy_gradient
 from conftest import make_random_game, pennies_game, random_game_dims, random_policies
+from lp_oracle import adversary_mdp_primal_dual
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +168,7 @@ def test_criterion_01_value_solver_against_rollouts():
 
 
 def test_criterion_02_best_response_equals_enumeration():
-    """Value iteration reproduces the brute-force optimum over every
+    """Policy iteration reproduces the brute-force optimum over every
     deterministic adversary policy: values within 1e-9 and the same greedy
     policy under lowest-index tie-breaking, on 100 random games.
     Budget: 1 minute."""

@@ -264,6 +264,20 @@ def test_verify_rejects_bad_policy_files(tmp_path, pennies_file, capsys):
                  "--policies", str(tmp_path / "absent.json"), "--epsilon", "0.1"]) == 1
 
 
+@pytest.mark.parametrize("table", ["x", "y"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_verify_rejects_non_finite_policies(tmp_path, pennies_file, capsys, table, bad):
+    payload = {"x": [[[0.5, 0.5]]], "y": [[0.5, 0.5]], "lambda": None}
+    payload[table] = [[[bad, 1.0]]] if table == "x" else [[bad, 1.0]]
+    pol = tmp_path / "bad.json"
+    pol.write_text(json.dumps(payload))
+    assert main(["verify", "--game", str(pennies_file),
+                 "--policies", str(pol), "--epsilon", "0.1"]) == 1
+    captured = capsys.readouterr()
+    assert "distribution" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # Entry points
 # ---------------------------------------------------------------------------

@@ -203,6 +203,15 @@ def test_nash_gap_pure_play():
     assert report.epsilon_certified == pytest.approx(0.8, abs=1e-10)
 
 
+def test_nash_gap_is_exact_at_the_best_response(gridworld2):
+    # Against its own best response the adversary gains nothing: the gap is
+    # a difference of two exact solves of the same chain, not a tolerance.
+    rng = np.random.default_rng(5)
+    for x in (uniform_team_policy(gridworld2), random_policies(rng, gridworld2)[0]):
+        y_star, _ = adversary_best_response(gridworld2, x)
+        assert abs(nash_gap(gridworld2, x, y_star).adversary_gap) <= 1e-12
+
+
 def test_nash_gap_rejects_invalid_policies():
     spec = pennies_game()
     with pytest.raises(ValueError):

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from atmg import lp
-from atmg.lp import LinearProgram, adversary_mdp_primal_dual, find_feasible, solve
+from atmg.lp import LinearProgram, find_feasible, solve
 from atmg.mdp import adversary_best_response, marginal_reward_table, uniform_team_policy
 from conftest import make_random_game, pennies_game, random_policies
+from lp_oracle import adversary_mdp_primal_dual
 
 
 # ---------------------------------------------------------------------------

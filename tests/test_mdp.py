@@ -24,9 +24,7 @@ from atmg import (
 from atmg.mdp import (
     induced_reward,
     induced_transition,
-    marginal_reward,
     marginal_reward_table,
-    marginal_transition,
     marginal_transition_table,
 )
 from conftest import make_random_game, pennies_game, random_game_dims, random_policies
@@ -92,9 +90,9 @@ def test_marginals_match_definitions():
     for j in range(spec.joint_action_count):
         w[j] = x.blocks[0][0, digits[j, 0]] * x.blocks[1][0, digits[j, 1]]
     expect_r = w @ spec.reward[0, :, 1]
-    assert marginal_reward(spec, 0, x, 1) == pytest.approx(expect_r, rel=1e-12)
+    assert marginal_reward_table(spec, x)[0, 1] == pytest.approx(expect_r, rel=1e-12)
     expect_P = w @ spec.transition[0, :, 1, :]
-    np.testing.assert_allclose(marginal_transition(spec, 0, x, 1), expect_P, rtol=1e-12)
+    np.testing.assert_allclose(marginal_transition_table(spec, x)[0, 1], expect_P, rtol=1e-12)
     np.testing.assert_allclose(
         marginal_transition_table(spec, x).sum(axis=2), 1.0, atol=1e-12
     )
@@ -230,7 +228,17 @@ def test_adversary_best_response_matches_enumeration():
                 probs[1, b1] = 1.0
                 val = value_rho(spec, x, AdversaryPolicy(probs=probs))
                 best = max(best, val)
-        assert float(spec.initial_dist @ v_hat) == pytest.approx(best, abs=1e-9)
+        assert float(spec.initial_dist @ v_hat) == pytest.approx(best, abs=1e-12)
+
+
+def test_team_player_best_response_tie_break_lowest_index():
+    # Actions 1-3 tie for the minimum: 0.1 + 0.2 exceeds 0.3 by one ulp,
+    # which is within the tie tolerance, so the lowest index wins.
+    spec = single_state_game(np.array([[0.9], [0.1 + 0.2], [0.3], [0.3]]), 0.5)
+    x, y = uniform_team_policy(spec), uniform_adversary_policy(spec)
+    table, value = team_player_best_response(spec, 0, x, y)
+    np.testing.assert_array_equal(table, [[0.0, 1.0, 0.0, 0.0]])
+    assert value == pytest.approx(0.6, rel=1e-12)
 
 
 def test_team_player_best_response_pennies():
@@ -243,8 +251,8 @@ def test_team_player_best_response_pennies():
 
 def test_team_player_best_response_matches_enumeration():
     rng = np.random.default_rng(43)
-    for _ in range(20):
-        spec = make_random_game(rng, 2, (2, 2), 2, 0.5)
+    for gamma in [0.5] * 20 + [0.9] * 20:
+        spec = make_random_game(rng, 2, (2, 2), 2, gamma)
         x, y = random_policies(rng, spec)
         k = int(rng.integers(0, 2))
         _, value = team_player_best_response(spec, k, x, y)
@@ -256,7 +264,7 @@ def test_team_player_best_response_matches_enumeration():
                 block[1, d1] = 1.0
                 x_dev = x.with_block(k, block)
                 best = min(best, value_rho(spec, x_dev, y))
-        assert value == pytest.approx(best, abs=1e-9)
+        assert value == pytest.approx(best, abs=1e-12)
 
 
 def test_strategic_equivalence_of_best_responses():
