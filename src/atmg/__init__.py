@@ -17,10 +17,8 @@ from .extension import (
     NashGapReport,
     adv_nash_policy,
     build_lp_adv,
-    check_epsilon_ne,
     extension_constants,
     nash_gap,
-    qnlp_residuals,
 )
 from .game import (
     DegenerateRewardsError,
@@ -55,7 +53,6 @@ from .mdp import (
     SmoothnessConstants,
     TeamPolicy,
     adversary_best_response,
-    adversary_policy_gradient,
     check_policies,
     joint_policy_vector,
     policy_gradient,

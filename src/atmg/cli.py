@@ -23,7 +23,6 @@ import logging
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +37,7 @@ from .game import (
     save_game,
     validate,
 )
-from .ipgmax import IpgmaxConfig, resolve_schedule, run
+from .ipgmax import IpgmaxConfig, resolve_schedule, run, select_iterate
 from .mdp import AdversaryPolicy, TeamPolicy, check_policies
 
 log = logging.getLogger(__name__)
@@ -101,39 +100,11 @@ def _gap_payload(report) -> dict:
     }
 
 
-def _solve_one(spec: GameSpec, args, seed: int, out_dir: Path) -> int:
-    """Full pipeline for one seed; the game is already validated and raw."""
-    started = time.perf_counter()
-    normalized, shift, scale = normalize_rewards(spec)
-
-    selection = {"prox": "prox_scan", "random": "random"}[args.select]
-    config = IpgmaxConfig(
-        epsilon=args.epsilon,
-        eta=args.eta,
-        iters=args.iters,
-        schedule_mode=args.schedule,
-        iterate_selection=selection,
-        delta=args.delta,
-        seed=seed,
-        cap_iters=args.cap_iters,
-    )
-    try:
-        config.validate()
-        eta_used, T_used = resolve_schedule(normalized, config)
-    except ValueError as exc:
-        return _fail(str(exc))
-    if (
-        args.schedule == "theorem"
-        and args.cap_iters is None
-        and T_used > _THEOREM_REFUSAL_LIMIT
-    ):
-        return _fail(
-            f"theorem schedule asks for T = {T_used} iterations; "
-            "pass --cap-iters to run a truncated version"
-        )
-
-    trace = run(normalized, None, config)
-    t_star = trace.t_star
+def _certify(normalized: GameSpec, trace, report: dict, out_dir: Path, started: float) -> int:
+    """Adversary LP, exact verification and the three output files for the
+    iterate selected in trace; report arrives with its game, config and
+    normalization entries."""
+    t_star, x_hat = trace.t_star, trace.x_hat
     measured = trace.prox_gaps[t_star]
     lp_epsilon = 1.1 * measured
 
@@ -141,26 +112,8 @@ def _solve_one(spec: GameSpec, args, seed: int, out_dir: Path) -> int:
     trace_path = out_dir / "trace.csv"
     policies_path = out_dir / "policies.json"
     report_path = out_dir / "report.json"
-    _write_trace(trace_path, trace, spec.n_players)
-
-    report = {
-        "game": {
-            "states": spec.state_count,
-            "team_sizes": list(spec.team_sizes),
-            "adversary_actions": spec.adversary_actions,
-            "discount": spec.discount,
-        },
-        "config": {
-            "schedule": args.schedule,
-            "epsilon": args.epsilon,
-            "eta": eta_used,
-            "iters": T_used,
-            "select": args.select,
-            "delta": args.delta,
-            "seed": seed,
-            "cap_iters": args.cap_iters,
-        },
-        "normalization": {"shift": shift, "scale": scale},
+    _write_trace(trace_path, trace, normalized.n_players)
+    report.update({
         "t_star": t_star,
         "prox_gap_measured": measured,
         "lp_epsilon": lp_epsilon,
@@ -169,44 +122,34 @@ def _solve_one(spec: GameSpec, args, seed: int, out_dir: Path) -> int:
             "policies": str(policies_path),
             "report": str(report_path),
         },
-    }
+    })
 
-    x_hat = trace.x_hat
     try:
         y_hat, lam = adv_nash_policy(normalized, x_hat, lp_epsilon)
     except LpAdvInfeasibleError as exc:
+        y_hat = lam = gap = None
         report["lp_status"] = "infeasible"
         report["lp_diagnostics"] = {"max_violation": exc.max_violation}
-        report["wall_clock_seconds"] = time.perf_counter() - started
-        policies_path.write_text(
-            json.dumps(_policies_payload(x_hat, None, None), indent=2) + "\n"
-        )
-        report_path.write_text(json.dumps(report, indent=2) + "\n")
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LP_INFEASIBLE
-
-    gap = nash_gap(normalized, x_hat, y_hat)
-    report["lp_status"] = "feasible"
-    report["nash_gap"] = _gap_payload(gap)
-    # Gaps are value differences, so the additive shift cancels and only the
-    # scale maps them back to the input game's units.
-    report["nash_gap_raw_units"] = {
-        key: (
-            [v / scale for v in value]
-            if isinstance(value, list)
-            else value / scale
-        )
-        for key, value in report["nash_gap"].items()
-    }
+    else:
+        gap = nash_gap(normalized, x_hat, y_hat)
+        report["lp_status"] = "feasible"
+        report["nash_gap"] = _gap_payload(gap)
+        # Gaps are value differences, so the additive shift cancels and only
+        # the scale maps them back to the input game's units.
+        scale = report["normalization"]["scale"]
+        report["nash_gap_raw_units"] = {
+            key: [v / scale for v in value] if isinstance(value, list) else value / scale
+            for key, value in report["nash_gap"].items()
+        }
     report["wall_clock_seconds"] = time.perf_counter() - started
-
-    policies_path.write_text(
-        json.dumps(_policies_payload(x_hat, y_hat, lam), indent=2) + "\n"
-    )
+    policies_path.write_text(json.dumps(_policies_payload(x_hat, y_hat, lam), indent=2) + "\n")
     report_path.write_text(json.dumps(report, indent=2) + "\n")
+    if gap is None:
+        return EXIT_LP_INFEASIBLE
     log.info(
         "seed %d: t_star=%d prox_gap=%.3e certified=%.3e",
-        seed,
+        report["config"]["seed"],
         t_star,
         measured,
         gap.epsilon_certified,
@@ -215,6 +158,11 @@ def _solve_one(spec: GameSpec, args, seed: int, out_dir: Path) -> int:
 
 
 def cmd_solve(args) -> int:
+    """Run the gradient loop once; select, extract and verify once per seed.
+
+    The trace does not depend on the seed, which only drives --select
+    random, so --jobs N reuses it and its cached prox gaps for every seed.
+    """
     if args.game is not None:
         path = Path(args.game)
         if not path.is_file():
@@ -232,21 +180,65 @@ def cmd_solve(args) -> int:
     if problems:
         return _fail("invalid game: " + "; ".join(problems))
     try:
-        normalize_rewards(spec)
+        normalized, shift, scale = normalize_rewards(spec)
     except DegenerateRewardsError as exc:
         return _fail(str(exc))
 
-    out = Path(args.out)
-    if args.jobs <= 1:
-        return _solve_one(spec, args, args.seed, out)
-    seeds = [args.seed + i for i in range(args.jobs)]
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        codes = list(
-            pool.map(
-                lambda s: _solve_one(spec, args, s, out / f"seed-{s}"),
-                seeds,
-            )
+    selection = {"prox": "prox_scan", "random": "random"}[args.select]
+    config = IpgmaxConfig(
+        epsilon=args.epsilon,
+        eta=args.eta,
+        iters=args.iters,
+        schedule_mode=args.schedule,
+        iterate_selection=selection,
+        delta=args.delta,
+        seed=args.seed,
+        cap_iters=args.cap_iters,
+    )
+    try:
+        config.validate()
+        eta_used, T_used = resolve_schedule(normalized, config)
+    except ValueError as exc:
+        return _fail(str(exc))
+    if (
+        args.schedule == "theorem"
+        and args.cap_iters is None
+        and T_used > _THEOREM_REFUSAL_LIMIT
+    ):
+        return _fail(
+            f"theorem schedule asks for T = {T_used} iterations; "
+            "pass --cap-iters to run a truncated version"
         )
+
+    report = {
+        "game": {
+            "states": spec.state_count,
+            "team_sizes": list(spec.team_sizes),
+            "adversary_actions": spec.adversary_actions,
+            "discount": spec.discount,
+        },
+        "config": {
+            "schedule": args.schedule,
+            "epsilon": args.epsilon,
+            "eta": eta_used,
+            "iters": T_used,
+            "select": args.select,
+            "delta": args.delta,
+            "seed": args.seed,
+            "cap_iters": args.cap_iters,
+        },
+        "normalization": {"shift": shift, "scale": scale},
+    }
+    started = time.perf_counter()
+    trace = run(normalized, None, config)  # selects for args.seed
+    out = Path(args.out)
+    codes = []
+    for seed in range(args.seed, args.seed + max(args.jobs, 1)):
+        if seed != args.seed:
+            select_iterate(normalized, trace, selection, delta=args.delta, seed=seed)
+        seed_report = dict(report, config=dict(report["config"], seed=seed))
+        out_dir = out if args.jobs <= 1 else out / f"seed-{seed}"
+        codes.append(_certify(normalized, trace, seed_report, out_dir, started))
     return max(codes)
 
 
@@ -260,7 +252,7 @@ def _policies_from_json(spec: GameSpec, payload: dict) -> tuple[TeamPolicy, Adve
             np.asarray(block, dtype=np.float64) for block in payload["x"]
         )
         probs = np.asarray(payload["y"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"policies file does not match schema: {exc}") from exc
     if len(blocks) != spec.n_players:
         raise ValueError(
@@ -357,7 +349,10 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--out", required=True, metavar="DIR")
     solve.add_argument(
-        "--jobs", type=int, default=1, help="run this many seeds concurrently"
+        "--jobs",
+        type=int,
+        default=1,
+        help="select, extract and verify for this many seeds (the loop runs once)",
     )
     solve.set_defaults(func=cmd_solve)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import GameSpec
-from .lp import FEASIBLE, OPTIMAL, LinearProgram, find_feasible, solve
+from .lp import FEASIBLE, LinearProgram, find_feasible
 from .mdp import (
     AdversaryPolicy,
     TeamPolicy,
@@ -192,23 +192,17 @@ def build_lp_adv(
 
 
 def adv_nash_policy(
-    spec: GameSpec,
-    x_hat: TeamPolicy,
-    epsilon: float,
-    *,
-    optimize: bool = False,
+    spec: GameSpec, x_hat: TeamPolicy, epsilon: float
 ) -> tuple[AdversaryPolicy, LagrangeMultipliers]:
     """Extract the adversary's equilibrium policy at a near-stationary x_hat.
 
     Solves the adversary's best-response MDP for v_hat, builds the LP, takes
-    any feasible point (or the objective-optimal one when optimize=True),
-    and row-normalizes it.  The normalization is safe because every feasible
-    lambda has row sums at least rho(s) > 0.
+    any feasible point and row-normalizes it.  The normalization is safe
+    because every feasible lambda has row sums at least rho(s) > 0.
     """
     _, v_hat = adversary_best_response(spec, x_hat)
-    lp = build_lp_adv(spec, x_hat, v_hat, epsilon)
-    sol = solve(lp) if optimize else find_feasible(lp)
-    if sol.status not in (FEASIBLE, OPTIMAL):
+    sol = find_feasible(build_lp_adv(spec, x_hat, v_hat, epsilon))
+    if sol.status != FEASIBLE:
         raise LpAdvInfeasibleError(
             f"adversary LP {sol.status} at epsilon={epsilon:.6g} "
             f"(max violation {sol.max_violation:.3e})",
@@ -251,38 +245,3 @@ def nash_gap(spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy) -> NashGapReport
         adversary_gap=adv_gap,
         epsilon_certified=certified,
     )
-
-
-def check_epsilon_ne(
-    spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy, epsilon: float
-) -> bool:
-    return nash_gap(spec, x, y).certifies(epsilon)
-
-
-def qnlp_residuals(
-    spec: GameSpec,
-    x: TeamPolicy,
-    v: np.ndarray,
-    x_anchor: TeamPolicy,
-) -> dict[str, float]:
-    """Objective and worst constraint violation of the regularized program
-
-        min  rho' v + ell ||x - x_anchor||^2
-        s.t. r(s, x, b) + gamma sum_t P(t | s, x, b) v(t) <= v(s),
-             x a product of simplices.
-
-    Used as an identity oracle: at (x, v_best_response(x)) the violation is
-    zero and the objective equals phi(x) plus the proximity term.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (spec.state_count,):
-        raise ValueError(f"v has shape {v.shape}, expected ({spec.state_count},)")
-    ell = smoothness_constants(spec).ell
-    diff = x.as_vector() - x_anchor.as_vector()
-    objective = float(spec.initial_dist @ v) + ell * float(diff @ diff)
-
-    violation = float(np.maximum(_bellman_slack(spec, x, v), 0.0).max())
-    for block in x.blocks:
-        violation = max(violation, float(np.abs(block.sum(axis=1) - 1.0).max()))
-        violation = max(violation, float(np.maximum(-block, 0.0).max()))
-    return {"objective": objective, "max_violation": violation}

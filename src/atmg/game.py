@@ -25,6 +25,10 @@ SCHEMA_VERSION = "atmg-v1"
 # Tolerances used by validate().
 _STOCHASTIC_TOL = 1e-12
 _DIST_TOL = 1e-12
+# Far beyond any real payoff scale, and far enough below the float64 limit
+# (1.8e308) that values, up to |r| / (1 - gamma) <= 1e16 |r| for any float
+# gamma < 1, and their differences cannot overflow.
+_REWARD_LIMIT = 1e150
 
 
 class DegenerateRewardsError(ValueError):
@@ -143,6 +147,8 @@ def validate(spec: GameSpec) -> list[str]:
     if not np.isfinite(spec.reward).all():
         bad = np.argwhere(~np.isfinite(spec.reward))[0]
         problems.append(f"reward has non-finite entry at (s={bad[0]}, a_joint={bad[1]}, b={bad[2]})")
+    elif (peak := float(np.abs(spec.reward).max())) > _REWARD_LIMIT:
+        problems.append(f"reward magnitude {peak:.3g} exceeds {_REWARD_LIMIT:g}")
     if not np.isfinite(spec.transition).all():
         bad = np.argwhere(~np.isfinite(spec.transition))[0]
         problems.append(
@@ -367,5 +373,5 @@ def load_game(path) -> GameSpec:
             discount=doc["gamma"],
             initial_dist=np.asarray(doc["rho"], dtype=np.float64),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: malformed game data: {exc}") from exc

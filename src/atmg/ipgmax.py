@@ -42,16 +42,20 @@ log = logging.getLogger(__name__)
 SCHEDULE_MODES = ("manual", "proposition", "theorem")
 SELECTION_MODES = ("prox_scan", "random", "none")
 
+# prox_point stops once an iterate moves less than this.
+PROX_TOL = 1e-7
+
 
 @dataclass
 class IpgmaxConfig:
     """Knobs for one run.
 
     With schedule_mode="manual", eta and iters must be set explicitly.  The
-    other modes derive (eta, iters) from epsilon; cap_iters, when given,
-    clamps the derived iteration count.  iterate_selection="none" skips the
-    selection pass entirely (the trace is still complete), which is useful
-    when the caller wants to select later or not at all.
+    other modes derive (eta, iters) from epsilon, the theorem schedule with
+    D = D_bar; cap_iters, when given, clamps the derived iteration count.
+    iterate_selection="none" skips the selection pass entirely (the trace is
+    still complete), which is useful when the caller wants to select later
+    or not at all.
     """
 
     epsilon: float | None = None
@@ -61,11 +65,7 @@ class IpgmaxConfig:
     iterate_selection: str = "prox_scan"
     delta: float = 0.5
     seed: int = 0
-    inner_prox_max_iter: int = 400
-    inner_prox_tol: float = 1e-7
-    scan_stride: int | None = None
     cap_iters: int | None = None
-    mismatch: float | None = None   # D for the theorem schedule; D_bar if None
 
     def validate(self) -> None:
         if self.schedule_mode not in SCHEDULE_MODES:
@@ -93,12 +93,12 @@ class RunTrace:
     policies has length T+1 (x0 first); best_responses has length T, with
     best_responses[t-1] the response to policies[t-1].  phi[t] is the
     best-response value of policies[t] for every t, including t = T, whose
-    entry costs one extra best-response solve after the loop.  frob_norms[t]
-    is the Frobenius norm of the consecutive joint-policy difference, zero
-    at t = 0 by convention; at t = 1 only the team part can move since there
-    is no previous adversary policy.  prox_gaps caches every proximal gap
-    evaluated at a trace index.  t_star/x_hat are filled by iterate
-    selection.
+    entry costs one extra best-response solve after the loop unless the
+    iterate stopped moving.  frob_norms[t] is the Frobenius norm of the
+    consecutive joint-policy difference, zero at t = 0 by convention; at
+    t = 1 only the team part can move since there is no previous adversary
+    policy.  prox_gaps caches every proximal gap evaluated at a trace
+    index.  t_star/x_hat are filled by iterate selection.
     """
 
     policies: list[TeamPolicy]
@@ -170,10 +170,7 @@ def resolve_schedule(spec: GameSpec, config: IpgmaxConfig) -> tuple[float, int]:
     elif config.schedule_mode == "proposition":
         eta, T = schedule_proposition(spec, config.epsilon)
     else:
-        D = config.mismatch
-        if D is None:
-            D = smoothness_constants(spec).D_bar
-        eta, T = schedule_theorem(spec, config.epsilon, D)
+        eta, T = schedule_theorem(spec, config.epsilon, smoothness_constants(spec).D_bar)
     if config.cap_iters is not None:
         T = min(T, int(config.cap_iters))
     return eta, T
@@ -193,7 +190,9 @@ def run(spec: GameSpec, x0: TeamPolicy | None, config: IpgmaxConfig) -> RunTrace
 
     phi values for t < T fall out of the loop; the last entry costs one
     extra best-response solve whose policy is not recorded.  When eta = 0
-    the update is skipped outright so the trace is exactly constant.
+    the update is skipped outright so the trace is exactly constant.  Once
+    an update leaves x bitwise unchanged, every later iteration would
+    repeat it bit for bit, so the rest of the trace is filled by copying.
 
     Iterate selection runs at the end per config (see select_iterate) and
     fills t_star / x_hat.
@@ -230,10 +229,15 @@ def run(spec: GameSpec, x0: TeamPolicy | None, config: IpgmaxConfig) -> RunTrace
         prev_joint = joint
         best_responses.append(y)
         policies.append(x_next)
+        if np.array_equal(x_next.as_vector(), x.as_vector()):
+            best_responses += [y] * (T - t)
+            policies += [x] * (T - t)
+            phi[t:] = phi[t - 1]
+            break
         x = x_next
-
-    _, v_final = adversary_best_response(spec, x)
-    phi[T] = float(rho @ v_final)
+    else:
+        _, v_final = adversary_best_response(spec, x)
+        phi[T] = float(rho @ v_final)
 
     trace = RunTrace(
         policies=policies,
@@ -247,9 +251,6 @@ def run(spec: GameSpec, x0: TeamPolicy | None, config: IpgmaxConfig) -> RunTrace
             trace,
             config.iterate_selection,
             delta=config.delta,
-            stride=config.scan_stride,
-            tol=config.inner_prox_tol,
-            max_iter=config.inner_prox_max_iter,
             seed=config.seed,
         )
     trace.wall_clock = time.perf_counter() - started
@@ -268,13 +269,7 @@ class ProxResult:
     psi: float
 
 
-def prox_point(
-    spec: GameSpec,
-    x: TeamPolicy,
-    tol: float = 1e-7,
-    *,
-    max_iter: int = 400,
-) -> ProxResult:
+def prox_point(spec: GameSpec, x: TeamPolicy, *, max_iter: int = 400) -> ProxResult:
     """Minimize psi(x') = phi(x') + ell ||x - x'||^2 by projected subgradient.
 
     A subgradient of phi at x' is the team policy gradient evaluated against
@@ -282,8 +277,8 @@ def prox_point(
     Steps shrink as 2/(ell (t+2)).  psi is evaluated exactly at every
     iterate (the best-response solve provides phi for free), and the best
     iterate seen is returned; starting from x' = x makes the method exact at
-    stationary points.  Stops early once an iterate moves less than tol;
-    otherwise runs the full budget and reports converged=False.
+    stationary points.  Stops early once an iterate moves less than
+    PROX_TOL; otherwise runs the full budget and reports converged=False.
     """
     ell = smoothness_constants(spec).ell
     rho = spec.initial_dist
@@ -314,7 +309,7 @@ def prox_point(
         nxt_vec = nxt.as_vector()
         move = float(np.linalg.norm(nxt_vec - current_vec))
         current, current_vec = nxt, nxt_vec
-        if move < tol:
+        if move < PROX_TOL:
             converged = True
             break
 
@@ -335,21 +330,15 @@ def prox_point(
     )
 
 
-def prox_gap(
-    spec: GameSpec,
-    x: TeamPolicy,
-    tol: float = 1e-7,
-    *,
-    max_iter: int = 400,
-) -> float:
+def prox_gap(spec: GameSpec, x: TeamPolicy) -> float:
     """||x - prox(x)||: the distance defining epsilon-near stationarity."""
-    result = prox_point(spec, x, tol, max_iter=max_iter)
+    result = prox_point(spec, x)
     if not result.converged:
         log.debug(
             "prox_point used its full budget of %d iterations (tol=%g not met); "
             "the returned gap is the best-iterate estimate",
             result.iterations,
-            tol,
+            PROX_TOL,
         )
     return float(np.linalg.norm(x.as_vector() - result.x_tilde.as_vector()))
 
@@ -365,8 +354,6 @@ def select_iterate(
     *,
     delta: float = 0.5,
     stride: int | None = None,
-    tol: float = 1e-7,
-    max_iter: int = 400,
     seed: int = 0,
 ) -> int:
     """Pick t_star in {0, ..., T-1} and stamp it into the trace.
@@ -396,9 +383,7 @@ def select_iterate(
     best_gap = np.inf
     for t in candidates:
         if t not in trace.prox_gaps:
-            trace.prox_gaps[t] = prox_gap(
-                spec, trace.policies[t], tol, max_iter=max_iter
-            )
+            trace.prox_gaps[t] = prox_gap(spec, trace.policies[t])
         gap = trace.prox_gaps[t]
         if gap < best_gap:
             best_gap = gap

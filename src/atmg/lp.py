@@ -159,8 +159,11 @@ def _standardize(lp: LinearProgram) -> _StandardForm:
     M = np.hstack([A, slack_cols])
     cost = np.concatenate([cost, np.zeros(slack_cols.shape[1])])
 
-    # Fix signs so the right-hand side is nonnegative.
-    negated = b < 0.0
+    # Fix signs so the right-hand side is nonnegative.  A ">=" row with a
+    # zero right-hand side is negated as well, so that its slack can start
+    # the basis in place of an artificial column.
+    at_least = np.array([sense == ">=" for sense in senses], dtype=bool)
+    negated = (b < 0.0) | ((b == 0.0) & at_least)
     M[negated] *= -1.0
     b = np.where(negated, -b, b)
 

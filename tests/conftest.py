@@ -54,6 +54,19 @@ def random_policies(
     return TeamPolicy(blocks=blocks), AdversaryPolicy(probs=probs)
 
 
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Replace module.name by a wrapper that records the arguments of each call."""
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
 def pennies_game() -> GameSpec:
     reward = np.array([[[0.9, 0.1], [0.1, 0.9]]])
     transition = np.ones((1, 2, 2, 1))

@@ -1,0 +1,131 @@
+"""Test oracles: library quantities rebuilt from public atmg functions.
+
+The adversary's best-response MDP is solved by linear programming through
+the simplex in atmg.lp rather than the policy-iteration solver in
+atmg.mdp, so the two can be checked against each other.  The adversary's
+policy gradient and the residuals of the regularized program are read off
+the public marginal tables; the library itself uses neither.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from atmg import (
+    AdversaryPolicy,
+    GameSpec,
+    TeamPolicy,
+    smoothness_constants,
+    value_vector,
+    visitation,
+)
+from atmg.lp import OPTIMAL, LinearProgram, solve
+from atmg.mdp import marginal_reward_table, marginal_transition_table
+
+
+def q_table(spec: GameSpec, x: TeamPolicy, v: np.ndarray) -> np.ndarray:
+    """(S, B) table r(s, x, b) + gamma sum_t P(t | s, x, b) v(t)."""
+    return marginal_reward_table(spec, x) + spec.discount * (marginal_transition_table(spec, x) @ v)
+
+
+def adversary_policy_gradient(spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy) -> np.ndarray:
+    """Gradient of V_rho in the adversary's coordinates, flattened (S*B,).
+
+    dV/dy_{s,b} = d(s) * (r(s,x,b) + gamma sum_{s'} P(s'|s,x,b) v(s')).
+    Together with policy_gradient this makes up the full joint gradient,
+    which the smoothness certificates measure.
+    """
+    v = value_vector(spec, x, y)
+    d = visitation(spec, x, y)
+    return (d[:, None] * q_table(spec, x, v)).ravel()
+
+
+def qnlp_residuals(
+    spec: GameSpec,
+    x: TeamPolicy,
+    v: np.ndarray,
+    x_anchor: TeamPolicy,
+) -> dict[str, float]:
+    """Objective and worst constraint violation of the regularized program
+
+        min  rho' v + ell ||x - x_anchor||^2
+        s.t. r(s, x, b) + gamma sum_t P(t | s, x, b) v(t) <= v(s),
+             x a product of simplices.
+
+    At (x, v_best_response(x)) the violation is zero and the objective
+    equals phi(x) plus the proximity term.
+    """
+    v = np.asarray(v, dtype=np.float64)
+    if v.shape != (spec.state_count,):
+        raise ValueError(f"v has shape {v.shape}, expected ({spec.state_count},)")
+    ell = smoothness_constants(spec).ell
+    diff = x.as_vector() - x_anchor.as_vector()
+    objective = float(spec.initial_dist @ v) + ell * float(diff @ diff)
+
+    violation = float(np.maximum(q_table(spec, x, v) - v[:, None], 0.0).max())
+    for block in x.blocks:
+        violation = max(violation, float(np.abs(block.sum(axis=1) - 1.0).max()))
+        violation = max(violation, float(np.maximum(-block, 0.0).max()))
+    return {"objective": objective, "max_violation": violation}
+
+
+def adversary_mdp_primal_dual(spec: GameSpec, x: TeamPolicy):
+    """Solve the adversary's best-response MDP by linear programming.
+
+    Primal (over free v):   min rho' v   s.t.  v(s) >= r(s,x,b) + gamma P(.|s,x,b) v
+    Dual (over lambda >= 0): max sum lambda(s,b) r(s,x,b)
+        s.t. per state s_bar:  sum_b lambda(s_bar, b)
+             - gamma sum_{s,b} lambda(s,b) P(s_bar | s, x, b) = rho(s_bar)
+
+    The dual variables form a discounted occupancy over (s, b): row sums lie
+    in [rho(s), 1/(1-gamma)], and normalizing rows yields an adversary
+    policy y with lambda(s,b) = d(s) y(s,b).
+
+    Returns (v, lam) with v of shape (S,) and lam of shape (S, B).
+    """
+    S, B = spec.state_count, spec.adversary_actions
+    r_x = marginal_reward_table(spec, x)
+    P_x = marginal_transition_table(spec, x)
+    gamma = spec.discount
+
+    # Primal: maximize -rho' v with v free.
+    rows = np.zeros((S * B, S))
+    rhs = np.zeros(S * B)
+    for s in range(S):
+        for b in range(B):
+            i = s * B + b
+            rows[i, s] = 1.0
+            rows[i] -= gamma * P_x[s, b]
+            rhs[i] = r_x[s, b]
+    primal = LinearProgram(
+        objective=-spec.initial_dist,
+        lhs=rows,
+        senses=(">=",) * (S * B),
+        rhs=rhs,
+        lower=np.full(S, -np.inf),
+    )
+    primal_sol = solve(primal)
+    if primal_sol.status != OPTIMAL:
+        raise RuntimeError(f"primal MDP LP ended {primal_sol.status}")
+
+    # Dual: flow balance per state.
+    flow = np.zeros((S, S * B))
+    for s_bar in range(S):
+        for s in range(S):
+            for b in range(B):
+                col = s * B + b
+                coeff = -gamma * P_x[s, b, s_bar]
+                if s == s_bar:
+                    coeff += 1.0
+                flow[s_bar, col] = coeff
+    dual = LinearProgram(
+        objective=r_x.ravel(),
+        lhs=flow,
+        senses=("=",) * S,
+        rhs=spec.initial_dist,
+    )
+    dual_sol = solve(dual)
+    if dual_sol.status != OPTIMAL:
+        raise RuntimeError(f"dual MDP LP ended {dual_sol.status}")
+
+    return primal_sol.x, dual_sol.x.reshape(S, B)

@@ -25,7 +25,6 @@ from atmg import (
     joint_policy_vector,
     nash_gap,
     prox_point,
-    qnlp_residuals,
     run,
     schedule_proposition,
     schedule_theorem,
@@ -35,9 +34,9 @@ from atmg import (
     visitation,
 )
 from atmg.game import grid_world
-from atmg.mdp import AdversaryPolicy, adversary_policy_gradient, policy_gradient
+from atmg.mdp import AdversaryPolicy, policy_gradient
 from conftest import make_random_game, pennies_game, random_game_dims, random_policies
-from lp_oracle import adversary_mdp_primal_dual
+from oracles import adversary_mdp_primal_dual, adversary_policy_gradient, qnlp_residuals
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 import atmg.cli
 from atmg import LpAdvInfeasibleError, load_game, save_game
 from atmg.cli import main
-from conftest import pennies_game
+from conftest import count_calls, pennies_game
 
 
 @pytest.fixture()
@@ -129,6 +129,31 @@ def test_solve_rejects_malformed_game(tmp_path, capsys):
     assert "cannot load" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["verify", "solve"])
+@pytest.mark.parametrize("field,literal", [("states", "1e999"),
+                                           ("reward", "[[[1" + "0" * 400 + ", 0.1]]]")],
+                         ids=["inf-states", "huge-int-reward"])
+def test_out_of_range_numbers_in_game_file(tmp_path, capsys, pennies_file, command,
+                                           field, literal):
+    # 1e999 parses as inf and a 401-digit integer as an int no float holds;
+    # either must be reported as a bad game file, not raise OverflowError.
+    text = pennies_file.read_text()
+    payload = json.loads(text)
+    payload[field] = "PLACEHOLDER"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload).replace('"PLACEHOLDER"', literal))
+    if command == "verify":
+        pol = tmp_path / "pol.json"
+        pol.write_text(json.dumps({"x": [[[0.5, 0.5]]], "y": [[0.5, 0.5]]}))
+        argv = ["verify", "--game", str(bad), "--policies", str(pol), "--epsilon", "0.1"]
+    else:
+        argv = ["solve", "--game", str(bad), "--eta", "0.1", "--iters", "1",
+                "--out", str(tmp_path / "o")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_solve_rejects_invalid_game(tmp_path, capsys, pennies_file):
     payload = json.loads(pennies_file.read_text())
     payload["transition"][0][0][0][0] = 0.25  # row no longer sums to 1
@@ -198,6 +223,27 @@ def test_solve_jobs_fan_out(tmp_path, pennies_file):
         assert read_report(sub)["config"]["seed"] == seed
 
 
+@pytest.mark.parametrize("select", ["prox", "random"])
+def test_solve_jobs_runs_the_loop_once(tmp_path, pennies_file, monkeypatch, select):
+    runs = count_calls(monkeypatch, atmg.cli, "run")
+    args = ["solve", "--game", str(pennies_file), "--eta", "0.05", "--iters", "20",
+            "--select", select]
+    out = tmp_path / "multi"
+    assert main(args + ["--seed", "5", "--jobs", "3", "--out", str(out)]) == 0
+    assert len(runs) == 1
+
+    seeds = [out / f"seed-{seed}" for seed in (5, 6, 7)]
+    assert len({(sub / "trace.csv").read_bytes() for sub in seeds}) == 1
+    if select == "prox":
+        assert len({(sub / "policies.json").read_bytes() for sub in seeds}) == 1
+    # Each seed's files are those of a single-seed run with that seed.
+    single = tmp_path / "single"
+    assert main(args + ["--seed", "7", "--out", str(single)]) == 0
+    for name in ("trace.csv", "policies.json"):
+        assert (single / name).read_bytes() == (seeds[-1] / name).read_bytes()
+    assert read_report(single)["t_star"] == read_report(seeds[-1])["t_star"]
+
+
 def test_solve_lp_infeasible_exit_code(tmp_path, pennies_file, monkeypatch, capsys):
     def always_infeasible(spec, x_hat, epsilon, **kwargs):
         raise LpAdvInfeasibleError("forced for the test", 0.123)
@@ -262,6 +308,15 @@ def test_verify_rejects_bad_policy_files(tmp_path, pennies_file, capsys):
 
     assert main(["verify", "--game", str(pennies_file),
                  "--policies", str(tmp_path / "absent.json"), "--epsilon", "0.1"]) == 1
+
+
+def test_verify_rejects_out_of_range_policy_numbers(tmp_path, pennies_file, capsys):
+    pol = tmp_path / "huge.json"
+    pol.write_text('{"x": [[[1' + "0" * 400 + ', 0.0]]], "y": [[0.5, 0.5]]}')
+    assert main(["verify", "--game", str(pennies_file),
+                 "--policies", str(pol), "--epsilon", "0.1"]) == 1
+    captured = capsys.readouterr()
+    assert "schema" in captured.err and "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("table", ["x", "y"])

@@ -10,18 +10,18 @@ from atmg import (
     TeamPolicy,
     adv_nash_policy,
     build_lp_adv,
-    check_epsilon_ne,
     check_policies,
     extension_constants,
     nash_gap,
-    qnlp_residuals,
     run,
     uniform_team_policy,
 )
 from atmg.extension import GAP_FLOOR
+from atmg.lp import solve
 from atmg.mdp import AdversaryPolicy, adversary_best_response, marginal_reward_table
 from atmg.mdp import smoothness_constants
 from conftest import make_random_game, pennies_game, random_game_dims, random_policies
+from oracles import qnlp_residuals
 
 
 def half_game() -> GameSpec:
@@ -164,8 +164,10 @@ def test_adv_nash_policy_optimize_picks_better_vertex():
     x = uniform_team_policy(spec)
     r_x = marginal_reward_table(spec, x)
     _, lam_any = adv_nash_policy(spec, x, 0.5)
-    _, lam_opt = adv_nash_policy(spec, x, 0.5, optimize=True)
-    assert (lam_opt.table * r_x).sum() >= (lam_any.table * r_x).sum() - 1e-9
+    # The objective-optimal vertex of the same LP, clipped like the extractor.
+    _, v_hat = adversary_best_response(spec, x)
+    lam_opt = np.maximum(solve(build_lp_adv(spec, x, v_hat, 0.5)).x.reshape(2, 2), 0.0)
+    assert (lam_opt * r_x).sum() >= (lam_any.table * r_x).sum() - 1e-9
 
 
 def test_extraction_after_gradient_run():
@@ -223,13 +225,13 @@ def test_check_epsilon_ne():
     spec = pennies_game()
     x = uniform_team_policy(spec)
     y = AdversaryPolicy(np.array([[0.5, 0.5]]))
-    assert check_epsilon_ne(spec, x, y, 1e-6)
+    assert nash_gap(spec, x, y).certifies(1e-6)
 
     pure_x = TeamPolicy(blocks=(np.array([[1.0, 0.0]]),))
     pure_y = AdversaryPolicy(np.array([[1.0, 0.0]]))
-    assert not check_epsilon_ne(spec, pure_x, pure_y, 0.5)
+    assert not nash_gap(spec, pure_x, pure_y).certifies(0.5)
     # 1/(1-gamma) bounds every possible gap, so any joint policy passes
-    assert check_epsilon_ne(spec, pure_x, pure_y, 1.0)
+    assert nash_gap(spec, pure_x, pure_y).certifies(1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,14 @@ def test_validate_reports_nonfinite_entries():
     assert any("non-finite" in p for p in validate(small_game(reward=r)))
 
 
+def test_validate_flags_rewards_whose_values_could_overflow():
+    for value, flagged in ((-1e200, True), (-1e12, False)):
+        r = small_game().reward.copy()
+        r[0, 0, 0] = value
+        problems = validate(small_game(reward=r))
+        assert any("reward magnitude" in p for p in problems) == flagged
+
+
 # ---------------------------------------------------------------------------
 # normalize_rewards
 # ---------------------------------------------------------------------------

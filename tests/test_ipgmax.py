@@ -3,11 +3,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import atmg.ipgmax
 from atmg import (
     GameSpec,
     IpgmaxConfig,
     TeamPolicy,
+    adversary_best_response,
     check_policies,
+    joint_policy_vector,
+    policy_gradient,
+    project_product_simplex,
     prox_gap,
     prox_point,
     resolve_schedule,
@@ -18,7 +23,7 @@ from atmg import (
     smoothness_constants,
     uniform_team_policy,
 )
-from conftest import pennies_game
+from conftest import count_calls, pennies_game
 
 
 def half_game(adversary_actions: int = 2) -> GameSpec:
@@ -94,11 +99,10 @@ def test_resolve_schedule_modes_and_cap():
     assert T == 1000
     assert eta == pytest.approx(3.725290298461915e-11, rel=1e-12)
 
-    # mismatch defaults to D_bar, which is 4 for this fixture
+    # the theorem schedule takes D = D_bar, which is 4 for this fixture
     assert smoothness_constants(spec).D_bar == pytest.approx(4.0)
-    explicit = IpgmaxConfig(epsilon=0.1, schedule_mode="theorem", mismatch=4.0)
     implicit = IpgmaxConfig(epsilon=0.1, schedule_mode="theorem")
-    assert resolve_schedule(spec, explicit) == resolve_schedule(spec, implicit)
+    assert resolve_schedule(spec, implicit) == schedule_theorem(spec, 0.1, 4.0)
 
     prop = IpgmaxConfig(epsilon=0.1, schedule_mode="proposition", cap_iters=1000)
     assert resolve_schedule(spec, prop) == (pytest.approx(0.01), 5)
@@ -130,16 +134,67 @@ def test_config_validation():
 # The main loop
 # ---------------------------------------------------------------------------
 
-def test_run_zero_step_size_keeps_trace_constant():
+def test_run_zero_step_size_keeps_trace_constant(monkeypatch):
     spec = pennies_game()
     x0 = TeamPolicy(blocks=(np.array([[0.3, 0.7]]),))
+    calls = count_calls(monkeypatch, atmg.ipgmax, "adversary_best_response")
     trace = run(spec, x0, IpgmaxConfig(eta=0.0, iters=5, iterate_selection="none"))
+    assert len(calls) == 1  # x never moves, so the first solve is the only one needed
+    assert len(trace.policies) == 6 and len(trace.best_responses) == 5
     for x in trace.policies:
         np.testing.assert_array_equal(x.blocks[0], x0.blocks[0])
     np.testing.assert_array_equal(trace.frob_norms, np.zeros(6))
     np.testing.assert_allclose(trace.phi, np.full(6, 0.66), atol=1e-12)
     assert trace.t_star is None
     assert trace.prox_gaps == {}
+
+
+def reference_trace(spec, x0, eta, T):
+    """The loop of run written out with no shortcut: (policies, ys, phi, frob)."""
+    rho = spec.initial_dist
+    policies, ys, phi, frob = [x0], [], [], [0.0]
+    x, prev = x0, None
+    for _ in range(T):
+        y, v = adversary_best_response(spec, x)
+        phi.append(float(rho @ v))
+        x_next = project_product_simplex(spec, x.as_vector() - eta * policy_gradient(spec, x, y))
+        joint = joint_policy_vector(x_next, y)
+        if prev is None:
+            prev = joint_policy_vector(x, y)
+        frob.append(float(np.linalg.norm(joint - prev)))
+        prev = joint
+        policies.append(x_next)
+        ys.append(y)
+        x = x_next
+    phi.append(float(rho @ adversary_best_response(spec, x)[1]))
+    return policies, ys, np.array(phi), np.array(frob)
+
+
+def test_run_copies_the_tail_once_the_iterate_is_fixed(monkeypatch):
+    # The team prefers action 0; the iterate reaches the vertex [1, 0] at
+    # t = 5 and the projection keeps it there bit for bit.
+    spec = GameSpec(
+        state_count=1,
+        team_sizes=(2,),
+        adversary_actions=1,
+        reward=np.array([[[0.2], [0.8]]]),
+        transition=np.ones((1, 2, 1, 1)),
+        discount=0.5,
+        initial_dist=np.array([1.0]),
+    )
+    x0 = uniform_team_policy(spec)
+    policies, ys, phi, frob = reference_trace(spec, x0, 0.2, 12)
+    calls = count_calls(monkeypatch, atmg.ipgmax, "adversary_best_response")
+    trace = run(spec, x0, IpgmaxConfig(eta=0.2, iters=12, iterate_selection="none"))
+    assert len(calls) == 6  # t = 1..6; x(6) == x(5) ends the loop
+    assert len(trace.policies) == len(policies)
+    for x, ref in zip(trace.policies, policies):
+        np.testing.assert_array_equal(x.blocks[0], ref.blocks[0])
+    for y, ref in zip(trace.best_responses, ys):
+        np.testing.assert_array_equal(y.probs, ref.probs)
+    np.testing.assert_array_equal(trace.phi, phi)
+    np.testing.assert_array_equal(trace.frob_norms, frob)
+    np.testing.assert_array_equal(trace.policies[-1].blocks[0], [[1.0, 0.0]])
 
 
 def test_run_trace_shapes():

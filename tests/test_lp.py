@@ -6,8 +6,8 @@ import pytest
 from atmg import lp
 from atmg.lp import LinearProgram, find_feasible, solve
 from atmg.mdp import adversary_best_response, marginal_reward_table, uniform_team_policy
-from conftest import make_random_game, pennies_game, random_policies
-from lp_oracle import adversary_mdp_primal_dual
+from conftest import count_calls, make_random_game, pennies_game, random_policies
+from oracles import adversary_mdp_primal_dual
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +143,33 @@ def test_degenerate_rows_are_handled():
     ))
     assert sol.status == lp.OPTIMAL
     np.testing.assert_allclose(sol.x, [1.0, 0.0], atol=1e-10)
+
+
+def test_zero_rhs_at_least_rows_need_no_artificial_column(monkeypatch):
+    # Every ">=" row has a zero right-hand side, so the origin is feasible
+    # and each row's own slack can start the basis: phase one has no
+    # artificial column and makes no pivot.
+    rng = np.random.default_rng(23)
+    k, n = 12, 5
+    prog = LinearProgram(
+        objective=rng.normal(size=n),
+        lhs=np.vstack([rng.normal(size=(k, n)), np.ones((1, n))]),
+        senses=(">=",) * k + ("<=",),
+        rhs=np.append(np.zeros(k), 3.0),
+    )
+    sf = lp._standardize(prog)
+    assert sf.matrix.shape[1] == sf.art_start
+
+    pivots = count_calls(monkeypatch, lp, "_pivot")
+    sol = find_feasible(prog)
+    assert sol.status == lp.FEASIBLE
+    assert pivots == []
+    assert lp.residuals(prog, sol.x) <= lp.RESIDUAL_LIMIT
+
+    opt = solve(prog)
+    assert opt.status == lp.OPTIMAL
+    assert lp.residuals(prog, opt.x) <= lp.RESIDUAL_LIMIT
+    assert opt.objective >= sol.objective - 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from atmg import (
     GameSpec,
     TeamPolicy,
     adversary_best_response,
-    adversary_policy_gradient,
     check_policies,
     policy_gradient,
     project_product_simplex,
@@ -28,6 +29,7 @@ from atmg.mdp import (
     marginal_transition_table,
 )
 from conftest import make_random_game, pennies_game, random_game_dims, random_policies
+from oracles import adversary_policy_gradient
 
 
 def single_state_game(rewards: np.ndarray, gamma: float) -> GameSpec:
@@ -151,6 +153,18 @@ def test_value_bounds_on_random_games():
         v = value_vector(spec, x, y)
         assert np.all(v > 0.0)
         assert np.all(v < 1.0 / (1.0 - gamma))
+
+
+def test_value_vector_scales_with_rewards():
+    # Round-off in the solve grows with the rewards; the residual check must
+    # not mistake it for a failed solve.
+    rng = np.random.default_rng(0)
+    spec = make_random_game(rng, 4, (2,), 2, 0.9)
+    x, y = random_policies(rng, spec)
+    v = value_vector(spec, x, y)
+    for scale in (1e6, 1e12):
+        big = dataclasses.replace(spec, reward=spec.reward * scale)
+        np.testing.assert_allclose(value_vector(big, x, y), scale * v, rtol=1e-12)
 
 
 def test_visitation_identity_and_bounds():
