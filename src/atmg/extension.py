@@ -106,17 +106,19 @@ def build_lp_adv(
 ) -> LinearProgram:
     """Assemble the adversary LP at (x_hat, v_hat).
 
-    Variables are lambda(s, b) >= 0, flattened state-major.  Rows, in
-    order:
+    Variables are lambda(s, b) >= 0, flattened state-major.  Every row
+    touches the B variables of one state only, so the rows come state-major
+    too: state s owns rows s*R to (s+1)*R - 1, R = sum_k A_k + 2B + 2, in
+    this order:
 
-      (a) per player k, state s, action a: the deviation Q-value of
-          playing a against x_hat's other blocks, averaged under lambda(s, .),
+      (a) per player k, action a: the deviation Q-value of playing a
+          against x_hat's other blocks, averaged under lambda(s, .),
           exceeds v_hat(s) by at least -c1*eps;
-      (b), (c) per (s, b): lambda(s, b) times the Bellman slack of (s, b)
-          at x_hat stays within [-c2*eps, +c2*eps] (the slack is a scalar,
-          so each row touches a single variable);
-      (d) per s: sum_b lambda(s, b) >= rho(s);
-      (e) per s: sum_b lambda(s, b) <= 1/(1-gamma).
+      (b), (c) per b: lambda(s, b) times the Bellman slack of (s, b) at
+          x_hat stays within [-c2*eps, +c2*eps] (the slack is a scalar, so
+          each row touches a single variable);
+      (d) sum_b lambda(s, b) >= rho(s);
+      (e) sum_b lambda(s, b) <= 1/(1-gamma).
 
     The objective maximizes sum lambda(s, b) r(s, x_hat, b); feasibility is
     what matters downstream, but the objective is kept for callers that
@@ -133,61 +135,31 @@ def build_lp_adv(
     check_policies(spec, x_hat)
 
     S, B = spec.state_count, spec.adversary_actions
-    gamma = spec.discount
-    n_vars = S * B
+    A = spec.sum_team_actions
     cons = extension_constants(spec)
 
-    rows: list[np.ndarray] = []
-    senses: list[str] = []
-    rhs: list[float] = []
+    # deviation[s, i, b]: the Bellman slack at (s, b) of the i-th (player,
+    # pure action) deviation, its deviation value minus v_hat(s).
+    deviation = np.stack([
+        _bellman_slack(spec, x_hat.with_block(k, np.tile(pure, (S, 1))), v_hat)
+        for k, size in enumerate(spec.team_sizes) for pure in np.eye(size)
+    ], axis=1)
+    slack = _bellman_slack(spec, x_hat, v_hat)[:, :, None] * np.eye(B)
+    blocks = np.concatenate([deviation, slack, slack, np.ones((S, 2, B))], axis=1)
+    R = blocks.shape[1]
+    lhs = np.zeros((S, R, S, B))
+    lhs[np.arange(S), :, np.arange(S), :] = blocks
 
-    # (a) team first-order rows, player-major.  coef[a][s, b] is the
-    # Bellman slack at (s, b) of player k deviating to the pure action a:
-    # its deviation value minus v_hat(s).
-    for k, size in enumerate(spec.team_sizes):
-        coef = [
-            _bellman_slack(spec, x_hat.with_block(k, np.tile(pure, (S, 1))), v_hat)
-            for pure in np.eye(size)
-        ]
-        for s in range(S):
-            for a in range(size):
-                row = np.zeros(n_vars)
-                row[s * B : (s + 1) * B] = coef[a][s]
-                rows.append(row)
-                senses.append(">=")
-                rhs.append(-cons.c1 * epsilon)
-
-    # (b), (c) adversary Bellman slack rows.  slack[s, b] is a constant,
-    # so the row has a single nonzero coefficient.
-    slack = _bellman_slack(spec, x_hat, v_hat)
-    for sense, bound in (("<=", cons.c2), (">=", -cons.c2)):
-        for s in range(S):
-            for b in range(B):
-                row = np.zeros(n_vars)
-                row[s * B + b] = slack[s, b]
-                rows.append(row)
-                senses.append(sense)
-                rhs.append(bound * epsilon)
-
-    # (d), (e) row-sum corridor.
-    for s in range(S):
-        row = np.zeros(n_vars)
-        row[s * B : (s + 1) * B] = 1.0
-        rows.append(row)
-        senses.append(">=")
-        rhs.append(float(spec.initial_dist[s]))
-    for s in range(S):
-        row = np.zeros(n_vars)
-        row[s * B : (s + 1) * B] = 1.0
-        rows.append(row)
-        senses.append("<=")
-        rhs.append(1.0 / (1.0 - gamma))
+    senses = (">=",) * A + ("<=",) * B + (">=",) * B + (">=", "<=")
+    bounds = np.repeat([-cons.c1, cons.c2, -cons.c2], [A, B, B]) * epsilon
+    ceiling = np.full(S, 1.0 / (1.0 - spec.discount))
+    rhs = np.column_stack([np.tile(bounds, (S, 1)), spec.initial_dist, ceiling])
 
     return LinearProgram(
         objective=marginal_reward_table(spec, x_hat).ravel(),
-        lhs=np.array(rows),
-        senses=tuple(senses),
-        rhs=np.array(rhs),
+        lhs=lhs.reshape(S * R, S * B),
+        senses=senses * S,
+        rhs=rhs.ravel(),
     )
 
 
@@ -196,19 +168,29 @@ def adv_nash_policy(
 ) -> tuple[AdversaryPolicy, LagrangeMultipliers]:
     """Extract the adversary's equilibrium policy at a near-stationary x_hat.
 
-    Solves the adversary's best-response MDP for v_hat, builds the LP, takes
-    any feasible point and row-normalizes it.  The normalization is safe
-    because every feasible lambda has row sums at least rho(s) > 0.
+    Solves the adversary's best-response MDP for v_hat and builds the LP.
+    No row couples two states, so each state's R x B block is a program of
+    its own: any feasible point of each, stitched together, is feasible for
+    the whole LP.  Row-normalizing it is safe because every feasible lambda
+    has row sums at least rho(s) > 0.
     """
     _, v_hat = adversary_best_response(spec, x_hat)
-    sol = find_feasible(build_lp_adv(spec, x_hat, v_hat, epsilon))
-    if sol.status != FEASIBLE:
-        raise LpAdvInfeasibleError(
-            f"adversary LP {sol.status} at epsilon={epsilon:.6g} "
-            f"(max violation {sol.max_violation:.3e})",
-            sol.max_violation,
+    lp = build_lp_adv(spec, x_hat, v_hat, epsilon)
+    S, B = spec.state_count, spec.adversary_actions
+    R = lp.n_rows // S
+    lam = np.empty((S, B))
+    for s in range(S):
+        rows, cols = slice(s * R, (s + 1) * R), slice(s * B, (s + 1) * B)
+        sol = find_feasible(
+            LinearProgram(lp.objective[cols], lp.lhs[rows, cols], lp.senses[rows], lp.rhs[rows])
         )
-    lam = sol.x.reshape(spec.state_count, spec.adversary_actions)
+        if sol.status != FEASIBLE:
+            raise LpAdvInfeasibleError(
+                f"adversary LP {sol.status} at state {s}, epsilon={epsilon:.6g} "
+                f"(max violation {sol.max_violation:.3e})",
+                sol.max_violation,
+            )
+        lam[s] = sol.x
     lam = np.maximum(lam, 0.0)
     y_hat = lam / lam.sum(axis=1, keepdims=True)
     return AdversaryPolicy(probs=y_hat), LagrangeMultipliers(table=lam)

@@ -75,14 +75,19 @@ class IpgmaxConfig:
         if self.schedule_mode == "manual":
             if self.eta is None or self.iters is None:
                 raise ValueError("manual schedule requires eta and iters")
-            if self.eta < 0.0:
-                raise ValueError(f"eta must be nonnegative, got {self.eta}")
             if self.iters < 1:
                 raise ValueError(f"iters must be at least 1, got {self.iters}")
-        else:
-            if self.epsilon is None or self.epsilon <= 0.0:
-                raise ValueError("schedule modes require epsilon > 0")
-        if self.iterate_selection == "random" and not 0.0 < self.delta < 1.0:
+        elif self.epsilon is None:
+            raise ValueError("schedule modes require epsilon > 0")
+        # Values a mode ignores still reach report.json, so they are checked
+        # too; `not 0 <= v < inf` also catches NaN.
+        if self.eta is not None and not 0.0 <= self.eta < math.inf:
+            raise ValueError(f"eta must be finite and nonnegative, got {self.eta}")
+        if self.epsilon is not None and not 0.0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
+        if self.cap_iters is not None and self.cap_iters < 1:
+            raise ValueError(f"cap_iters must be at least 1, got {self.cap_iters}")
+        if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
 
 

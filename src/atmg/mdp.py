@@ -308,11 +308,17 @@ def team_player_best_response(spec: GameSpec, k: int, x_minus_k: TeamPolicy, y: 
     teammates; its block k is ignored.  Returns the deterministic table
     (S, A_k) and the minimized value rho' v.
     """
-    r_k = _per_player(spec, x_minus_k, k, _mix_over_adversary(y, spec.reward))
-    # P_k[s, s', a]; the (S, S', J) transition mixed over b ~ y is a temporary.
-    P_k = _per_player(spec, x_minus_k, k, np.einsum("sb,sjbt->stj", y.probs, spec.transition))
-    v_max, greedy = _policy_iteration(-r_k, P_k.transpose(0, 2, 1), spec.discount)
-    return np.eye(spec.team_sizes[k])[greedy], -float(spec.initial_dist @ v_max)
+    S, J, B = spec.state_count, spec.joint_action_count, spec.adversary_actions
+    A = spec.team_sizes[k]
+    # w[s, a, (j, b)]: probability of joint action j and adversary action b
+    # at s when player k plays a, so one matmul per table marginalizes it.
+    others = joint_action_distribution(spec, x_minus_k.with_block(k, np.ones((S, A))))
+    pinned = spec.action_digits[:, k] == np.arange(A)[:, None]
+    w = ((pinned * others[:, None, :])[..., None] * y.probs[:, None, None, :]).reshape(S, A, J * B)
+    r_k = (w @ spec.reward.reshape(S, J * B, 1))[:, :, 0]
+    P_k = w @ spec.transition.reshape(S, J * B, S)
+    v_max, greedy = _policy_iteration(-r_k, P_k, spec.discount)
+    return np.eye(A)[greedy], -float(spec.initial_dist @ v_max)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ The adversary's best-response MDP is solved by linear programming through
 the simplex in atmg.lp rather than the policy-iteration solver in
 atmg.mdp, so the two can be checked against each other.  The adversary's
 policy gradient and the residuals of the regularized program are read off
-the public marginal tables; the library itself uses neither.
+the public marginal tables; the library itself uses neither.  The adversary
+LP is written out row by row, the reference for its vectorized assembly.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from atmg import (
     AdversaryPolicy,
     GameSpec,
     TeamPolicy,
+    extension_constants,
     smoothness_constants,
     value_vector,
     visitation,
@@ -26,6 +28,38 @@ from atmg.mdp import marginal_reward_table, marginal_transition_table
 def q_table(spec: GameSpec, x: TeamPolicy, v: np.ndarray) -> np.ndarray:
     """(S, B) table r(s, x, b) + gamma sum_t P(t | s, x, b) v(t)."""
     return marginal_reward_table(spec, x) + spec.discount * (marginal_transition_table(spec, x) @ v)
+
+
+def lp_adv_reference(
+    spec: GameSpec, x: TeamPolicy, v_hat: np.ndarray, epsilon: float
+) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
+    """(lhs, senses, rhs) of build_lp_adv, one row at a time, state-major."""
+    S, B = spec.state_count, spec.adversary_actions
+    cons = extension_constants(spec)
+    rows, senses, rhs = [], [], []
+
+    def add(s, coef, sense, bound):
+        row = np.zeros(S * B)
+        row[s * B : (s + 1) * B] = coef
+        rows.append(row)
+        senses.append(sense)
+        rhs.append(bound)
+
+    slack = q_table(spec, x, v_hat) - v_hat[:, None]
+    deviations = [
+        q_table(spec, x.with_block(k, np.tile(pure, (S, 1))), v_hat) - v_hat[:, None]
+        for k, size in enumerate(spec.team_sizes)
+        for pure in np.eye(size)
+    ]
+    for s in range(S):
+        for dev in deviations:
+            add(s, dev[s], ">=", -cons.c1 * epsilon)
+        for sense, bound in (("<=", cons.c2), (">=", -cons.c2)):
+            for b in range(B):
+                add(s, np.eye(B)[b] * slack[s, b], sense, bound * epsilon)
+        add(s, 1.0, ">=", spec.initial_dist[s])
+        add(s, 1.0, "<=", 1.0 / (1.0 - spec.discount))
+    return np.array(rows), tuple(senses), np.array(rhs)
 
 
 def adversary_policy_gradient(spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy) -> np.ndarray:

@@ -173,6 +173,25 @@ def test_solve_manual_requires_eta_and_iters(tmp_path, capsys, pennies_file):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["--eta", "nan", "--iters", "5"],
+    ["--eta", "inf", "--iters", "5"],
+    ["--schedule", "proposition", "--epsilon", "inf"],
+    ["--eta", "0.1", "--iters", "5", "--cap-iters", "0"],
+    ["--eta", "0.1", "--iters", "5", "--cap-iters", "-1"],
+    ["--eta", "0.1", "--iters", "5", "--cap-iters", "-4"],
+], ids=["eta-nan", "eta-inf", "epsilon-inf", "cap-0", "cap-minus-1", "cap-minus-4"])
+def test_solve_rejects_out_of_range_settings(tmp_path, capsys, pennies_file, args):
+    out = tmp_path / "run"
+    code = main(["solve", "--game", str(pennies_file), "--out", str(out)] + args)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error:" in err
+    assert "Traceback" not in err
+    assert not (out / "report.json").exists()
+    assert not out.exists()
+
+
 def test_solve_theorem_refuses_huge_iteration_counts(tmp_path, capsys, pennies_file):
     out = tmp_path / "run"
     code = main([

@@ -17,11 +17,17 @@ from atmg import (
     uniform_team_policy,
 )
 from atmg.extension import GAP_FLOOR
-from atmg.lp import solve
+from atmg.lp import FEASIBLE, INFEASIBLE, RESIDUAL_LIMIT, find_feasible, residuals, solve
 from atmg.mdp import AdversaryPolicy, adversary_best_response, marginal_reward_table
 from atmg.mdp import smoothness_constants
-from conftest import make_random_game, pennies_game, random_game_dims, random_policies
-from oracles import qnlp_residuals
+from conftest import (
+    count_calls,
+    make_random_game,
+    pennies_game,
+    random_game_dims,
+    random_policies,
+)
+from oracles import lp_adv_reference, qnlp_residuals
 
 
 def half_game() -> GameSpec:
@@ -67,6 +73,11 @@ def test_c1_dominates_c2():
 # LP_adv assembly
 # ---------------------------------------------------------------------------
 
+# half_game has one player with 2 actions and B = 2, so each state owns
+# R = 2 + 2*2 + 2 = 8 consecutive rows: (a) 2, (b) 2, (c) 2, (d) 1, (e) 1.
+HALF_R = 8
+
+
 def test_lp_adv_row_layout():
     spec = half_game()
     x = uniform_team_policy(spec)
@@ -75,13 +86,10 @@ def test_lp_adv_row_layout():
     # (a) 2 states x 2 actions, (b) and (c) 4 each, (d) and (e) 2 each
     assert lp.n_rows == 16
     assert lp.n_vars == 4
-    assert lp.senses[:4] == (">=",) * 4
-    assert lp.senses[4:8] == ("<=",) * 4
-    assert lp.senses[8:12] == (">=",) * 4
-    assert lp.senses[12:14] == (">=",) * 2
-    assert lp.senses[14:16] == ("<=",) * 2
-    np.testing.assert_allclose(lp.rhs[12:14], spec.initial_dist)
-    np.testing.assert_allclose(lp.rhs[14:16], 2.0)
+    per_state = (">=",) * 2 + ("<=",) * 2 + (">=",) * 2 + (">=", "<=")
+    assert lp.senses == per_state * 2
+    np.testing.assert_allclose(lp.rhs[6::HALF_R], spec.initial_dist)
+    np.testing.assert_allclose(lp.rhs[7::HALF_R], 2.0)
 
 
 def test_lp_adv_rhs_scales_with_epsilon():
@@ -90,8 +98,9 @@ def test_lp_adv_rhs_scales_with_epsilon():
     _, v_hat = adversary_best_response(spec, x)
     lp1 = build_lp_adv(spec, x, v_hat, 0.01)
     lp2 = build_lp_adv(spec, x, v_hat, 0.02)
-    np.testing.assert_allclose(lp2.rhs[:12], 2.0 * lp1.rhs[:12], rtol=1e-14)
-    np.testing.assert_array_equal(lp2.rhs[12:], lp1.rhs[12:])
+    scaled = np.tile(np.arange(HALF_R) < 6, 2)  # the (a), (b), (c) rows
+    np.testing.assert_allclose(lp2.rhs[scaled], 2.0 * lp1.rhs[scaled], rtol=1e-14)
+    np.testing.assert_array_equal(lp2.rhs[~scaled], lp1.rhs[~scaled])
     np.testing.assert_array_equal(lp2.lhs, lp1.lhs)
 
 
@@ -103,11 +112,50 @@ def test_lp_adv_bellman_slack_rows():
     x = uniform_team_policy(spec)
     _, v_hat = adversary_best_response(spec, x)
     lp = build_lp_adv(spec, x, v_hat, 0.01)
-    slack_rows = lp.lhs[4:8]
+    slack_rows = lp.lhs.reshape(2, HALF_R, 4)[:, 2:4].reshape(4, 4)
     assert all(np.count_nonzero(row) <= 1 for row in slack_rows)
     slack = slack_rows.sum(axis=1).reshape(2, 2)
     assert slack.max() <= 1e-9
     assert np.all(np.abs(slack).min(axis=1) <= 1e-9)
+
+
+def _lp_cases(gridworld2: GameSpec, seed: int) -> list[tuple[GameSpec, TeamPolicy]]:
+    """grid_world(2) at the uniform policy, then 10 random games at random policies."""
+    rng = np.random.default_rng(seed)
+    cases = [(gridworld2, uniform_team_policy(gridworld2))]
+    for _ in range(10):
+        S, sizes, B = random_game_dims(rng)
+        spec = make_random_game(rng, S, sizes, B, float(rng.choice([0.0, 0.5, 0.9])))
+        cases.append((spec, random_policies(rng, spec)[0]))
+    return cases
+
+
+def test_lp_adv_rows_touch_one_state(gridworld2):
+    # Row i belongs to state i // R and has no coefficient outside that
+    # state's B variables, which is what lets adv_nash_policy solve the
+    # program state by state.
+    for spec, x in _lp_cases(gridworld2, 13):
+        S, B = spec.state_count, spec.adversary_actions
+        R = spec.sum_team_actions + 2 * B + 2
+        _, v_hat = adversary_best_response(spec, x)
+        lp = build_lp_adv(spec, x, v_hat, 0.01)
+        assert lp.lhs.shape == (S * R, S * B)
+        blocks = lp.lhs.reshape(S, R, S, B).copy()
+        blocks[np.arange(S), :, np.arange(S), :] = 0.0
+        assert not blocks.any()
+        if spec is gridworld2:
+            assert lp.lhs.shape == (1170, 260)
+
+
+def test_lp_adv_matches_row_by_row_reference(gridworld2):
+    for spec, x in _lp_cases(gridworld2, 17):
+        _, v_hat = adversary_best_response(spec, x)
+        for epsilon in (0.0, 0.01):
+            lp = build_lp_adv(spec, x, v_hat, epsilon)
+            lhs, senses, rhs = lp_adv_reference(spec, x, v_hat, epsilon)
+            assert lp.senses == senses
+            np.testing.assert_array_equal(lp.rhs, rhs)
+            np.testing.assert_allclose(lp.lhs, lhs, rtol=0.0, atol=1e-12)
 
 
 def test_lp_adv_input_validation():
@@ -147,6 +195,7 @@ def test_far_from_stationary_is_infeasible():
     with pytest.raises(LpAdvInfeasibleError) as exc:
         adv_nash_policy(spec, x, 1e-8)
     assert exc.value.max_violation > 0.0
+    assert "at state 0," in str(exc.value)
 
 
 def test_adv_nash_policy_generous_epsilon():
@@ -168,6 +217,41 @@ def test_adv_nash_policy_optimize_picks_better_vertex():
     _, v_hat = adversary_best_response(spec, x)
     lam_opt = np.maximum(solve(build_lp_adv(spec, x, v_hat, 0.5)).x.reshape(2, 2), 0.0)
     assert (lam_opt * r_x).sum() >= (lam_any.table * r_x).sum() - 1e-9
+
+
+def test_adv_nash_policy_solves_one_program_per_state(gridworld2, monkeypatch):
+    import atmg.extension
+
+    calls = count_calls(monkeypatch, atmg.extension, "find_feasible")
+    adv_nash_policy(gridworld2, uniform_team_policy(gridworld2), 0.01)
+    assert len(calls) == gridworld2.state_count
+    assert all(lp.lhs.shape == (18, 4) for (lp,) in calls)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_stitched_lambda_is_feasible_for_the_whole_program(seed):
+    # Per-state solves find a point exactly when the whole program has one,
+    # and the stitched point satisfies every row of it.  At eps0 the (a)
+    # rows cannot bind harder than lambda = rho at a best-response action
+    # allows, so the larger epsilons are feasible by construction; the
+    # smaller ones may go either way.
+    rng = np.random.default_rng(seed)
+    for _ in range(4):
+        S, sizes, B = random_game_dims(rng)
+        spec = make_random_game(rng, S, sizes, B, float(rng.choice([0.0, 0.5, 0.9])))
+        x = random_policies(rng, spec)[0]
+        _, v_hat = adversary_best_response(spec, x)
+        eps0 = np.abs(build_lp_adv(spec, x, v_hat, 0.0).lhs).max() / extension_constants(spec).c1
+        for epsilon in (1e-3 * eps0, 0.1 * eps0, eps0, 3.0 * eps0, 10.0 * eps0):
+            lp = build_lp_adv(spec, x, v_hat, epsilon)
+            whole = find_feasible(lp).status
+            try:
+                _, lam = adv_nash_policy(spec, x, epsilon)
+            except LpAdvInfeasibleError:
+                assert whole == INFEASIBLE and epsilon < eps0
+                continue
+            assert whole == FEASIBLE
+            assert residuals(lp, lam.table.ravel()) <= RESIDUAL_LIMIT
 
 
 def test_extraction_after_gradient_run():
