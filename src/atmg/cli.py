@@ -230,7 +230,10 @@ def cmd_solve(args) -> int:
         "normalization": {"shift": shift, "scale": scale},
     }
     started = time.perf_counter()
-    trace = run(normalized, None, config)  # selects for args.seed
+    try:
+        trace = run(normalized, None, config)  # selects for args.seed
+    except ValueError as exc:
+        return _fail(str(exc))
     out = Path(args.out)
     codes = []
     for seed in range(args.seed, args.seed + max(args.jobs, 1)):

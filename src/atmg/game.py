@@ -6,8 +6,16 @@ each team player implicitly receives -r/n, so total rewards sum to zero.
 Joint team actions are flattened to one mixed-radix index with player 1
 fastest-varying: a_joint = a_1 + A_1*a_2 + A_1*A_2*a_3 + ...
 
-The file schema (version "atmg-v1") serializes the reward and transition
-tensors as nested JSON arrays in the same index order.
+Transitions are stored as successor lists: row (s, a_joint, b) keeps the
+indices and probabilities of its K possible next states, where K is the
+widest row's support.  Grid worlds are deterministic, so K = 1 there.
+
+Game files are JSON.  Schema "atmg-v2", which save_game writes, stores the
+reward as a nested (S, A_joint, B) array and the transition as an object
+with two nested (S, A_joint, B, K) arrays, "successors" (integer state
+indices) and "probabilities".  Schema "atmg-v1" stores the transition as
+the dense (S, A_joint, B, S) array; load_game still reads it and converts
+it to successor lists.
 """
 
 from __future__ import annotations
@@ -20,7 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-SCHEMA_VERSION = "atmg-v1"
+SCHEMA_VERSION = "atmg-v2"
+_DENSE_SCHEMA = "atmg-v1"
 
 # Tolerances used by validate().
 _STOCHASTIC_TOL = 1e-12
@@ -35,6 +44,70 @@ class DegenerateRewardsError(ValueError):
     """Raised when rewards cannot be normalized because max r = min r."""
 
 
+@dataclass(frozen=True, eq=False)
+class Transitions:
+    """Successor lists of the transition kernel P[s, a_joint, b, s'].
+
+    succ[s, a_joint, b, k] is a next state and prob[s, a_joint, b, k] its
+    probability; both arrays are read-only with shape (S, A_joint, B, K).
+    A row with fewer than K successors is padded with zero probabilities.
+    Entries are summed, so a successor listed twice gets both probabilities.
+    """
+
+    succ: np.ndarray
+    prob: np.ndarray
+    state_count: int
+
+    def __post_init__(self) -> None:
+        succ = np.asarray(self.succ)
+        if succ.dtype.kind not in "iu":
+            raise ValueError(f"successor indices must be integers, got dtype {succ.dtype}")
+        succ = np.ascontiguousarray(succ, dtype=np.int64)
+        prob = np.ascontiguousarray(np.asarray(self.prob, dtype=np.float64))
+        if succ.shape != prob.shape:
+            raise ValueError(
+                f"successors {succ.shape} and probabilities {prob.shape} "
+                "must be arrays of one shape"
+            )
+        for arr in (succ, prob):
+            arr.setflags(write=False)
+        object.__setattr__(self, "succ", succ)
+        object.__setattr__(self, "prob", prob)
+        object.__setattr__(self, "state_count", int(self.state_count))
+
+    @classmethod
+    def from_dense(cls, dense) -> Transitions:
+        """Successor lists of a dense (..., S) array, successors in index order.
+
+        Every nonzero entry is kept, NaN included, so validate() still sees
+        it; zero entries of the row pad it to K.
+        """
+        dense = np.asarray(dense, dtype=np.float64)
+        if dense.ndim == 0:
+            raise ValueError("transition must be an (S, A_joint, B, S) array, got a scalar")
+        nonzero = dense != 0.0
+        K = min(max(int(nonzero.sum(axis=-1).max(initial=0)), 1), dense.shape[-1])
+        # A stable sort of the zero flags puts each row's nonzeros first.
+        succ = np.argsort(~nonzero, axis=-1, kind="stable")[..., :K]
+        return cls(succ, np.take_along_axis(dense, succ, axis=-1), dense.shape[-1])
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """Shape of the dense tensor, (S, A_joint, B, S) for a game."""
+        return self.prob.shape[:-1] + (self.state_count,)
+
+    @property
+    def nbytes(self) -> int:
+        return self.succ.nbytes + self.prob.nbytes
+
+    def dense(self) -> np.ndarray:
+        """The dense tensor P[s, a_joint, b, s']; indices must lie in [0, S)."""
+        out = np.zeros(self.shape)
+        rows = np.indices(self.succ.shape, sparse=True)[:-1]
+        np.add.at(out, (*rows, self.succ), self.prob)
+        return out
+
+
 @dataclass(frozen=True)
 class GameSpec:
     """Immutable description of one game instance.
@@ -45,7 +118,8 @@ class GameSpec:
     team_sizes         (A_1, ..., A_n), the per-player action counts
     adversary_actions  B
     reward             r[s, a_joint, b], the adversary's payoff
-    transition         P[s, a_joint, b, s']
+    transition         P[s, a_joint, b, s'] as Transitions; a dense array
+                       is converted on construction
     discount           gamma in [0, 1)
     initial_dist       rho, a full-support distribution over states
     """
@@ -54,17 +128,19 @@ class GameSpec:
     team_sizes: tuple[int, ...]
     adversary_actions: int
     reward: np.ndarray
-    transition: np.ndarray
+    transition: Transitions
     discount: float
     initial_dist: np.ndarray
 
     def __post_init__(self) -> None:
         # Coerce to read-only float arrays so instances can be shared freely.
         object.__setattr__(self, "team_sizes", tuple(int(a) for a in self.team_sizes))
-        for name in ("reward", "transition", "initial_dist"):
+        for name in ("reward", "initial_dist"):
             arr = np.ascontiguousarray(np.asarray(getattr(self, name), dtype=np.float64))
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        if not isinstance(self.transition, Transitions):
+            object.__setattr__(self, "transition", Transitions.from_dense(self.transition))
         object.__setattr__(self, "state_count", int(self.state_count))
         object.__setattr__(self, "adversary_actions", int(self.adversary_actions))
         object.__setattr__(self, "discount", float(self.discount))
@@ -149,21 +225,25 @@ def validate(spec: GameSpec) -> list[str]:
         problems.append(f"reward has non-finite entry at (s={bad[0]}, a_joint={bad[1]}, b={bad[2]})")
     elif (peak := float(np.abs(spec.reward).max())) > _REWARD_LIMIT:
         problems.append(f"reward magnitude {peak:.3g} exceeds {_REWARD_LIMIT:g}")
-    if not np.isfinite(spec.transition).all():
-        bad = np.argwhere(~np.isfinite(spec.transition))[0]
+    succ, prob = spec.transition.succ, spec.transition.prob
+
+    def entry(s, a, b, k) -> str:
+        return f"(s={s}, a_joint={a}, b={b}, s'={succ[s, a, b, k]})"
+
+    if not np.isfinite(prob).all():
         problems.append(
-            f"transition has non-finite entry at (s={bad[0]}, a_joint={bad[1]}, b={bad[2]}, s'={bad[3]})"
+            f"transition has non-finite entry at {entry(*np.argwhere(~np.isfinite(prob))[0])}"
+        )
+    for s, a, b, k in np.argwhere((succ < 0) | (succ >= S))[:5]:
+        problems.append(
+            f"transition successor {entry(s, a, b, k)} lies outside [0, {S})"
+        )
+    for s, a, b, k in np.argwhere(prob < 0.0)[:5]:
+        problems.append(
+            f"transition entry {entry(s, a, b, k)} is negative: {prob[s, a, b, k]:.17g}"
         )
 
-    neg = spec.transition < 0.0
-    if neg.any():
-        for s, a, b, t in np.argwhere(neg)[:5]:
-            problems.append(
-                f"transition entry (s={s}, a_joint={a}, b={b}, s'={t}) is negative: "
-                f"{spec.transition[s, a, b, t]:.17g}"
-            )
-
-    row_sums = spec.transition.sum(axis=3)
+    row_sums = prob.sum(axis=3)
     bad_rows = np.abs(row_sums - 1.0) > _STOCHASTIC_TOL
     if bad_rows.any():
         for s, a, b in np.argwhere(bad_rows)[:5]:
@@ -278,7 +358,9 @@ def grid_world(
     A_joint = 16             # two team players, 4 actions each, player 1 fastest
     B = 4
     reward = np.zeros((S, A_joint, B))
-    transition = np.zeros((S, A_joint, B, S))
+    # Every move is deterministic: one successor per (s, a_joint, b).  The
+    # terminal state's rows keep this fill, a self-loop.
+    succ = np.full((S, A_joint, B, 1), terminal)
 
     s_all = np.arange(live)
     p1 = s_all % cells
@@ -300,18 +382,16 @@ def grid_world(
                 adv_win = adv_arrived & ~covered
                 done = team_win | adv_win
                 nxt = np.where(done, terminal, q1 + cells * q2 + cells * cells * qa)
-                transition[s_all, j, b, nxt] = 1.0
+                succ[s_all, j, b, 0] = nxt
                 reward[s_all[team_win], j, b] = -1.0
                 reward[s_all[adv_win], j, b] = 1.0
-
-    transition[terminal, :, :, terminal] = 1.0
 
     raw = GameSpec(
         state_count=S,
         team_sizes=(4, 4),
         adversary_actions=B,
         reward=reward,
-        transition=transition,
+        transition=Transitions(succ, np.ones(succ.shape), S),
         discount=discount,
         initial_dist=np.full(S, 1.0 / S),
     )
@@ -320,11 +400,11 @@ def grid_world(
 
 
 # ---------------------------------------------------------------------------
-# Serialization ("atmg-v1")
+# Serialization ("atmg-v2"; "atmg-v1" is read too)
 # ---------------------------------------------------------------------------
 
 def save_game(spec: GameSpec, path) -> None:
-    """Write `spec` to a JSON game file (schema "atmg-v1").
+    """Write `spec` to a JSON game file (schema "atmg-v2").
 
     Floats are serialized via Python's repr, which carries 17 significant
     digits and round-trips bit-identically.
@@ -337,7 +417,10 @@ def save_game(spec: GameSpec, path) -> None:
         "gamma": spec.discount,
         "rho": spec.initial_dist.tolist(),
         "reward": spec.reward.tolist(),
-        "transition": spec.transition.tolist(),
+        "transition": {
+            "successors": spec.transition.succ.tolist(),
+            "probabilities": spec.transition.prob.tolist(),
+        },
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
@@ -345,7 +428,7 @@ def save_game(spec: GameSpec, path) -> None:
 
 
 def load_game(path) -> GameSpec:
-    """Load a game file written by save_game; raises ValueError on bad schema."""
+    """Load an "atmg-v2" or "atmg-v1" game file; raises ValueError on bad schema."""
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -355,23 +438,30 @@ def load_game(path) -> GameSpec:
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: top level must be an object")
     schema = doc.get("schema")
-    if schema != SCHEMA_VERSION:
+    if schema not in (SCHEMA_VERSION, _DENSE_SCHEMA):
         raise ValueError(
-            f"{path}: unsupported schema {schema!r}, expected {SCHEMA_VERSION!r}"
+            f"{path}: unsupported schema {schema!r}, "
+            f"expected {SCHEMA_VERSION!r} or {_DENSE_SCHEMA!r}"
         )
     required = ("states", "team_sizes", "adversary_actions", "gamma", "rho", "reward", "transition")
     missing = [key for key in required if key not in doc]
     if missing:
         raise ValueError(f"{path}: missing fields {missing}")
     try:
+        if schema == _DENSE_SCHEMA:
+            transition = np.asarray(doc["transition"], dtype=np.float64)
+        else:
+            transition = Transitions(
+                doc["transition"]["successors"], doc["transition"]["probabilities"], doc["states"]
+            )
         return GameSpec(
             state_count=doc["states"],
             team_sizes=tuple(doc["team_sizes"]),
             adversary_actions=doc["adversary_actions"],
             reward=np.asarray(doc["reward"], dtype=np.float64),
-            transition=np.asarray(doc["transition"], dtype=np.float64),
+            transition=transition,
             discount=doc["gamma"],
             initial_dist=np.asarray(doc["rho"], dtype=np.float64),
         )
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: malformed game data: {exc}") from exc

@@ -193,6 +193,8 @@ def run(spec: GameSpec, x0: TeamPolicy | None, config: IpgmaxConfig) -> RunTrace
 
         x_k(t) = proj( x_k(t-1) - eta * grad_k V_rho(x(t-1), y(t)) )
 
+    Raises ValueError when a step leaves a non-finite iterate x(t).
+
     phi values for t < T fall out of the loop; the last entry costs one
     extra best-response solve whose policy is not recorded.  When eta = 0
     the update is skipped outright so the trace is exactly constant.  Once
@@ -224,7 +226,15 @@ def run(spec: GameSpec, x0: TeamPolicy | None, config: IpgmaxConfig) -> RunTrace
             x_next = x
         else:
             grad = policy_gradient(spec, x, y)
-            x_next = project_product_simplex(spec, x.as_vector() - eta * grad)
+            # A finite eta can still overflow the step or the projection's
+            # sums; that would make the iterate NaN.
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    x_next = project_product_simplex(spec, x.as_vector() - eta * grad)
+            except FloatingPointError as exc:
+                raise ValueError(
+                    f"iterate {t} is not finite: the step eta = {eta:g} overflows ({exc})"
+                ) from None
         joint = joint_policy_vector(x_next, y)
         if prev_joint is None:
             # No y(0) exists; compare against (x(0), y(1)) so only the team

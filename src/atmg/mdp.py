@@ -5,6 +5,9 @@ value vectors by dense linear solve, discounted visitation measures, best
 responses by policy iteration, exact policy gradients under the direct
 parametrization, Euclidean projection onto the product of simplices, and
 the Lipschitz/smoothness constants of the best-response value function.
+Transition contractions read the game's successor lists: one bincount
+builds each marginal (S, ., S) table, and a gather gives expected
+next-state values.
 
 Policies are stored directly as probability tables.  The team's flattened
 coordinate vector concatenates the per-player blocks in player order, each
@@ -194,10 +197,31 @@ def marginal_reward_table(spec: GameSpec, x: TeamPolicy) -> np.ndarray:
 
 def marginal_transition_table(spec: GameSpec, x: TeamPolicy) -> np.ndarray:
     """(S, B, S) table P(s' | s, x, b)."""
-    S, J, B = spec.state_count, spec.joint_action_count, spec.adversary_actions
+    B = spec.adversary_actions
     w = joint_action_distribution(spec, x)
-    flat = w[:, None, :] @ spec.transition.reshape(S, J, B * S)
-    return flat.reshape(S, B, S)
+    return _accumulate(spec, w[:, :, None], np.arange(B), B)
+
+
+def _accumulate(spec: GameSpec, weight: np.ndarray, row: np.ndarray, rows: int) -> np.ndarray:
+    """(S, rows, S) table: sum_{j, b} weight[s, j, b] P(s' | s, j, b) in row row[j, b].
+
+    One bincount over the successor lists; weight broadcasts against
+    (S, J, B) and row against (J, B).  Each bin adds its terms in (j, b, k)
+    order.
+    """
+    S = spec.state_count
+    T = spec.transition
+    head = np.arange(S)[:, None, None] * rows + row
+    bins = head[..., None] * S + T.succ
+    flat = np.bincount(bins.ravel(), weights=(weight[..., None] * T.prob).ravel(),
+                       minlength=S * rows * S)
+    return flat.reshape(S, rows, S)
+
+
+def _successor_mean(spec: GameSpec, v: np.ndarray) -> np.ndarray:
+    """(S, J, B) table sum_{s'} P(s' | s, j, b) v(s'), gathered from the successor lists."""
+    T = spec.transition
+    return (T.prob * v[T.succ]).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -308,17 +332,19 @@ def team_player_best_response(spec: GameSpec, k: int, x_minus_k: TeamPolicy, y: 
     teammates; its block k is ignored.  Returns the deterministic table
     (S, A_k) and the minimized value rho' v.
     """
-    S, J, B = spec.state_count, spec.joint_action_count, spec.adversary_actions
-    A = spec.team_sizes[k]
-    # w[s, a, (j, b)]: probability of joint action j and adversary action b
-    # at s when player k plays a, so one matmul per table marginalizes it.
+    v_max, greedy = _policy_iteration(*_player_mdp(spec, k, x_minus_k, y), spec.discount)
+    return np.eye(spec.team_sizes[k])[greedy], -float(spec.initial_dist @ v_max)
+
+
+def _player_mdp(spec: GameSpec, k: int, x_minus_k: TeamPolicy, y: AdversaryPolicy):
+    """(-r_k, P_k): player k's negated (S, A_k) rewards and (S, A_k, S) transitions."""
+    S, A = spec.state_count, spec.team_sizes[k]
+    r_k = _per_player(spec, x_minus_k, k, _mix_over_adversary(y, spec.reward))
+    # Joint action j pins player k to one action, the row j lands in.
     others = joint_action_distribution(spec, x_minus_k.with_block(k, np.ones((S, A))))
-    pinned = spec.action_digits[:, k] == np.arange(A)[:, None]
-    w = ((pinned * others[:, None, :])[..., None] * y.probs[:, None, None, :]).reshape(S, A, J * B)
-    r_k = (w @ spec.reward.reshape(S, J * B, 1))[:, :, 0]
-    P_k = w @ spec.transition.reshape(S, J * B, S)
-    v_max, greedy = _policy_iteration(-r_k, P_k, spec.discount)
-    return np.eye(A)[greedy], -float(spec.initial_dist @ v_max)
+    P_k = _accumulate(spec, others[:, :, None] * y.probs[:, None, :],
+                      spec.action_digits[:, k, None], A)
+    return -r_k, P_k
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +367,7 @@ def policy_gradient(spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy) -> np.nda
     v = _solve(M, r)
     d = _solve(M.T, spec.initial_dist)
     # W[s, j]: payoff of joint action j mixed over b ~ y, with continuation.
-    W = _mix_over_adversary(y, spec.reward + spec.discount * (spec.transition @ v))
+    W = _mix_over_adversary(y, spec.reward + spec.discount * _successor_mean(spec, v))
     return np.concatenate(
         [(d[:, None] * _per_player(spec, x, k, W)).ravel() for k in range(spec.n_players)]
     )

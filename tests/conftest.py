@@ -7,6 +7,8 @@ uniform so it always has full support.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,36 @@ def make_random_game(
         discount=discount,
         initial_dist=rho,
     )
+
+
+def make_mixed_support_game(
+    rng: np.random.Generator,
+    state_count: int,
+    team_sizes: tuple[int, ...],
+    adversary_actions: int,
+    discount: float,
+) -> GameSpec:
+    """Random game whose transition rows have between 1 and S - 1 successors."""
+    spec = make_random_game(rng, state_count, team_sizes, adversary_actions, discount)
+    dense = spec.transition.dense()
+    support = rng.integers(1, state_count, size=dense.shape[:3])
+    keep = rng.permuted(np.arange(state_count) < support[..., None], axis=-1)
+    dense = np.where(keep, dense, 0.0)
+    return dataclasses.replace(spec, transition=dense / dense.sum(axis=-1, keepdims=True))
+
+
+def v1_document(spec: GameSpec) -> dict:
+    """spec as an "atmg-v1" game file, which stores the dense transition tensor."""
+    return {
+        "schema": "atmg-v1",
+        "states": spec.state_count,
+        "team_sizes": list(spec.team_sizes),
+        "adversary_actions": spec.adversary_actions,
+        "gamma": spec.discount,
+        "rho": spec.initial_dist.tolist(),
+        "reward": spec.reward.tolist(),
+        "transition": spec.transition.dense().tolist(),
+    }
 
 
 def random_game_dims(rng: np.random.Generator) -> tuple[int, tuple[int, ...], int]:

@@ -6,6 +6,8 @@ atmg.mdp, so the two can be checked against each other.  The adversary's
 policy gradient and the residuals of the regularized program are read off
 the public marginal tables; the library itself uses neither.  The adversary
 LP is written out row by row, the reference for its vectorized assembly.
+The transition contractions are einsums over the dense tensor, the
+reference for the library's successor-list forms.
 """
 
 from __future__ import annotations
@@ -22,7 +24,28 @@ from atmg import (
     visitation,
 )
 from atmg.lp import OPTIMAL, LinearProgram, solve
-from atmg.mdp import marginal_reward_table, marginal_transition_table
+from atmg.mdp import joint_action_distribution, marginal_reward_table, marginal_transition_table
+
+
+def dense_marginal_transition(spec: GameSpec, x: TeamPolicy) -> np.ndarray:
+    """(S, B, S) table P(s' | s, x, b) contracted from the dense tensor."""
+    w = joint_action_distribution(spec, x)
+    return np.einsum("sj,sjbt->sbt", w, spec.transition.dense())
+
+
+def dense_player_transition(
+    spec: GameSpec, k: int, x: TeamPolicy, y: AdversaryPolicy
+) -> np.ndarray:
+    """(S, A_k, S) table P(s' | s, a_k; x_{-k}, y) of player k's deviation MDP."""
+    S, A = spec.state_count, spec.team_sizes[k]
+    others = joint_action_distribution(spec, x.with_block(k, np.ones((S, A))))
+    pinned = np.eye(A)[spec.action_digits[:, k]]
+    return np.einsum("sj,ja,sb,sjbt->sat", others, pinned, y.probs, spec.transition.dense())
+
+
+def dense_successor_mean(spec: GameSpec, v: np.ndarray) -> np.ndarray:
+    """(S, J, B) table sum_t P(t | s, j, b) v(t) from the dense tensor."""
+    return np.einsum("sjbt,t->sjb", spec.transition.dense(), v)
 
 
 def q_table(spec: GameSpec, x: TeamPolicy, v: np.ndarray) -> np.ndarray:

@@ -73,6 +73,7 @@ def rollout_returns(
     game data itself.
     """
     gamma = spec.discount
+    transition = spec.transition.dense()
     states = np.full(n_rollouts, s0)
     returns = np.zeros(n_rollouts)
     disc = 1.0
@@ -88,7 +89,7 @@ def rollout_returns(
         disc *= gamma
         if t + 1 < horizon and gamma > 0.0:
             states = inverse_cdf_sample(
-                spec.transition[states, j, b], rng.random(n_rollouts)
+                transition[states, j, b], rng.random(n_rollouts)
             )
     return returns
 
@@ -100,7 +101,7 @@ def replay_team_marginals(spec: GameSpec, x: TeamPolicy):
     for k, block in enumerate(x.blocks):
         w *= block[:, digits[:, k]]
     r_x = np.einsum("sj,sjb->sb", w, spec.reward)
-    P_x = np.einsum("sj,sjbt->sbt", w, spec.transition)
+    P_x = np.einsum("sj,sjbt->sbt", w, spec.transition.dense())
     return r_x, P_x
 
 
@@ -110,7 +111,7 @@ def replay_value_rho(spec: GameSpec, blocks, y_probs: np.ndarray) -> float:
     w = np.ones((spec.state_count, digits.shape[0]))
     for k, block in enumerate(blocks):
         w *= block[:, digits[:, k]]
-    P = np.einsum("sj,sb,sjbt->st", w, y_probs, spec.transition)
+    P = np.einsum("sj,sb,sjbt->st", w, y_probs, spec.transition.dense())
     r = np.einsum("sj,sb,sjb->s", w, y_probs, spec.reward)
     v = np.linalg.solve(np.eye(spec.state_count) - spec.discount * P, r)
     return float(spec.initial_dist @ v)

@@ -156,13 +156,30 @@ def test_out_of_range_numbers_in_game_file(tmp_path, capsys, pennies_file, comma
 
 def test_solve_rejects_invalid_game(tmp_path, capsys, pennies_file):
     payload = json.loads(pennies_file.read_text())
-    payload["transition"][0][0][0][0] = 0.25  # row no longer sums to 1
+    payload["transition"]["probabilities"][0][0][0][0] = 0.25  # row no longer sums to 1
     broken = tmp_path / "broken.json"
     broken.write_text(json.dumps(payload))
     code = main(["solve", "--game", str(broken),
                  "--eta", "0.1", "--iters", "1", "--out", str(tmp_path / "o")])
     assert code == 1
     assert "invalid game" in capsys.readouterr().err
+
+
+def test_solve_rejects_a_step_that_overflows(tmp_path, capsys):
+    out = tmp_path / "run"
+    code = main(["solve", "--gridworld", "2", "--eta", "1e308", "--iters", "3",
+                 "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: iterate 1 is not finite") and "Traceback" not in err
+    assert not (out / "trace.csv").exists()
+
+
+def test_gridworld_3_file_is_small(tmp_path):
+    out = tmp_path / "grid3.json"
+    assert main(["gridworld", "--n", "3", "--out", str(out)]) == 0
+    assert out.stat().st_size < 4 * 2**20
+    assert load_game(out).transition.succ.shape == (730, 16, 4, 1)
 
 
 def test_solve_manual_requires_eta_and_iters(tmp_path, capsys, pennies_file):

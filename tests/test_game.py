@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,8 @@ from atmg import (
     save_game,
     validate,
 )
-from conftest import make_random_game, pennies_game
+from atmg.game import Transitions
+from conftest import make_mixed_support_game, make_random_game, pennies_game, v1_document
 
 
 def small_game(**overrides) -> GameSpec:
@@ -77,7 +80,7 @@ def test_validate_accepts_well_formed_games():
 
 
 def test_validate_flags_negative_transition_entry():
-    t = small_game().transition.copy()
+    t = small_game().transition.dense()
     t[1, 0, 1, 0] -= 2.0
     t[1, 0, 1, 1] += 2.0     # keep the row sum at 1 to isolate the sign check
     problems = validate(small_game(transition=t))
@@ -85,10 +88,22 @@ def test_validate_flags_negative_transition_entry():
 
 
 def test_validate_flags_bad_row_sum():
-    t = small_game().transition.copy()
+    t = small_game().transition.dense()
     t[0, 1, 0, 0] += 1e-6
     problems = validate(small_game(transition=t))
     assert any("sums to" in p for p in problems)
+
+
+def test_validate_flags_successor_outside_the_state_space():
+    spec = small_game()
+    succ = spec.transition.succ.copy()
+    succ[1, 0, 1, 0] = 2
+    succ[0, 1, 0, 1] = -1
+    bad = small_game(transition=Transitions(succ, spec.transition.prob, 2))
+    problems = [p for p in validate(bad) if "outside" in p]
+    assert len(problems) == 2
+    assert "(s=0, a_joint=1, b=0, s'=-1)" in problems[0]
+    assert "(s=1, a_joint=0, b=1, s'=2)" in problems[1]
 
 
 def test_validate_flags_bad_initial_dist():
@@ -184,10 +199,17 @@ def test_grid_world_rejects_tiny_grids():
 
 
 def test_grid_world_transitions_deterministic(gridworld2):
-    t = gridworld2.transition
+    assert gridworld2.transition.succ.shape == (65, 16, 4, 1)
+    t = gridworld2.transition.dense()
     assert np.all(t.sum(axis=3) == 1.0)
     assert np.all(np.count_nonzero(t, axis=3) == 1)
     assert np.all((t == 0.0) | (t == 1.0))
+
+
+def test_grid_world_3_successor_lists_are_small():
+    big = grid_world(3).transition
+    assert big.succ.shape == (730, 16, 4, 1)
+    assert big.nbytes < 2 * 2**20
 
 
 def test_grid_world_reward_levels(gridworld2):
@@ -202,6 +224,7 @@ def test_grid_world_landmark_outcomes(gridworld2):
     # 2x2 grid, cells row-major: 0=(0,0) and 3=(1,1) are the landmarks.
     # State packing: s = p1 + 4 p2 + 16 p_adv; moves 0=up 1=down 2=left 3=right.
     lo, mid, hi = np.unique(gridworld2.reward)
+    P = gridworld2.transition.dense()
     s = 1 + 4 * 2 + 16 * 1          # p1 top-right, p2 bottom-left, adv top-right
     terminal = 64
 
@@ -209,21 +232,21 @@ def test_grid_world_landmark_outcomes(gridworld2):
     j = 2 + 4 * 3                   # p1 left -> cell 0, p2 right -> cell 3
     b = 1                           # adversary down -> cell 3
     assert gridworld2.reward[s, j, b] == lo
-    assert gridworld2.transition[s, j, b, terminal] == 1.0
+    assert P[s, j, b, terminal] == 1.0
 
     # Adversary reaches a landmark with the team not covering: adversary wins.
     j = 0 + 4 * 3                   # p1 up (clamped, stays), p2 right -> cell 3
     assert gridworld2.reward[s, j, b] == hi
-    assert gridworld2.transition[s, j, b, terminal] == 1.0
+    assert P[s, j, b, terminal] == 1.0
 
     # No landmark event: zero-level reward, deterministic non-terminal move.
     j = 0 + 4 * 2                   # p1 stays at 1, p2 left (clamped, stays at 2)
     b = 0                           # adversary up (clamped, stays at 1)
     assert gridworld2.reward[s, j, b] == mid
-    assert gridworld2.transition[s, j, b, s] == 1.0
+    assert P[s, j, b, s] == 1.0
 
     # Terminal state self-loops at the midpoint reward.
-    assert np.all(gridworld2.transition[terminal, :, :, terminal] == 1.0)
+    assert np.all(P[terminal, :, :, terminal] == 1.0)
     assert np.all(gridworld2.reward[terminal] == mid)
 
 
@@ -235,24 +258,99 @@ def test_grid_world_initial_dist_uniform(gridworld2):
 # Serialization
 # ---------------------------------------------------------------------------
 
-def test_save_load_round_trip(tmp_path):
-    rng = np.random.default_rng(3)
-    spec = make_random_game(rng, 3, (2, 2), 3, 0.9)
-    path = tmp_path / "game.json"
+def v2_round_trip(spec, path):
+    """Save spec, check the file is atmg-v2, and load it back bit for bit."""
     save_game(spec, path)
+    doc = json.loads(path.read_text())
+    assert doc["schema"] == "atmg-v2"
+    assert set(doc["transition"]) == {"successors", "probabilities"}
     loaded = load_game(path)
     assert loaded.state_count == spec.state_count
     assert loaded.team_sizes == spec.team_sizes
     assert loaded.adversary_actions == spec.adversary_actions
     assert loaded.discount == spec.discount
-    assert np.array_equal(loaded.reward, spec.reward)
-    assert np.array_equal(loaded.transition, spec.transition)
-    assert np.array_equal(loaded.initial_dist, spec.initial_dist)
+    assert loaded.reward.tobytes() == spec.reward.tobytes()
+    assert loaded.transition.succ.tobytes() == spec.transition.succ.tobytes()
+    assert loaded.transition.prob.tobytes() == spec.transition.prob.tobytes()
+    assert loaded.initial_dist.tobytes() == spec.initial_dist.tobytes()
+    return loaded
+
+
+def test_save_load_round_trip(tmp_path):
+    rng = np.random.default_rng(3)
+    spec = make_random_game(rng, 3, (2, 2), 3, 0.9)
+    assert spec.transition.succ.shape[-1] == 3
+    loaded = v2_round_trip(spec, tmp_path / "game.json")
+    assert np.array_equal(loaded.transition.dense(), spec.transition.dense())
+
+
+def dense_games():
+    rng = np.random.default_rng(29)
+    return [
+        pytest.param(make_random_game(rng, 4, (2, 3), 2, 0.9), id="full"),
+        pytest.param(make_mixed_support_game(rng, 5, (3,), 2, 0.5), id="mixed"),
+        pytest.param(pennies_game(), id="pennies"),
+    ]
+
+
+@pytest.mark.parametrize("spec", dense_games())
+def test_dense_round_trip_is_bitwise(spec):
+    dense = spec.transition.dense()
+    back = GameSpec(
+        state_count=spec.state_count, team_sizes=spec.team_sizes,
+        adversary_actions=spec.adversary_actions, reward=spec.reward,
+        transition=dense, discount=spec.discount, initial_dist=spec.initial_dist,
+    ).transition
+    assert back.dense().tobytes() == dense.tobytes()
+    assert back.succ.tobytes() == spec.transition.succ.tobytes()
+    assert back.prob.tobytes() == spec.transition.prob.tobytes()
+
+
+def test_from_dense_keeps_nonzero_entries_in_successor_order():
+    dense = np.array([[0.0, 0.25, 0.0, 0.75], [1.0, 0.0, 0.0, 0.0], [0.0, np.nan, 0.5, 0.0]])
+    lists = Transitions.from_dense(dense)
+    assert lists.shape == (3, 4)
+    assert lists.succ[0].tolist() == [1, 3] and lists.prob[0].tolist() == [0.25, 0.75]
+    assert lists.succ[1, 0] == 0 and lists.prob[1].tolist() == [1.0, 0.0]
+    assert lists.succ[2].tolist() == [1, 2] and np.isnan(lists.prob[2, 0])
+
+
+def test_v2_round_trip_grid_world(tmp_path, gridworld2):
+    v2_round_trip(gridworld2, tmp_path / "grid.json")
+
+
+def test_v1_files_still_load(tmp_path):
+    spec = make_mixed_support_game(np.random.default_rng(6), 4, (2,), 3, 0.9)
+    path = tmp_path / "v1.json"
+    path.write_text(json.dumps(v1_document(spec)))
+    loaded = load_game(path)
+    assert loaded.transition.dense().tobytes() == spec.transition.dense().tobytes()
+    assert loaded.transition.succ.tobytes() == spec.transition.succ.tobytes()
+    assert loaded.reward.tobytes() == spec.reward.tobytes()
+    assert validate(loaded) == []
+
+
+@pytest.mark.parametrize("transition", [
+    [[[[0.5, 1.0]]]],
+    {"successors": [[[[0]]]]},
+    {"successors": [[[[0, 1]]]], "probabilities": [[[[1.0]]]]},
+    {"successors": [[[[0.0]]]], "probabilities": [[[[1.0]]]]},
+    {"successors": [[[[None]]]], "probabilities": [[[[1.0]]]]},
+    {"successors": [[[[10**400]]]], "probabilities": [[[[1.0]]]]},
+], ids=["dense-in-v2", "no-probabilities", "shape-mismatch", "float-index",
+        "null-index", "huge-index"])
+def test_load_rejects_malformed_successor_lists(tmp_path, transition):
+    doc = {"schema": "atmg-v2", "states": 1, "team_sizes": [1], "adversary_actions": 1,
+           "gamma": 0.5, "rho": [1.0], "reward": [[[0.5]]], "transition": transition}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="malformed"):
+        load_game(path)
 
 
 def test_load_rejects_wrong_schema(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text('{"schema": "atmg-v2"}')
+    path.write_text('{"schema": "atmg-v3"}')
     with pytest.raises(ValueError, match="schema"):
         load_game(path)
 
@@ -275,3 +373,6 @@ def test_game_spec_tensors_are_read_only():
     spec = small_game()
     with pytest.raises(ValueError):
         spec.reward[0, 0, 0] = 0.0
+    for arr in (spec.transition.succ, spec.transition.prob):
+        with pytest.raises(ValueError):
+            arr[0, 0, 0, 0] = 0

@@ -1,8 +1,8 @@
 """Property test of the input boundary.
 
-A game file and a policies file are changed one edit at a time and passed
-to `atmg verify`.  Every call must return 0, 1 or 3 and never raise, and an
-edit that leaves a file malformed must give exit code 1.
+A game file, in either schema, and a policies file are changed one edit at
+a time and passed to `atmg verify`.  Every call must return 0, 1 or 3 and
+never raise, and an edit that leaves a file malformed must give exit code 1.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import pytest
 
 from atmg import save_game
 from atmg.cli import main
-from conftest import make_random_game
+from conftest import make_random_game, v1_document
 
 pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
@@ -60,7 +60,9 @@ def replace(doc, path, value):
 def test_verify_never_raises_on_mutated_input(tmp_path, data):
     game_path, pol_path = tmp_path / "game.json", tmp_path / "policies.json"
     save_game(GAME, game_path)
-    docs = {"game": json.loads(game_path.read_text()), "policies": json.loads(json.dumps(POLICIES))}
+    schema = data.draw(st.sampled_from(["atmg-v2", "atmg-v1"]), label="schema")
+    game = json.loads(game_path.read_text()) if schema == "atmg-v2" else v1_document(GAME)
+    docs = {"game": game, "policies": json.loads(json.dumps(POLICIES))}
 
     target = data.draw(st.sampled_from(["game", "policies"]), label="file")
     doc = docs[target]

@@ -249,6 +249,12 @@ def test_run_rejects_invalid_start():
         run(spec, bad, IpgmaxConfig(eta=0.05, iters=3))
 
 
+def test_run_rejects_a_non_finite_iterate(gridworld2):
+    # eta is finite, but eta * grad overflows on the first step.
+    with pytest.raises(ValueError, match="iterate 1 is not finite"):
+        run(gridworld2, None, IpgmaxConfig(eta=1e308, iters=3, iterate_selection="none"))
+
+
 # ---------------------------------------------------------------------------
 # Proximal point and gap
 # ---------------------------------------------------------------------------

@@ -22,14 +22,28 @@ from atmg import (
     value_vector,
     visitation,
 )
+from atmg import grid_world
 from atmg.mdp import (
+    _player_mdp,
+    _successor_mean,
     induced_reward,
     induced_transition,
     marginal_reward_table,
     marginal_transition_table,
 )
-from conftest import make_random_game, pennies_game, random_game_dims, random_policies
-from oracles import adversary_policy_gradient
+from conftest import (
+    make_mixed_support_game,
+    make_random_game,
+    pennies_game,
+    random_game_dims,
+    random_policies,
+)
+from oracles import (
+    adversary_policy_gradient,
+    dense_marginal_transition,
+    dense_player_transition,
+    dense_successor_mean,
+)
 
 
 def single_state_game(rewards: np.ndarray, gamma: float) -> GameSpec:
@@ -61,7 +75,7 @@ def test_induced_transition_point_mass_copies_rows():
     P = induced_transition(spec, x, y)
     j = spec.joint_index((0, 1))
     for s in range(3):
-        np.testing.assert_allclose(P[s], spec.transition[s, j, 1], atol=1e-15)
+        np.testing.assert_allclose(P[s], spec.transition.dense()[s, j, 1], atol=1e-15)
 
 
 def test_induced_transition_uniform_average():
@@ -93,7 +107,7 @@ def test_marginals_match_definitions():
         w[j] = x.blocks[0][0, digits[j, 0]] * x.blocks[1][0, digits[j, 1]]
     expect_r = w @ spec.reward[0, :, 1]
     assert marginal_reward_table(spec, x)[0, 1] == pytest.approx(expect_r, rel=1e-12)
-    expect_P = w @ spec.transition[0, :, 1, :]
+    expect_P = w @ spec.transition.dense()[0, :, 1, :]
     np.testing.assert_allclose(marginal_transition_table(spec, x)[0, 1], expect_P, rtol=1e-12)
     np.testing.assert_allclose(
         marginal_transition_table(spec, x).sum(axis=2), 1.0, atol=1e-12
@@ -115,6 +129,40 @@ def test_marginal_multilinearity():
             spec, TeamPolicy(blocks=(e,))
         )
     np.testing.assert_allclose(acc, mixed, rtol=1e-12)
+
+
+def successor_list_games():
+    """One game per support regime of the successor lists, with its K."""
+    rng = np.random.default_rng(17)
+    games = [pytest.param(grid_world(2), 1, id="grid2")]
+    for i in range(3):
+        S, sizes, B = random_game_dims(rng)
+        games.append(pytest.param(make_random_game(rng, S, sizes, B, 0.9), S, id=f"full{i}"))
+    for i in range(3):
+        S, sizes, B = random_game_dims(rng)
+        spec = make_mixed_support_game(rng, S + 2, sizes, B, 0.9)
+        K = int(np.count_nonzero(spec.transition.dense(), axis=-1).max())
+        games.append(pytest.param(spec, K, id=f"mixed{i}"))
+    return games
+
+
+@pytest.mark.parametrize("spec,K", successor_list_games())
+def test_successor_list_contractions_match_dense_oracles(spec, K):
+    assert spec.transition.succ.shape[-1] == K
+    rng = np.random.default_rng(23)
+    x, y = random_policies(rng, spec)
+    v = rng.random(spec.state_count)
+    np.testing.assert_allclose(
+        marginal_transition_table(spec, x), dense_marginal_transition(spec, x), rtol=0, atol=1e-15
+    )
+    for k in range(spec.n_players):
+        _, P_k = _player_mdp(spec, k, x, y)
+        np.testing.assert_allclose(
+            P_k, dense_player_transition(spec, k, x, y), rtol=0, atol=1e-15
+        )
+    np.testing.assert_allclose(
+        _successor_mean(spec, v), dense_successor_mean(spec, v), rtol=0, atol=1e-15
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +387,7 @@ def finite_difference_gradient(spec, x, y, h):
         digits = spec.action_digits
         for k, block in enumerate(blocks):
             w = w * block[:, digits[:, k]]
-        P = np.einsum("sj,sb,sjbt->st", w, y.probs, spec.transition)
+        P = np.einsum("sj,sb,sjbt->st", w, y.probs, spec.transition.dense())
         r = np.einsum("sj,sb,sjb->s", w, y.probs, spec.reward)
         v = np.linalg.solve(np.eye(spec.state_count) - spec.discount * P, r)
         return float(spec.initial_dist @ v)
