@@ -163,6 +163,8 @@ def cmd_solve(args) -> int:
     The trace does not depend on the seed, which only drives --select
     random, so --jobs N reuses it and its cached prox gaps for every seed.
     """
+    if args.jobs < 1:
+        return _fail(f"--jobs must be at least 1, got {args.jobs}")
     if args.game is not None:
         path = Path(args.game)
         if not path.is_file():
@@ -236,7 +238,7 @@ def cmd_solve(args) -> int:
         return _fail(str(exc))
     out = Path(args.out)
     codes = []
-    for seed in range(args.seed, args.seed + max(args.jobs, 1)):
+    for seed in range(args.seed, args.seed + args.jobs):
         if seed != args.seed:
             select_iterate(normalized, trace, selection, delta=args.delta, seed=seed)
         seed_report = dict(report, config=dict(report["config"], seed=seed))
@@ -266,6 +268,8 @@ def _policies_from_json(spec: GameSpec, payload: dict) -> tuple[TeamPolicy, Adve
 
 
 def cmd_verify(args) -> int:
+    if not (np.isfinite(args.epsilon) and args.epsilon >= 0.0):
+        return _fail(f"--epsilon must be finite and >= 0, got {args.epsilon}")
     path = Path(args.game)
     if not path.is_file():
         return _fail(f"game file not found: {path}")
@@ -301,7 +305,13 @@ def cmd_verify(args) -> int:
 def cmd_gridworld(args) -> int:
     if args.n < 2:
         return _fail(f"--n must be at least 2, got {args.n}")
-    spec = grid_world(args.n, shift_delta=args.shift_delta, discount=args.gamma)
+    try:
+        spec = grid_world(args.n, shift_delta=args.shift_delta, discount=args.gamma)
+    except ValueError as exc:
+        return _fail(str(exc))
+    problems = validate(spec)
+    if problems:
+        return _fail("invalid game: " + "; ".join(problems))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_game(spec, out)

@@ -286,8 +286,11 @@ def normalize_rewards(
     shift followed by a positive scaling, hence strategically neutral: it
     preserves best responses, equilibria, and the ordering of deviations.
 
-    Raises DegenerateRewardsError when all rewards are equal.
+    Raises ValueError unless delta is finite and >= 0, and
+    DegenerateRewardsError when all rewards are equal.
     """
+    if not (np.isfinite(delta) and delta >= 0.0):
+        raise ValueError(f"reward margin delta must be finite and >= 0, got {delta}")
     lo = float(spec.reward.min())
     hi = float(spec.reward.max())
     if hi == lo:

@@ -2,13 +2,12 @@
 
 The solver is deliberately plain: a dense tableau, Bland's anti-cycling
 pivot selection (first eligible column, lowest basis index on ties), and a
-final re-solve of the basic system to scrub accumulated round-off.  Problem
-sizes in this project stay in the low thousands of rows, where this is both
-fast enough and easy to trust.
+final re-solve of the basic system to scrub accumulated round-off.  The
+pipeline's programs are small (one per state, 18 rows by 4 variables on
+grid_world(2)), where this is both fast enough and easy to trust.
 
-Programs are stated in maximization form with row senses "<=", ">=", "=",
-default variable lower bounds of 0 (possibly -inf for free variables), and
-optional upper bounds.
+Programs are stated in maximization form with row senses "<=", ">=", "="
+over nonnegative variables.  A bound on a variable is written as a row.
 """
 
 from __future__ import annotations
@@ -34,14 +33,12 @@ class NumericInstabilityError(RuntimeError):
 
 @dataclass
 class LinearProgram:
-    """max objective . x  subject to  lhs x (sense) rhs, lower <= x <= upper."""
+    """max objective . x  subject to  lhs x (sense) rhs, over nonnegative variables."""
 
     objective: np.ndarray
     lhs: np.ndarray
     senses: tuple[str, ...]
     rhs: np.ndarray
-    lower: np.ndarray | None = None
-    upper: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.objective = np.asarray(self.objective, dtype=np.float64)
@@ -59,12 +56,6 @@ class LinearProgram:
         for sense in self.senses:
             if sense not in ("<=", ">=", "="):
                 raise ValueError(f"unknown sense {sense!r}")
-        if self.lower is None:
-            self.lower = np.zeros(m)
-        else:
-            self.lower = np.asarray(self.lower, dtype=np.float64)
-        if self.upper is not None:
-            self.upper = np.asarray(self.upper, dtype=np.float64)
         if not (np.isfinite(self.objective).all() and np.isfinite(self.lhs).all()
                 and np.isfinite(self.rhs).all()):
             raise ValueError("objective, lhs and rhs must be finite")
@@ -93,60 +84,19 @@ class LpSolution:
 
 @dataclass
 class _StandardForm:
-    """x_user[j] = offsets[j] + sum of sign * z[col] over j's standard columns."""
+    """[lhs | slacks | artificials]; the first n_vars columns are x itself."""
 
     matrix: np.ndarray           # (k, n) rows already sign-fixed so b >= 0
     b: np.ndarray                # (k,) nonnegative
     cost: np.ndarray             # (n,) phase-2 objective over standard columns
-    col_var: list[tuple[int, int]]      # structural col -> (orig var, sign)
-    offsets: np.ndarray
-    n_structural: int
     basis: list[int] = field(default_factory=list)
     art_start: int = -1
 
 
 def _standardize(lp: LinearProgram) -> _StandardForm:
-    m = lp.n_vars
-    col_var: list[tuple[int, int]] = []
-    offsets = np.zeros(m)
-    for j in range(m):
-        lb = lp.lower[j]
-        if np.isneginf(lb):
-            col_var.append((j, +1))
-            col_var.append((j, -1))
-        else:
-            offsets[j] = lb
-            col_var.append((j, +1))
-
-    columns = [sign * lp.lhs[:, j] for j, sign in col_var]
-    A = np.column_stack(columns) if columns else np.zeros((lp.n_rows, 0))
-    b = lp.rhs - lp.lhs @ offsets
-    senses = list(lp.senses)
-
-    # Finite upper bounds become extra "<=" rows over the same columns.
-    if lp.upper is not None:
-        extra_rows = []
-        extra_b = []
-        for j in range(m):
-            ub = lp.upper[j]
-            if np.isposinf(ub):
-                continue
-            row = np.zeros(len(col_var))
-            for idx, (var, sign) in enumerate(col_var):
-                if var == j:
-                    row[idx] = sign
-            extra_rows.append(row)
-            extra_b.append(ub - offsets[j])
-            senses.append("<=")
-        if extra_rows:
-            A = np.vstack([A, np.array(extra_rows)])
-            b = np.concatenate([b, np.array(extra_b)])
-
-    k = b.size
-    n_structural = A.shape[1]
-    cost = np.zeros(n_structural)
-    for idx, (var, sign) in enumerate(col_var):
-        cost[idx] = sign * lp.objective[var]
+    b = lp.rhs
+    senses = lp.senses
+    k, n_vars = lp.n_rows, lp.n_vars
 
     # Slack / surplus columns, one per inequality row.
     inequality_rows = [i for i, sense in enumerate(senses) if sense != "="]
@@ -154,10 +104,10 @@ def _standardize(lp: LinearProgram) -> _StandardForm:
     slack_of_row = {}
     for pos, i in enumerate(inequality_rows):
         slack_cols[i, pos] = 1.0 if senses[i] == "<=" else -1.0
-        slack_of_row[i] = n_structural + pos
+        slack_of_row[i] = n_vars + pos
 
-    M = np.hstack([A, slack_cols])
-    cost = np.concatenate([cost, np.zeros(slack_cols.shape[1])])
+    M = np.hstack([lp.lhs, slack_cols])
+    cost = np.concatenate([lp.objective, np.zeros(slack_cols.shape[1])])
 
     # Fix signs so the right-hand side is nonnegative.  A ">=" row with a
     # zero right-hand side is negated as well, so that its slack can start
@@ -185,17 +135,7 @@ def _standardize(lp: LinearProgram) -> _StandardForm:
             art_block[i, pos] = 1.0
         M = np.hstack([M, art_block])
 
-    sf = _StandardForm(
-        matrix=M,
-        b=b,
-        cost=cost,
-        col_var=col_var,
-        offsets=offsets,
-        n_structural=n_structural,
-        basis=basis,
-        art_start=art_start,
-    )
-    return sf
+    return _StandardForm(matrix=M, b=b, cost=cost, basis=basis, art_start=art_start)
 
 
 # ---------------------------------------------------------------------------
@@ -277,15 +217,11 @@ def _extract(lp: LinearProgram, sf: _StandardForm, T: np.ndarray) -> np.ndarray:
         z[sf.basis] = basic
     except np.linalg.LinAlgError:
         pass  # keep the tableau values; the residual check still guards them
-
-    x = sf.offsets.copy()
-    for idx, (var, sign) in enumerate(sf.col_var):
-        x[var] += sign * z[idx]
-    return x
+    return z[: lp.n_vars]
 
 
 def residuals(lp: LinearProgram, x: np.ndarray) -> float:
-    """Worst violation of any row or bound of `lp` at the point x."""
+    """Worst violation of any row of `lp`, or of x >= 0, at the point x."""
     lhs_vals = lp.lhs @ x
     worst = 0.0
     for i, sense in enumerate(lp.senses):
@@ -296,14 +232,7 @@ def residuals(lp: LinearProgram, x: np.ndarray) -> float:
             worst = max(worst, -gap)
         else:
             worst = max(worst, abs(gap))
-    finite_lb = np.isfinite(lp.lower)
-    if finite_lb.any():
-        worst = max(worst, float((lp.lower[finite_lb] - x[finite_lb]).max(initial=0.0)))
-    if lp.upper is not None:
-        finite_ub = np.isfinite(lp.upper)
-        if finite_ub.any():
-            worst = max(worst, float((x[finite_ub] - lp.upper[finite_ub]).max(initial=0.0)))
-    return float(worst)
+    return float(max(worst, -np.min(x, initial=0.0)))
 
 
 def _finish(lp: LinearProgram, sf: _StandardForm, T: np.ndarray, status: str) -> LpSolution:

@@ -145,7 +145,8 @@ def adversary_mdp_primal_dual(spec: GameSpec, x: TeamPolicy):
     P_x = marginal_transition_table(spec, x)
     gamma = spec.discount
 
-    # Primal: maximize -rho' v with v free.
+    # Primal: maximize -rho' v with v free, split as v = v_plus - v_minus
+    # over the columns [rows, -rows] because the solver takes x >= 0 only.
     rows = np.zeros((S * B, S))
     rhs = np.zeros(S * B)
     for s in range(S):
@@ -155,11 +156,10 @@ def adversary_mdp_primal_dual(spec: GameSpec, x: TeamPolicy):
             rows[i] -= gamma * P_x[s, b]
             rhs[i] = r_x[s, b]
     primal = LinearProgram(
-        objective=-spec.initial_dist,
-        lhs=rows,
+        objective=np.concatenate([-spec.initial_dist, spec.initial_dist]),
+        lhs=np.hstack([rows, -rows]),
         senses=(">=",) * (S * B),
         rhs=rhs,
-        lower=np.full(S, -np.inf),
     )
     primal_sol = solve(primal)
     if primal_sol.status != OPTIMAL:
@@ -185,4 +185,4 @@ def adversary_mdp_primal_dual(spec: GameSpec, x: TeamPolicy):
     if dual_sol.status != OPTIMAL:
         raise RuntimeError(f"dual MDP LP ended {dual_sol.status}")
 
-    return primal_sol.x, dual_sol.x.reshape(S, B)
+    return primal_sol.x[:S] - primal_sol.x[S:], dual_sol.x.reshape(S, B)

@@ -47,6 +47,23 @@ def test_gridworld_rejects_tiny_grid(tmp_path, capsys):
     assert "at least 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["--gamma", "1.5"],
+    ["--gamma", "nan"],
+    ["--gamma", "-0.1"],
+    ["--shift-delta", "nan"],
+    ["--shift-delta", "inf"],
+    ["--shift-delta", "-1"],
+], ids=["gamma-1.5", "gamma-nan", "gamma-negative", "delta-nan", "delta-inf", "delta-minus-1"])
+def test_gridworld_rejects_out_of_range_numbers(tmp_path, capsys, args):
+    out = tmp_path / "grid.json"
+    assert main(["gridworld", "--n", "2", "--out", str(out)] + args) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------
@@ -197,7 +214,10 @@ def test_solve_manual_requires_eta_and_iters(tmp_path, capsys, pennies_file):
     ["--eta", "0.1", "--iters", "5", "--cap-iters", "0"],
     ["--eta", "0.1", "--iters", "5", "--cap-iters", "-1"],
     ["--eta", "0.1", "--iters", "5", "--cap-iters", "-4"],
-], ids=["eta-nan", "eta-inf", "epsilon-inf", "cap-0", "cap-minus-1", "cap-minus-4"])
+    ["--eta", "0.1", "--iters", "5", "--jobs", "0"],
+    ["--eta", "0.1", "--iters", "5", "--jobs", "-2"],
+], ids=["eta-nan", "eta-inf", "epsilon-inf", "cap-0", "cap-minus-1", "cap-minus-4",
+        "jobs-0", "jobs-minus-2"])
 def test_solve_rejects_out_of_range_settings(tmp_path, capsys, pennies_file, args):
     out = tmp_path / "run"
     code = main(["solve", "--game", str(pennies_file), "--out", str(out)] + args)
@@ -327,6 +347,18 @@ def test_verify_rejects_large_gap(tmp_path, pennies_file, capsys):
     assert code == 3
     gap = json.loads(capsys.readouterr().out)
     assert gap["epsilon_certified"] == pytest.approx(0.8, abs=1e-9)
+
+
+@pytest.mark.parametrize("epsilon", ["nan", "-1", "inf"])
+def test_verify_rejects_out_of_range_epsilon(tmp_path, pennies_file, capsys, epsilon):
+    pol = tmp_path / "uniform.json"
+    pol.write_text(json.dumps({"x": [[[0.5, 0.5]]], "y": [[0.5, 0.5]], "lambda": None}))
+    code = main(["verify", "--game", str(pennies_file),
+                 "--policies", str(pol), "--epsilon", epsilon])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "error:" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_verify_rejects_bad_policy_files(tmp_path, pennies_file, capsys):

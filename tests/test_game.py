@@ -181,6 +181,12 @@ def test_normalize_degenerate_rewards_error():
         normalize_rewards(small_game(reward=np.full((2, 2, 2), 0.7)))
 
 
+@pytest.mark.parametrize("delta", [float("nan"), float("inf"), -1.0, -1e-12])
+def test_normalize_rejects_a_bad_margin(delta):
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        normalize_rewards(small_game(), delta=delta)
+
+
 # ---------------------------------------------------------------------------
 # grid_world
 # ---------------------------------------------------------------------------

@@ -3,6 +3,10 @@
 A game file, in either schema, and a policies file are changed one edit at
 a time and passed to `atmg verify`.  Every call must return 0, 1 or 3 and
 never raise, and an edit that leaves a file malformed must give exit code 1.
+The number flags of `atmg gridworld` and `atmg verify` get arbitrary floats,
+nan, infinities and negatives included: gridworld must return 0 or 1 and
+write a valid game only on 0, and verify must return 1 exactly when
+--epsilon is not a finite number >= 0.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import json
 import numpy as np
 import pytest
 
-from atmg import save_game
+from atmg import load_game, save_game, validate
 from atmg.cli import main
 from conftest import make_random_game, v1_document
 
@@ -33,6 +37,8 @@ MALFORMED = st.sampled_from([None, "x", [], {}, float("nan"), float("inf"), -flo
     st.integers(min_value=10**400, max_value=10**401)
 )
 NUMBERS = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-10**20, 10**20)
+# Flag values: any float, plus the edges of each flag's valid range.
+FLAG_FLOATS = st.floats() | st.sampled_from([0.0, -0.0, 1.0, 1e-300, -1e-300, 1e308])
 
 
 def numeric_leaves(doc, path=()):
@@ -91,3 +97,35 @@ def test_verify_never_raises_on_mutated_input(tmp_path, data):
     assert code in (0, 1, 3)
     if kind != "number":
         assert code == 1
+
+
+def flag(name, value):
+    # "--name=value" keeps argparse from reading a negative value as an option.
+    return f"--{name}={value!r}"
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(gamma=FLAG_FLOATS, shift_delta=FLAG_FLOATS)
+def test_gridworld_number_flags_never_write_an_invalid_game(tmp_path, gamma, shift_delta):
+    out = tmp_path / "grid.json"
+    out.unlink(missing_ok=True)
+    code = main(["gridworld", "--n", "2", "--out", str(out),
+                 flag("gamma", gamma), flag("shift-delta", shift_delta)])
+    assert code in (0, 1)
+    assert out.exists() == (code == 0)
+    if code == 0:
+        assert validate(load_game(out)) == []
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(epsilon=FLAG_FLOATS)
+def test_verify_epsilon_flag_never_raises(tmp_path, epsilon):
+    game_path, pol_path = tmp_path / "game.json", tmp_path / "policies.json"
+    save_game(GAME, game_path)
+    pol_path.write_text(json.dumps(POLICIES))
+    code = main(["verify", "--game", str(game_path), "--policies", str(pol_path),
+                 flag("epsilon", epsilon)])
+    assert code in (0, 1, 3)
+    assert (code == 1) == (not (np.isfinite(epsilon) and epsilon >= 0.0))

@@ -55,12 +55,12 @@ def test_unbounded():
 
 
 def test_equality_row_with_upper_bound():
+    # The bound x_0 <= 0.3 is an explicit row.
     sol = solve(LinearProgram(
         objective=[2.0, 1.0],
-        lhs=[[1.0, 1.0]],
-        senses=("=",),
-        rhs=[1.0],
-        upper=[0.3, np.inf],
+        lhs=[[1.0, 1.0], [1.0, 0.0]],
+        senses=("=", "<="),
+        rhs=[1.0, 0.3],
     ))
     assert sol.status == lp.OPTIMAL
     np.testing.assert_allclose(sol.x, [0.3, 0.7], atol=1e-10)
@@ -68,21 +68,21 @@ def test_equality_row_with_upper_bound():
 
 
 def test_free_variable():
+    # A free x is split as x = x_plus - x_minus over nonnegative columns.
     sol = solve(LinearProgram(
-        objective=[-1.0],
-        lhs=[[1.0]],
+        objective=[-1.0, 1.0],
+        lhs=[[1.0, -1.0]],
         senses=(">=",),
         rhs=[-3.0],
-        lower=[-np.inf],
     ))
     assert sol.status == lp.OPTIMAL
-    assert sol.x[0] == pytest.approx(-3.0, abs=1e-10)
+    assert sol.x[0] - sol.x[1] == pytest.approx(-3.0, abs=1e-10)
     assert sol.objective == pytest.approx(3.0, abs=1e-10)
 
 
 def test_upper_bounds_bind():
     sol = solve(LinearProgram(
-        objective=[1.0], lhs=[[1.0]], senses=(">=",), rhs=[0.0], upper=[2.5],
+        objective=[1.0], lhs=[[1.0], [1.0]], senses=(">=", "<="), rhs=[0.0, 2.5],
     ))
     assert sol.status == lp.OPTIMAL
     assert sol.x[0] == pytest.approx(2.5, abs=1e-10)
@@ -117,12 +117,15 @@ def test_random_lps_residual_and_determinism():
     rng = np.random.default_rng(5)
     for _ in range(25):
         n, k = int(rng.integers(2, 6)), int(rng.integers(2, 8))
-        prog = LinearProgram(
-            objective=rng.normal(size=n),
-            lhs=rng.normal(size=(k, n)),
-            senses=tuple(rng.choice(["<=", ">="], size=k)),
-            rhs=rng.uniform(0.5, 2.0, size=k),
-            upper=np.full(n, 10.0),  # keep everything bounded
+        objective = rng.normal(size=n)
+        lhs = rng.normal(size=(k, n))
+        senses = tuple(rng.choice(["<=", ">="], size=k))
+        rhs = rng.uniform(0.5, 2.0, size=k)
+        prog = LinearProgram(  # rows x_i <= 10 keep everything bounded
+            objective=objective,
+            lhs=np.vstack([lhs, np.eye(n)]),
+            senses=senses + ("<=",) * n,
+            rhs=np.append(rhs, np.full(n, 10.0)),
         )
         first = solve(prog)
         again = solve(prog)
@@ -130,6 +133,12 @@ def test_random_lps_residual_and_determinism():
         if first.status == lp.OPTIMAL:
             np.testing.assert_array_equal(first.x, again.x)
             assert first.max_residual <= lp.RESIDUAL_LIMIT
+
+
+def test_residuals_report_a_negative_coordinate():
+    prog = LinearProgram(objective=[1.0], lhs=[[1.0]], senses=("<=",), rhs=[1.0])
+    assert lp.residuals(prog, [-0.5]) == 0.5
+    assert lp.residuals(prog, [0.5]) == 0.0
 
 
 def test_degenerate_rows_are_handled():
