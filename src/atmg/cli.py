@@ -8,9 +8,9 @@ Three subcommands:
   verify     recompute the exact Nash gap of a stored joint policy
   gridworld  generate a grid-world game file
 
-Exit codes: 0 success; 1 invalid input (bad game file, bad flags, schema
-mismatch); 2 adversary LP infeasible (solve writes the report with
-diagnostics first); 3 verification failed (gap above --epsilon).
+Exit codes: 0 success; 1 invalid input (bad game file, bad flags or other
+usage errors, schema mismatch); 2 adversary LP infeasible (solve writes the
+report with diagnostics first); 3 verification failed (gap above --epsilon).
 
 The ATMG_LOG environment variable (quiet|info|debug) sets log verbosity.
 """
@@ -323,8 +323,16 @@ def cmd_gridworld(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error: argparse's own 2 means an infeasible LP here."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="atmg",
         description="Equilibrium solver for adversarial team Markov games.",
     )

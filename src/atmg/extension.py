@@ -98,18 +98,25 @@ def _bellman_slack(spec: GameSpec, x: TeamPolicy, v: np.ndarray) -> np.ndarray:
 # LP_adv
 # ---------------------------------------------------------------------------
 
+class StatePrograms(tuple):
+    """LP_adv as its S per-state programs; n_rows and n_vars sum over them."""
+
+    n_rows = property(lambda self: sum(lp.n_rows for lp in self))
+    n_vars = property(lambda self: sum(lp.n_vars for lp in self))
+
+
 def build_lp_adv(
     spec: GameSpec,
     x_hat: TeamPolicy,
     v_hat: np.ndarray,
     epsilon: float,
-) -> LinearProgram:
-    """Assemble the adversary LP at (x_hat, v_hat).
+) -> StatePrograms:
+    """Assemble the adversary LP at (x_hat, v_hat), one program per state.
 
-    Variables are lambda(s, b) >= 0, flattened state-major.  Every row
-    touches the B variables of one state only, so the rows come state-major
-    too: state s owns rows s*R to (s+1)*R - 1, R = sum_k A_k + 2B + 2, in
-    this order:
+    Every row of the LP touches the variables lambda(s, b) >= 0 of one
+    state only, so it is returned as S programs, the s-th over the B
+    variables lambda(s, .).  Each has R = sum_k A_k + 2B + 2 rows, in this
+    order:
 
       (a) per player k, action a: the deviation Q-value of playing a
           against x_hat's other blocks, averaged under lambda(s, .),
@@ -120,8 +127,8 @@ def build_lp_adv(
       (d) sum_b lambda(s, b) >= rho(s);
       (e) sum_b lambda(s, b) <= 1/(1-gamma).
 
-    The objective maximizes sum lambda(s, b) r(s, x_hat, b); feasibility is
-    what matters downstream, but the objective is kept for callers that
+    The objective maximizes sum_b lambda(s, b) r(s, x_hat, b); feasibility
+    is what matters downstream, but the objective is kept for callers that
     want a distinguished vertex.  epsilon may be zero, which pins the
     perturbation rows to exact equalities of sense.
     """
@@ -145,21 +152,16 @@ def build_lp_adv(
         for k, size in enumerate(spec.team_sizes) for pure in np.eye(size)
     ], axis=1)
     slack = _bellman_slack(spec, x_hat, v_hat)[:, :, None] * np.eye(B)
-    blocks = np.concatenate([deviation, slack, slack, np.ones((S, 2, B))], axis=1)
-    R = blocks.shape[1]
-    lhs = np.zeros((S, R, S, B))
-    lhs[np.arange(S), :, np.arange(S), :] = blocks
+    lhs = np.concatenate([deviation, slack, slack, np.ones((S, 2, B))], axis=1)
 
     senses = (">=",) * A + ("<=",) * B + (">=",) * B + (">=", "<=")
     bounds = np.repeat([-cons.c1, cons.c2, -cons.c2], [A, B, B]) * epsilon
     ceiling = np.full(S, 1.0 / (1.0 - spec.discount))
     rhs = np.column_stack([np.tile(bounds, (S, 1)), spec.initial_dist, ceiling])
+    objective = marginal_reward_table(spec, x_hat)
 
-    return LinearProgram(
-        objective=marginal_reward_table(spec, x_hat).ravel(),
-        lhs=lhs.reshape(S * R, S * B),
-        senses=senses * S,
-        rhs=rhs.ravel(),
+    return StatePrograms(
+        LinearProgram(objective[s], lhs[s], senses, rhs[s]) for s in range(S)
     )
 
 
@@ -168,22 +170,15 @@ def adv_nash_policy(
 ) -> tuple[AdversaryPolicy, LagrangeMultipliers]:
     """Extract the adversary's equilibrium policy at a near-stationary x_hat.
 
-    Solves the adversary's best-response MDP for v_hat and builds the LP.
-    No row couples two states, so each state's R x B block is a program of
-    its own: any feasible point of each, stitched together, is feasible for
-    the whole LP.  Row-normalizing it is safe because every feasible lambda
-    has row sums at least rho(s) > 0.
+    Solves the adversary's best-response MDP for v_hat and builds the LP,
+    one program per state: any feasible point of each, stitched together,
+    is feasible for the whole LP.  Row-normalizing it is safe because every
+    feasible lambda has row sums at least rho(s) > 0.
     """
     _, v_hat = adversary_best_response(spec, x_hat)
-    lp = build_lp_adv(spec, x_hat, v_hat, epsilon)
-    S, B = spec.state_count, spec.adversary_actions
-    R = lp.n_rows // S
-    lam = np.empty((S, B))
-    for s in range(S):
-        rows, cols = slice(s * R, (s + 1) * R), slice(s * B, (s + 1) * B)
-        sol = find_feasible(
-            LinearProgram(lp.objective[cols], lp.lhs[rows, cols], lp.senses[rows], lp.rhs[rows])
-        )
+    lam = np.empty((spec.state_count, spec.adversary_actions))
+    for s, lp in enumerate(build_lp_adv(spec, x_hat, v_hat, epsilon)):
+        sol = find_feasible(lp)
         if sol.status != FEASIBLE:
             raise LpAdvInfeasibleError(
                 f"adversary LP {sol.status} at state {s}, epsilon={epsilon:.6g} "

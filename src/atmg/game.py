@@ -287,7 +287,8 @@ def normalize_rewards(
     preserves best responses, equilibria, and the ordering of deviations.
 
     Raises ValueError unless delta is finite and >= 0, and
-    DegenerateRewardsError when all rewards are equal.
+    DegenerateRewardsError when all rewards are equal, before or after the
+    map (a delta that swamps the reward span rounds them all together).
     """
     if not (np.isfinite(delta) and delta >= 0.0):
         raise ValueError(f"reward margin delta must be finite and >= 0, got {delta}")
@@ -300,11 +301,17 @@ def normalize_rewards(
     denom = hi - lo + 2.0 * delta
     scale = 1.0 / denom
     shift = delta - lo
+    reward = (spec.reward + shift) / denom
+    if reward.min() == reward.max():
+        raise DegenerateRewardsError(
+            f"margin delta={delta:.6g} swamps the reward span {hi - lo:.6g}: "
+            "every normalized reward rounds to the same value"
+        )
     new_spec = GameSpec(
         state_count=spec.state_count,
         team_sizes=spec.team_sizes,
         adversary_actions=spec.adversary_actions,
-        reward=(spec.reward + shift) / denom,
+        reward=reward,
         transition=spec.transition,
         discount=spec.discount,
         initial_dist=spec.initial_dist,

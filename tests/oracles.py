@@ -5,7 +5,8 @@ the simplex in atmg.lp rather than the policy-iteration solver in
 atmg.mdp, so the two can be checked against each other.  The adversary's
 policy gradient and the residuals of the regularized program are read off
 the public marginal tables; the library itself uses neither.  The adversary
-LP is written out row by row, the reference for its vectorized assembly.
+LP is written out row by row, the reference for its vectorized assembly,
+and its per-state programs are put back on one block diagonal.
 The transition contractions are einsums over the dense tensor, the
 reference for the library's successor-list forms.
 """
@@ -83,6 +84,23 @@ def lp_adv_reference(
         add(s, 1.0, ">=", spec.initial_dist[s])
         add(s, 1.0, "<=", 1.0 / (1.0 - spec.discount))
     return np.array(rows), tuple(senses), np.array(rhs)
+
+
+def whole_program(programs) -> LinearProgram:
+    """The per-state programs of build_lp_adv as one block-diagonal program."""
+    rows = sum(lp.n_rows for lp in programs)
+    cols = sum(lp.n_vars for lp in programs)
+    lhs = np.zeros((rows, cols))
+    i = j = 0
+    for lp in programs:
+        lhs[i : i + lp.n_rows, j : j + lp.n_vars] = lp.lhs
+        i, j = i + lp.n_rows, j + lp.n_vars
+    return LinearProgram(
+        objective=np.concatenate([lp.objective for lp in programs]),
+        lhs=lhs,
+        senses=tuple(sense for lp in programs for sense in lp.senses),
+        rhs=np.concatenate([lp.rhs for lp in programs]),
+    )
 
 
 def adversary_policy_gradient(spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy) -> np.ndarray:

@@ -54,7 +54,10 @@ def test_gridworld_rejects_tiny_grid(tmp_path, capsys):
     ["--shift-delta", "nan"],
     ["--shift-delta", "inf"],
     ["--shift-delta", "-1"],
-], ids=["gamma-1.5", "gamma-nan", "gamma-negative", "delta-nan", "delta-inf", "delta-minus-1"])
+    ["--shift-delta", "1e300"],
+    ["--shift-delta", "1e16"],
+], ids=["gamma-1.5", "gamma-nan", "gamma-negative", "delta-nan", "delta-inf", "delta-minus-1",
+        "delta-1e300", "delta-1e16"])
 def test_gridworld_rejects_out_of_range_numbers(tmp_path, capsys, args):
     out = tmp_path / "grid.json"
     assert main(["gridworld", "--n", "2", "--out", str(out)] + args) == 1
@@ -399,6 +402,34 @@ def test_verify_rejects_non_finite_policies(tmp_path, pennies_file, capsys, tabl
     captured = capsys.readouterr()
     assert "distribution" in captured.err and "Traceback" not in captured.err
     assert captured.out == ""
+
+
+# ---------------------------------------------------------------------------
+# Usage errors
+# ---------------------------------------------------------------------------
+
+SOLVE = ["solve", "--gridworld", "2", "--eta", "0.1", "--iters", "5"]
+
+
+@pytest.mark.parametrize("argv", [
+    SOLVE + ["--out", "x", "--bogus"],
+    ["verify", "--game", "g.json", "--policies", "p.json", "--epsilon", "-inf"],
+    SOLVE,
+    ["solve", "--gridworld", "2", "--eta", "0.1", "--iters", "abc", "--out", "x"],
+    SOLVE + ["--out", "x", "--schedule", "foo"],
+    [],
+], ids=["unknown-flag", "missing-value", "missing-out", "iters-abc", "schedule-foo",
+        "no-subcommand"])
+def test_usage_errors_exit_1(tmp_path, monkeypatch, capsys, argv):
+    # Exit code 2 is reserved for an infeasible adversary LP.
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage: atmg")
+    assert "error:" in captured.err
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

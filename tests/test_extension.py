@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from atmg import (
     build_lp_adv,
     check_policies,
     extension_constants,
+    grid_world,
     nash_gap,
     run,
     uniform_team_policy,
@@ -27,7 +30,7 @@ from conftest import (
     random_game_dims,
     random_policies,
 )
-from oracles import lp_adv_reference, qnlp_residuals
+from oracles import lp_adv_reference, qnlp_residuals, whole_program
 
 
 def half_game() -> GameSpec:
@@ -82,7 +85,7 @@ def test_lp_adv_row_layout():
     spec = half_game()
     x = uniform_team_policy(spec)
     _, v_hat = adversary_best_response(spec, x)
-    lp = build_lp_adv(spec, x, v_hat, 0.01)
+    lp = whole_program(build_lp_adv(spec, x, v_hat, 0.01))
     # (a) 2 states x 2 actions, (b) and (c) 4 each, (d) and (e) 2 each
     assert lp.n_rows == 16
     assert lp.n_vars == 4
@@ -96,8 +99,8 @@ def test_lp_adv_rhs_scales_with_epsilon():
     spec = half_game()
     x = uniform_team_policy(spec)
     _, v_hat = adversary_best_response(spec, x)
-    lp1 = build_lp_adv(spec, x, v_hat, 0.01)
-    lp2 = build_lp_adv(spec, x, v_hat, 0.02)
+    lp1 = whole_program(build_lp_adv(spec, x, v_hat, 0.01))
+    lp2 = whole_program(build_lp_adv(spec, x, v_hat, 0.02))
     scaled = np.tile(np.arange(HALF_R) < 6, 2)  # the (a), (b), (c) rows
     np.testing.assert_allclose(lp2.rhs[scaled], 2.0 * lp1.rhs[scaled], rtol=1e-14)
     np.testing.assert_array_equal(lp2.rhs[~scaled], lp1.rhs[~scaled])
@@ -111,7 +114,7 @@ def test_lp_adv_bellman_slack_rows():
     spec = half_game()
     x = uniform_team_policy(spec)
     _, v_hat = adversary_best_response(spec, x)
-    lp = build_lp_adv(spec, x, v_hat, 0.01)
+    lp = whole_program(build_lp_adv(spec, x, v_hat, 0.01))
     slack_rows = lp.lhs.reshape(2, HALF_R, 4)[:, 2:4].reshape(4, 4)
     assert all(np.count_nonzero(row) <= 1 for row in slack_rows)
     slack = slack_rows.sum(axis=1).reshape(2, 2)
@@ -131,31 +134,56 @@ def _lp_cases(gridworld2: GameSpec, seed: int) -> list[tuple[GameSpec, TeamPolic
 
 
 def test_lp_adv_rows_touch_one_state(gridworld2):
-    # Row i belongs to state i // R and has no coefficient outside that
-    # state's B variables, which is what lets adv_nash_policy solve the
-    # program state by state.
+    # build_lp_adv returns one R x B program per state: no row has a
+    # coefficient outside its state's B variables, which is what lets
+    # adv_nash_policy solve the program state by state.
     for spec, x in _lp_cases(gridworld2, 13):
         S, B = spec.state_count, spec.adversary_actions
         R = spec.sum_team_actions + 2 * B + 2
         _, v_hat = adversary_best_response(spec, x)
-        lp = build_lp_adv(spec, x, v_hat, 0.01)
+        programs = build_lp_adv(spec, x, v_hat, 0.01)
+        assert len(programs) == S
+        assert all(p.lhs.shape == (R, B) for p in programs)
+        assert (programs.n_rows, programs.n_vars) == (S * R, S * B)
+        lp = whole_program(programs)
         assert lp.lhs.shape == (S * R, S * B)
         blocks = lp.lhs.reshape(S, R, S, B).copy()
         blocks[np.arange(S), :, np.arange(S), :] = 0.0
         assert not blocks.any()
         if spec is gridworld2:
             assert lp.lhs.shape == (1170, 260)
+            assert (len(programs), programs.n_rows, programs.n_vars) == (65, 1170, 260)
+            assert all(p.lhs.shape == (18, 4) for p in programs)
 
 
 def test_lp_adv_matches_row_by_row_reference(gridworld2):
     for spec, x in _lp_cases(gridworld2, 17):
         _, v_hat = adversary_best_response(spec, x)
         for epsilon in (0.0, 0.01):
-            lp = build_lp_adv(spec, x, v_hat, epsilon)
+            lp = whole_program(build_lp_adv(spec, x, v_hat, epsilon))
             lhs, senses, rhs = lp_adv_reference(spec, x, v_hat, epsilon)
             assert lp.senses == senses
             np.testing.assert_array_equal(lp.rhs, rhs)
             np.testing.assert_allclose(lp.lhs, lhs, rtol=0.0, atol=1e-12)
+
+
+def test_lp_adv_memory_grows_with_states_not_their_square():
+    # grid_world(3) has 730 states; one (S*R, S*B) matrix of its program
+    # would take 293 MiB, its 730 blocks of 18 x 4 take 0.4 MiB.
+    spec = grid_world(3)
+    x = uniform_team_policy(spec)
+    _, v_hat = adversary_best_response(spec, x)
+    tracemalloc.start()
+    try:
+        programs = build_lp_adv(spec, x, v_hat, 0.01)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (programs.n_rows, programs.n_vars) == (13140, 2920)
+    assert peak < 64 * 2**20
+    assert held < 2 * 2**20
+    arrays = sum(p.lhs.nbytes + p.rhs.nbytes + p.objective.nbytes for p in programs)
+    assert arrays < 2 * 2**20
 
 
 def test_lp_adv_input_validation():
@@ -215,7 +243,8 @@ def test_adv_nash_policy_optimize_picks_better_vertex():
     _, lam_any = adv_nash_policy(spec, x, 0.5)
     # The objective-optimal vertex of the same LP, clipped like the extractor.
     _, v_hat = adversary_best_response(spec, x)
-    lam_opt = np.maximum(solve(build_lp_adv(spec, x, v_hat, 0.5)).x.reshape(2, 2), 0.0)
+    lam_opt = solve(whole_program(build_lp_adv(spec, x, v_hat, 0.5))).x.reshape(2, 2)
+    lam_opt = np.maximum(lam_opt, 0.0)
     assert (lam_opt * r_x).sum() >= (lam_any.table * r_x).sum() - 1e-9
 
 
@@ -241,9 +270,10 @@ def test_stitched_lambda_is_feasible_for_the_whole_program(seed):
         spec = make_random_game(rng, S, sizes, B, float(rng.choice([0.0, 0.5, 0.9])))
         x = random_policies(rng, spec)[0]
         _, v_hat = adversary_best_response(spec, x)
-        eps0 = np.abs(build_lp_adv(spec, x, v_hat, 0.0).lhs).max() / extension_constants(spec).c1
+        eps0 = np.abs(whole_program(build_lp_adv(spec, x, v_hat, 0.0)).lhs).max()
+        eps0 /= extension_constants(spec).c1
         for epsilon in (1e-3 * eps0, 0.1 * eps0, eps0, 3.0 * eps0, 10.0 * eps0):
-            lp = build_lp_adv(spec, x, v_hat, epsilon)
+            lp = whole_program(build_lp_adv(spec, x, v_hat, epsilon))
             whole = find_feasible(lp).status
             try:
                 _, lam = adv_nash_policy(spec, x, epsilon)

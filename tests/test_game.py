@@ -179,6 +179,8 @@ def test_normalize_idempotent_on_fixed_family():
 def test_normalize_degenerate_rewards_error():
     with pytest.raises(DegenerateRewardsError):
         normalize_rewards(small_game(reward=np.full((2, 2, 2), 0.7)))
+    with pytest.raises(DegenerateRewardsError, match=r"delta=1e\+300"):
+        normalize_rewards(small_game(), delta=1e300)
 
 
 @pytest.mark.parametrize("delta", [float("nan"), float("inf"), -1.0, -1e-12])
