@@ -43,7 +43,6 @@ from .mdp import AdversaryPolicy, TeamPolicy, check_policies
 log = logging.getLogger(__name__)
 
 _LOG_LEVELS = {"quiet": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
-_THEOREM_REFUSAL_LIMIT = 10**7
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -202,15 +201,6 @@ def cmd_solve(args) -> int:
         eta_used, T_used = resolve_schedule(normalized, config)
     except ValueError as exc:
         return _fail(str(exc))
-    if (
-        args.schedule == "theorem"
-        and args.cap_iters is None
-        and T_used > _THEOREM_REFUSAL_LIMIT
-    ):
-        return _fail(
-            f"theorem schedule asks for T = {T_used} iterations; "
-            "pass --cap-iters to run a truncated version"
-        )
 
     report = {
         "game": {

@@ -24,7 +24,7 @@ from .mdp import (
     adversary_best_response,
     check_policies,
     marginal_reward_table,
-    marginal_transition_table,
+    q_table,
     smoothness_constants,
     team_player_best_response,
     value_rho,
@@ -58,10 +58,6 @@ class LagrangeMultipliers:
 
     table: np.ndarray
 
-    @property
-    def row_sums(self) -> np.ndarray:
-        return self.table.sum(axis=1)
-
 
 @dataclass(frozen=True)
 class NashGapReport:
@@ -90,8 +86,7 @@ def extension_constants(spec: GameSpec) -> ExtensionConstants:
 
 def _bellman_slack(spec: GameSpec, x: TeamPolicy, v: np.ndarray) -> np.ndarray:
     """(S, B) table r(s, x, b) + gamma sum_t P(t | s, x, b) v(t) - v(s)."""
-    P_x = marginal_transition_table(spec, x)
-    return marginal_reward_table(spec, x) + spec.discount * P_x @ v - v[:, None]
+    return q_table(spec, x, v) - v[:, None]
 
 
 # ---------------------------------------------------------------------------

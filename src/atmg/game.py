@@ -21,7 +21,7 @@ it to successor lists.
 from __future__ import annotations
 
 import json
-import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -42,6 +42,15 @@ _REWARD_LIMIT = 1e150
 
 class DegenerateRewardsError(ValueError):
     """Raised when rewards cannot be normalized because max r = min r."""
+
+
+def _count(name: str, value) -> int:
+    """value as an int; ValueError unless it is a whole number (a bool is not)."""
+    whole = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and float(value).is_integer())
+    if isinstance(value, bool) or not whole:
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,7 +82,7 @@ class Transitions:
             arr.setflags(write=False)
         object.__setattr__(self, "succ", succ)
         object.__setattr__(self, "prob", prob)
-        object.__setattr__(self, "state_count", int(self.state_count))
+        object.__setattr__(self, "state_count", _count("state_count", self.state_count))
 
     @classmethod
     def from_dense(cls, dense) -> Transitions:
@@ -99,13 +108,6 @@ class Transitions:
     @property
     def nbytes(self) -> int:
         return self.succ.nbytes + self.prob.nbytes
-
-    def dense(self) -> np.ndarray:
-        """The dense tensor P[s, a_joint, b, s']; indices must lie in [0, S)."""
-        out = np.zeros(self.shape)
-        rows = np.indices(self.succ.shape, sparse=True)[:-1]
-        np.add.at(out, (*rows, self.succ), self.prob)
-        return out
 
 
 @dataclass(frozen=True)
@@ -134,15 +136,16 @@ class GameSpec:
 
     def __post_init__(self) -> None:
         # Coerce to read-only float arrays so instances can be shared freely.
-        object.__setattr__(self, "team_sizes", tuple(int(a) for a in self.team_sizes))
         for name in ("reward", "initial_dist"):
             arr = np.ascontiguousarray(np.asarray(getattr(self, name), dtype=np.float64))
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if not isinstance(self.transition, Transitions):
             object.__setattr__(self, "transition", Transitions.from_dense(self.transition))
-        object.__setattr__(self, "state_count", int(self.state_count))
-        object.__setattr__(self, "adversary_actions", int(self.adversary_actions))
+        sizes = tuple(_count("team_sizes entry", a) for a in self.team_sizes)
+        object.__setattr__(self, "team_sizes", sizes)
+        for name in ("state_count", "adversary_actions"):
+            object.__setattr__(self, name, _count(name, getattr(self, name)))
         object.__setattr__(self, "discount", float(self.discount))
 
     @property
@@ -167,17 +170,6 @@ class GameSpec:
             radix *= size
         digits.setflags(write=False)
         return digits
-
-    def joint_index(self, actions) -> int:
-        """Flatten per-player actions (a_1, ..., a_n) to the joint index."""
-        j = 0
-        radix = 1
-        for a, size in zip(actions, self.team_sizes):
-            if not 0 <= a < size:
-                raise ValueError(f"action {a} out of range for size {size}")
-            j += int(a) * radix
-            radix *= size
-        return j
 
 
 # ---------------------------------------------------------------------------

@@ -42,8 +42,13 @@ log = logging.getLogger(__name__)
 SCHEDULE_MODES = ("manual", "proposition", "theorem")
 SELECTION_MODES = ("prox_scan", "random", "none")
 
-# prox_point stops once an iterate moves less than this.
+# prox_point stops once an iterate moves less than PROX_TOL, or after
+# PROX_MAX_ITER steps.
 PROX_TOL = 1e-7
+PROX_MAX_ITER = 400
+
+# run refuses a schedule longer than this, before allocating its trace.
+MAX_ITERS = 10**7
 
 
 @dataclass
@@ -103,7 +108,7 @@ class RunTrace:
     consecutive joint-policy difference, zero at t = 0 by convention; at
     t = 1 only the team part can move since there is no previous adversary
     policy.  prox_gaps caches every proximal gap evaluated at a trace
-    index.  t_star/x_hat are filled by iterate selection.
+    index.  Iterate selection sets t_star; x_hat is policies[t_star].
     """
 
     policies: list[TeamPolicy]
@@ -112,12 +117,16 @@ class RunTrace:
     frob_norms: np.ndarray
     prox_gaps: dict[int, float] = field(default_factory=dict)
     t_star: int | None = None
-    x_hat: TeamPolicy | None = None
     wall_clock: float = 0.0
 
     @property
     def iterations(self) -> int:
         return len(self.best_responses)
+
+    @property
+    def x_hat(self) -> TeamPolicy | None:
+        """The selected iterate, None before selection."""
+        return None if self.t_star is None else self.policies[self.t_star]
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +202,9 @@ def run(spec: GameSpec, x0: TeamPolicy | None, config: IpgmaxConfig) -> RunTrace
 
         x_k(t) = proj( x_k(t-1) - eta * grad_k V_rho(x(t-1), y(t)) )
 
-    Raises ValueError when a step leaves a non-finite iterate x(t).
+    Raises ValueError when the schedule asks for more than MAX_ITERS
+    iterations, before anything is allocated, or when a step leaves a
+    non-finite iterate x(t).
 
     phi values for t < T fall out of the loop; the last entry costs one
     extra best-response solve whose policy is not recorded.  When eta = 0
@@ -202,10 +213,16 @@ def run(spec: GameSpec, x0: TeamPolicy | None, config: IpgmaxConfig) -> RunTrace
     repeat it bit for bit, so the rest of the trace is filled by copying.
 
     Iterate selection runs at the end per config (see select_iterate) and
-    fills t_star / x_hat.
+    sets t_star.
     """
     config.validate()
     eta, T = resolve_schedule(spec, config)
+    if T > MAX_ITERS:
+        knob = "iters (--iters)" if config.schedule_mode == "manual" else "cap_iters (--cap-iters)"
+        raise ValueError(
+            f"the {config.schedule_mode} schedule asks for T = {T} iterations; "
+            f"set {knob} to at most {MAX_ITERS}"
+        )
     if x0 is None:
         x0 = uniform_team_policy(spec)
     check_policies(spec, x0)
@@ -284,7 +301,7 @@ class ProxResult:
     psi: float
 
 
-def prox_point(spec: GameSpec, x: TeamPolicy, *, max_iter: int = 400) -> ProxResult:
+def prox_point(spec: GameSpec, x: TeamPolicy) -> ProxResult:
     """Minimize psi(x') = phi(x') + ell ||x - x'||^2 by projected subgradient.
 
     A subgradient of phi at x' is the team policy gradient evaluated against
@@ -293,7 +310,8 @@ def prox_point(spec: GameSpec, x: TeamPolicy, *, max_iter: int = 400) -> ProxRes
     iterate (the best-response solve provides phi for free), and the best
     iterate seen is returned; starting from x' = x makes the method exact at
     stationary points.  Stops early once an iterate moves less than
-    PROX_TOL; otherwise runs the full budget and reports converged=False.
+    PROX_TOL; otherwise runs all PROX_MAX_ITER steps and reports
+    converged=False.
     """
     ell = smoothness_constants(spec).ell
     rho = spec.initial_dist
@@ -313,7 +331,7 @@ def prox_point(spec: GameSpec, x: TeamPolicy, *, max_iter: int = 400) -> ProxRes
     converged = False
     used = 0
 
-    for t in range(max_iter):
+    for t in range(PROX_MAX_ITER):
         used = t + 1
         psi_val, grad = psi_and_subgrad(current, current_vec)
         if psi_val < best_psi:
@@ -368,25 +386,22 @@ def select_iterate(
     mode: str,
     *,
     delta: float = 0.5,
-    stride: int | None = None,
     seed: int = 0,
 ) -> int:
     """Pick t_star in {0, ..., T-1} and stamp it into the trace.
 
-    "prox_scan" evaluates the proximal gap on a strided grid of iterates
-    (default stride ceil(T/100)) plus the last candidate and returns the
-    argmin.  "random" draws ceil(ln(1/delta)) indices uniformly with
-    replacement and keeps the best of those.  The final policy x(T) is
-    never a candidate.  All evaluated gaps are cached in trace.prox_gaps.
+    "prox_scan" evaluates the proximal gap at every ceil(T/100)-th iterate
+    plus the last candidate and returns the argmin.  "random" draws
+    ceil(ln(1/delta)) indices uniformly with replacement and keeps the best
+    of those.  The final policy x(T) is never a candidate.  All evaluated
+    gaps are cached in trace.prox_gaps.
     """
     T = trace.iterations
     if T < 1:
         raise ValueError("trace is empty")
 
     if mode == "prox_scan":
-        if stride is None:
-            stride = max(1, math.ceil(T / 100))
-        candidates = sorted(set(range(0, T, stride)) | {T - 1})
+        candidates = sorted(set(range(0, T, math.ceil(T / 100))) | {T - 1})
     elif mode == "random":
         draws = math.ceil(math.log(1.0 / delta))
         rng = np.random.default_rng(seed)
@@ -405,5 +420,4 @@ def select_iterate(
             best_t = t
 
     trace.t_star = best_t
-    trace.x_hat = trace.policies[best_t]
     return best_t

@@ -87,11 +87,6 @@ def uniform_team_policy(spec: GameSpec) -> TeamPolicy:
     return TeamPolicy(tuple(np.full((S, a), 1.0 / a) for a in spec.team_sizes))
 
 
-def uniform_adversary_policy(spec: GameSpec) -> AdversaryPolicy:
-    S, B = spec.state_count, spec.adversary_actions
-    return AdversaryPolicy(np.full((S, B), 1.0 / B))
-
-
 def team_policy_from_vector(spec: GameSpec, vec: np.ndarray) -> TeamPolicy:
     """Inverse of TeamPolicy.as_vector for this game's block sizes."""
     S = spec.state_count
@@ -224,8 +219,19 @@ def _successor_mean(spec: GameSpec, v: np.ndarray) -> np.ndarray:
     return (T.prob * v[T.succ]).sum(axis=-1)
 
 
+def q_table(spec: GameSpec, x: TeamPolicy, v: np.ndarray) -> np.ndarray:
+    """(S, B) table r(s, x, b) + gamma sum_{s'} P(s' | s, x, b) v(s').
+
+    The one-step payoff plus continuation is gathered per joint action and
+    then mixed over the team, so no (S, B, S) table is built.
+    """
+    w = joint_action_distribution(spec, x)
+    q = spec.reward + spec.discount * _successor_mean(spec, v)
+    return (w[:, None, :] @ q)[:, 0, :]
+
+
 # ---------------------------------------------------------------------------
-# Values and visitation
+# Values
 # ---------------------------------------------------------------------------
 
 def _bellman_matrix(P: np.ndarray, gamma: float) -> np.ndarray:
@@ -264,15 +270,6 @@ def value_vector(spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy) -> np.ndarra
 def value_rho(spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy) -> float:
     """V_rho(x, y) = E_{s ~ rho}[v(s)]."""
     return float(spec.initial_dist @ value_vector(spec, x, y))
-
-
-def visitation(spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy) -> np.ndarray:
-    """Unnormalized discounted state occupancy: d' = rho' (I - gamma P)^{-1}.
-
-    Sums to 1/(1 - gamma); satisfies rho(s) <= d(s) <= 1/(1 - gamma).
-    """
-    M, _ = _chain(spec, x, y)
-    return _solve(M.T, spec.initial_dist)
 
 
 # ---------------------------------------------------------------------------

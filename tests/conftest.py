@@ -2,7 +2,9 @@
 
 Random games use Dirichlet transition rows, rewards uniform in (0.05, 0.95)
 so value bounds have real margin, and an initial distribution mixed with
-uniform so it always has full support.
+uniform so it always has full support.  The small helpers below (the dense
+transition tensor, joint-action indices, the uniform adversary) serve only
+the tests, so they live here rather than in atmg.
 """
 
 from __future__ import annotations
@@ -12,7 +14,33 @@ import dataclasses
 import numpy as np
 import pytest
 
-from atmg import AdversaryPolicy, GameSpec, TeamPolicy
+from atmg.game import GameSpec, Transitions, grid_world
+from atmg.mdp import AdversaryPolicy, TeamPolicy
+
+
+def dense_transition(transitions: Transitions) -> np.ndarray:
+    """The dense tensor P[s, a_joint, b, s'] of successor lists; indices must lie in [0, S)."""
+    out = np.zeros(transitions.shape)
+    rows = np.indices(transitions.succ.shape, sparse=True)[:-1]
+    np.add.at(out, (*rows, transitions.succ), transitions.prob)
+    return out
+
+
+def joint_index(spec: GameSpec, actions) -> int:
+    """Flatten per-player actions (a_1, ..., a_n) to the joint index, player 1 fastest."""
+    j = 0
+    radix = 1
+    for a, size in zip(actions, spec.team_sizes):
+        if not 0 <= a < size:
+            raise ValueError(f"action {a} out of range for size {size}")
+        j += int(a) * radix
+        radix *= size
+    return j
+
+
+def uniform_adversary_policy(spec: GameSpec) -> AdversaryPolicy:
+    S, B = spec.state_count, spec.adversary_actions
+    return AdversaryPolicy(np.full((S, B), 1.0 / B))
 
 
 def make_random_game(
@@ -47,7 +75,7 @@ def make_mixed_support_game(
 ) -> GameSpec:
     """Random game whose transition rows have between 1 and S - 1 successors."""
     spec = make_random_game(rng, state_count, team_sizes, adversary_actions, discount)
-    dense = spec.transition.dense()
+    dense = dense_transition(spec.transition)
     support = rng.integers(1, state_count, size=dense.shape[:3])
     keep = rng.permuted(np.arange(state_count) < support[..., None], axis=-1)
     dense = np.where(keep, dense, 0.0)
@@ -64,7 +92,7 @@ def v1_document(spec: GameSpec) -> dict:
         "gamma": spec.discount,
         "rho": spec.initial_dist.tolist(),
         "reward": spec.reward.tolist(),
-        "transition": spec.transition.dense().tolist(),
+        "transition": dense_transition(spec.transition).tolist(),
     }
 
 
@@ -120,6 +148,4 @@ def pennies() -> GameSpec:
 
 @pytest.fixture(scope="session")
 def gridworld2() -> GameSpec:
-    from atmg import grid_world
-
     return grid_world(2)

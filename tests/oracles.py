@@ -8,30 +8,34 @@ the public marginal tables; the library itself uses neither.  The adversary
 LP is written out row by row, the reference for its vectorized assembly,
 and its per-state programs are put back on one block diagonal.
 The transition contractions are einsums over the dense tensor, the
-reference for the library's successor-list forms.
+reference for the library's successor-list forms, and the discounted
+visitation measure is one dense solve.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from atmg import (
+from atmg.extension import extension_constants
+from atmg.game import GameSpec
+from atmg.lp import OPTIMAL, LinearProgram, solve
+from atmg.mdp import (
     AdversaryPolicy,
-    GameSpec,
     TeamPolicy,
-    extension_constants,
+    induced_transition,
+    joint_action_distribution,
+    marginal_reward_table,
+    marginal_transition_table,
     smoothness_constants,
     value_vector,
-    visitation,
 )
-from atmg.lp import OPTIMAL, LinearProgram, solve
-from atmg.mdp import joint_action_distribution, marginal_reward_table, marginal_transition_table
+from conftest import dense_transition
 
 
 def dense_marginal_transition(spec: GameSpec, x: TeamPolicy) -> np.ndarray:
     """(S, B, S) table P(s' | s, x, b) contracted from the dense tensor."""
     w = joint_action_distribution(spec, x)
-    return np.einsum("sj,sjbt->sbt", w, spec.transition.dense())
+    return np.einsum("sj,sjbt->sbt", w, dense_transition(spec.transition))
 
 
 def dense_player_transition(
@@ -41,12 +45,22 @@ def dense_player_transition(
     S, A = spec.state_count, spec.team_sizes[k]
     others = joint_action_distribution(spec, x.with_block(k, np.ones((S, A))))
     pinned = np.eye(A)[spec.action_digits[:, k]]
-    return np.einsum("sj,ja,sb,sjbt->sat", others, pinned, y.probs, spec.transition.dense())
+    dense = dense_transition(spec.transition)
+    return np.einsum("sj,ja,sb,sjbt->sat", others, pinned, y.probs, dense)
 
 
 def dense_successor_mean(spec: GameSpec, v: np.ndarray) -> np.ndarray:
     """(S, J, B) table sum_t P(t | s, j, b) v(t) from the dense tensor."""
-    return np.einsum("sjbt,t->sjb", spec.transition.dense(), v)
+    return np.einsum("sjbt,t->sjb", dense_transition(spec.transition), v)
+
+
+def visitation(spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy) -> np.ndarray:
+    """Unnormalized discounted state occupancy: d' = rho' (I - gamma P)^{-1}.
+
+    Sums to 1/(1 - gamma); satisfies rho(s) <= d(s) <= 1/(1 - gamma).
+    """
+    M = np.eye(spec.state_count) - spec.discount * induced_transition(spec, x, y)
+    return np.linalg.solve(M.T, spec.initial_dist)
 
 
 def q_table(spec: GameSpec, x: TeamPolicy, v: np.ndarray) -> np.ndarray:

@@ -15,28 +15,32 @@ import time
 import numpy as np
 import pytest
 
-from atmg import (
-    GameSpec,
-    IpgmaxConfig,
+from atmg.extension import adv_nash_policy, extension_constants, nash_gap
+from atmg.game import GameSpec, grid_world
+from atmg.ipgmax import IpgmaxConfig, prox_point, run, schedule_proposition, schedule_theorem
+from atmg.mdp import (
+    AdversaryPolicy,
     TeamPolicy,
-    adv_nash_policy,
     adversary_best_response,
-    extension_constants,
     joint_policy_vector,
-    nash_gap,
-    prox_point,
-    run,
-    schedule_proposition,
-    schedule_theorem,
+    policy_gradient,
     smoothness_constants,
     value_rho,
     value_vector,
+)
+from conftest import (
+    dense_transition,
+    make_random_game,
+    pennies_game,
+    random_game_dims,
+    random_policies,
+)
+from oracles import (
+    adversary_mdp_primal_dual,
+    adversary_policy_gradient,
+    qnlp_residuals,
     visitation,
 )
-from atmg.game import grid_world
-from atmg.mdp import AdversaryPolicy, policy_gradient
-from conftest import make_random_game, pennies_game, random_game_dims, random_policies
-from oracles import adversary_mdp_primal_dual, adversary_policy_gradient, qnlp_residuals
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +77,7 @@ def rollout_returns(
     game data itself.
     """
     gamma = spec.discount
-    transition = spec.transition.dense()
+    transition = dense_transition(spec.transition)
     states = np.full(n_rollouts, s0)
     returns = np.zeros(n_rollouts)
     disc = 1.0
@@ -101,7 +105,7 @@ def replay_team_marginals(spec: GameSpec, x: TeamPolicy):
     for k, block in enumerate(x.blocks):
         w *= block[:, digits[:, k]]
     r_x = np.einsum("sj,sjb->sb", w, spec.reward)
-    P_x = np.einsum("sj,sjbt->sbt", w, spec.transition.dense())
+    P_x = np.einsum("sj,sjbt->sbt", w, dense_transition(spec.transition))
     return r_x, P_x
 
 
@@ -111,7 +115,7 @@ def replay_value_rho(spec: GameSpec, blocks, y_probs: np.ndarray) -> float:
     w = np.ones((spec.state_count, digits.shape[0]))
     for k, block in enumerate(blocks):
         w *= block[:, digits[:, k]]
-    P = np.einsum("sj,sb,sjbt->st", w, y_probs, spec.transition.dense())
+    P = np.einsum("sj,sb,sjbt->st", w, y_probs, dense_transition(spec.transition))
     r = np.einsum("sj,sb,sjb->s", w, y_probs, spec.reward)
     v = np.linalg.solve(np.eye(spec.state_count) - spec.discount * P, r)
     return float(spec.initial_dist @ v)

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import atmg.cli
-from atmg import LpAdvInfeasibleError, load_game, save_game
 from atmg.cli import main
+from atmg.extension import LpAdvInfeasibleError
+from atmg.game import load_game, save_game
 from conftest import count_calls, pennies_game
 
 
@@ -151,12 +152,20 @@ def test_solve_rejects_malformed_game(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["verify", "solve"])
 @pytest.mark.parametrize("field,literal", [("states", "1e999"),
-                                           ("reward", "[[[1" + "0" * 400 + ", 0.1]]]")],
-                         ids=["inf-states", "huge-int-reward"])
+                                           ("reward", "[[[1" + "0" * 400 + ", 0.1]]]"),
+                                           ("states", "1.5"),
+                                           ("states", "true"),
+                                           ("adversary_actions", "2.5"),
+                                           ("team_sizes", "[2.5]")],
+                         ids=["inf-states", "huge-int-reward", "fractional-states",
+                              "bool-states", "fractional-adversary-actions",
+                              "fractional-team-size"])
 def test_out_of_range_numbers_in_game_file(tmp_path, capsys, pennies_file, command,
                                            field, literal):
     # 1e999 parses as inf and a 401-digit integer as an int no float holds;
     # either must be reported as a bad game file, not raise OverflowError.
+    # A count that is not a whole number, or is a bool, must not be
+    # truncated into a valid one.
     text = pennies_file.read_text()
     payload = json.loads(text)
     payload[field] = "PLACEHOLDER"
@@ -219,8 +228,10 @@ def test_solve_manual_requires_eta_and_iters(tmp_path, capsys, pennies_file):
     ["--eta", "0.1", "--iters", "5", "--cap-iters", "-4"],
     ["--eta", "0.1", "--iters", "5", "--jobs", "0"],
     ["--eta", "0.1", "--iters", "5", "--jobs", "-2"],
+    ["--schedule", "proposition", "--epsilon", "1e-5"],
+    ["--eta", "0.1", "--iters", "1000000000000"],
 ], ids=["eta-nan", "eta-inf", "epsilon-inf", "cap-0", "cap-minus-1", "cap-minus-4",
-        "jobs-0", "jobs-minus-2"])
+        "jobs-0", "jobs-minus-2", "proposition-huge-T", "iters-huge"])
 def test_solve_rejects_out_of_range_settings(tmp_path, capsys, pennies_file, args):
     out = tmp_path / "run"
     code = main(["solve", "--game", str(pennies_file), "--out", str(out)] + args)

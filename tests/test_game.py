@@ -5,17 +5,24 @@ import json
 import numpy as np
 import pytest
 
-from atmg import (
+from atmg.game import (
     DegenerateRewardsError,
     GameSpec,
+    Transitions,
     grid_world,
     load_game,
     normalize_rewards,
     save_game,
     validate,
 )
-from atmg.game import Transitions
-from conftest import make_mixed_support_game, make_random_game, pennies_game, v1_document
+from conftest import (
+    dense_transition,
+    joint_index,
+    make_mixed_support_game,
+    make_random_game,
+    pennies_game,
+    v1_document,
+)
 
 
 def small_game(**overrides) -> GameSpec:
@@ -44,10 +51,10 @@ def test_joint_index_player_one_fastest():
         reward=np.full((2, 6, 2), 0.5),
         transition=np.full((2, 6, 2, 2), 0.5),
     )
-    assert spec.joint_index((0, 0)) == 0
-    assert spec.joint_index((1, 0)) == 1
-    assert spec.joint_index((0, 1)) == 2
-    assert spec.joint_index((1, 2)) == 5
+    assert joint_index(spec, (0, 0)) == 0
+    assert joint_index(spec, (1, 0)) == 1
+    assert joint_index(spec, (0, 1)) == 2
+    assert joint_index(spec, (1, 2)) == 5
 
 
 def test_action_digits_invert_joint_index():
@@ -59,13 +66,13 @@ def test_action_digits_invert_joint_index():
     digits = spec.action_digits
     assert digits.shape == (12, 3)
     for j in range(12):
-        assert spec.joint_index(digits[j]) == j
+        assert joint_index(spec, digits[j]) == j
 
 
 def test_joint_index_range_check():
     spec = small_game()
     with pytest.raises(ValueError):
-        spec.joint_index((2,))
+        joint_index(spec, (2,))
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +87,7 @@ def test_validate_accepts_well_formed_games():
 
 
 def test_validate_flags_negative_transition_entry():
-    t = small_game().transition.dense()
+    t = dense_transition(small_game().transition)
     t[1, 0, 1, 0] -= 2.0
     t[1, 0, 1, 1] += 2.0     # keep the row sum at 1 to isolate the sign check
     problems = validate(small_game(transition=t))
@@ -88,7 +95,7 @@ def test_validate_flags_negative_transition_entry():
 
 
 def test_validate_flags_bad_row_sum():
-    t = small_game().transition.dense()
+    t = dense_transition(small_game().transition)
     t[0, 1, 0, 0] += 1e-6
     problems = validate(small_game(transition=t))
     assert any("sums to" in p for p in problems)
@@ -208,7 +215,7 @@ def test_grid_world_rejects_tiny_grids():
 
 def test_grid_world_transitions_deterministic(gridworld2):
     assert gridworld2.transition.succ.shape == (65, 16, 4, 1)
-    t = gridworld2.transition.dense()
+    t = dense_transition(gridworld2.transition)
     assert np.all(t.sum(axis=3) == 1.0)
     assert np.all(np.count_nonzero(t, axis=3) == 1)
     assert np.all((t == 0.0) | (t == 1.0))
@@ -232,7 +239,7 @@ def test_grid_world_landmark_outcomes(gridworld2):
     # 2x2 grid, cells row-major: 0=(0,0) and 3=(1,1) are the landmarks.
     # State packing: s = p1 + 4 p2 + 16 p_adv; moves 0=up 1=down 2=left 3=right.
     lo, mid, hi = np.unique(gridworld2.reward)
-    P = gridworld2.transition.dense()
+    P = dense_transition(gridworld2.transition)
     s = 1 + 4 * 2 + 16 * 1          # p1 top-right, p2 bottom-left, adv top-right
     terminal = 64
 
@@ -289,7 +296,7 @@ def test_save_load_round_trip(tmp_path):
     spec = make_random_game(rng, 3, (2, 2), 3, 0.9)
     assert spec.transition.succ.shape[-1] == 3
     loaded = v2_round_trip(spec, tmp_path / "game.json")
-    assert np.array_equal(loaded.transition.dense(), spec.transition.dense())
+    assert np.array_equal(dense_transition(loaded.transition), dense_transition(spec.transition))
 
 
 def dense_games():
@@ -303,13 +310,13 @@ def dense_games():
 
 @pytest.mark.parametrize("spec", dense_games())
 def test_dense_round_trip_is_bitwise(spec):
-    dense = spec.transition.dense()
+    dense = dense_transition(spec.transition)
     back = GameSpec(
         state_count=spec.state_count, team_sizes=spec.team_sizes,
         adversary_actions=spec.adversary_actions, reward=spec.reward,
         transition=dense, discount=spec.discount, initial_dist=spec.initial_dist,
     ).transition
-    assert back.dense().tobytes() == dense.tobytes()
+    assert dense_transition(back).tobytes() == dense.tobytes()
     assert back.succ.tobytes() == spec.transition.succ.tobytes()
     assert back.prob.tobytes() == spec.transition.prob.tobytes()
 
@@ -332,7 +339,8 @@ def test_v1_files_still_load(tmp_path):
     path = tmp_path / "v1.json"
     path.write_text(json.dumps(v1_document(spec)))
     loaded = load_game(path)
-    assert loaded.transition.dense().tobytes() == spec.transition.dense().tobytes()
+    dense = dense_transition(spec.transition)
+    assert dense_transition(loaded.transition).tobytes() == dense.tobytes()
     assert loaded.transition.succ.tobytes() == spec.transition.succ.tobytes()
     assert loaded.reward.tobytes() == spec.reward.tobytes()
     assert validate(loaded) == []

@@ -16,8 +16,8 @@ import json
 import numpy as np
 import pytest
 
-from atmg import load_game, save_game, validate
 from atmg.cli import main
+from atmg.game import load_game, save_game, validate
 from conftest import make_random_game, v1_document
 
 pytest.importorskip("hypothesis")

@@ -4,15 +4,9 @@ import numpy as np
 import pytest
 
 import atmg.ipgmax
-from atmg import (
-    GameSpec,
+from atmg.game import GameSpec
+from atmg.ipgmax import (
     IpgmaxConfig,
-    TeamPolicy,
-    adversary_best_response,
-    check_policies,
-    joint_policy_vector,
-    policy_gradient,
-    project_product_simplex,
     prox_gap,
     prox_point,
     resolve_schedule,
@@ -20,6 +14,14 @@ from atmg import (
     schedule_proposition,
     schedule_theorem,
     select_iterate,
+)
+from atmg.mdp import (
+    TeamPolicy,
+    adversary_best_response,
+    check_policies,
+    joint_policy_vector,
+    policy_gradient,
+    project_product_simplex,
     smoothness_constants,
     uniform_team_policy,
 )
@@ -255,6 +257,29 @@ def test_run_rejects_a_non_finite_iterate(gridworld2):
         run(gridworld2, None, IpgmaxConfig(eta=1e308, iters=3, iterate_selection="none"))
 
 
+@pytest.mark.parametrize("config,knob", [
+    (IpgmaxConfig(eta=0.1, iters=10**12), "--iters"),
+    (IpgmaxConfig(schedule_mode="proposition", epsilon=1e-5), "--cap-iters"),
+    (IpgmaxConfig(schedule_mode="theorem", epsilon=0.1, cap_iters=10**8), "--cap-iters"),
+], ids=["manual", "proposition", "theorem-capped-too-high"])
+def test_run_refuses_more_than_max_iters(monkeypatch, config, knob):
+    # The refusal comes before the trace arrays (8 bytes per iteration each)
+    # are allocated and before the first best response.
+    calls = count_calls(monkeypatch, atmg.ipgmax, "adversary_best_response")
+    with pytest.raises(ValueError, match=f"iterations; set .*{knob}.* to at most 10000000"):
+        run(pennies_game(), None, config)
+    assert calls == []
+
+
+def test_run_allows_exactly_max_iters(monkeypatch):
+    monkeypatch.setattr(atmg.ipgmax, "MAX_ITERS", 5)
+    config = IpgmaxConfig(eta=0.05, iters=5, iterate_selection="none")
+    assert run(pennies_game(), None, config).iterations == 5
+    config.iters = 6
+    with pytest.raises(ValueError, match="T = 6 iterations"):
+        run(pennies_game(), None, config)
+
+
 # ---------------------------------------------------------------------------
 # Proximal point and gap
 # ---------------------------------------------------------------------------
@@ -291,9 +316,10 @@ def test_prox_point_matches_grid_search():
     assert gap == prox_gap(spec, x)
 
 
-def test_prox_point_reports_iterations():
+def test_prox_point_reports_iterations(monkeypatch):
+    monkeypatch.setattr(atmg.ipgmax, "PROX_MAX_ITER", 50)
     spec = pennies_game()
-    result = prox_point(spec, uniform_team_policy(spec), max_iter=50)
+    result = prox_point(spec, uniform_team_policy(spec))
     assert 1 <= result.iterations <= 50
     assert result.psi == pytest.approx(0.5, abs=1e-12)
 
@@ -311,19 +337,22 @@ def test_select_iterate_single_candidate():
     assert trace.x_hat is trace.policies[0]
 
 
-def test_select_iterate_stride_grid():
+def test_select_iterate_stride_grid(monkeypatch):
+    # The scan's stride is ceil(T/100), 4 at T = 400.  Which gaps come out
+    # does not matter here, so a cheap stand-in replaces prox_gap.
     spec = pennies_game()
-    trace = run(spec, None, IpgmaxConfig(eta=0.05, iters=10, iterate_selection="none"))
-    select_iterate(spec, trace, "prox_scan", stride=4)
-    assert set(trace.prox_gaps) == {0, 4, 8, 9}
+    trace = run(spec, None, IpgmaxConfig(eta=0.05, iters=400, iterate_selection="none"))
+    monkeypatch.setattr(atmg.ipgmax, "prox_gap", lambda spec, x: float(x.blocks[0][0, 0]))
+    select_iterate(spec, trace, "prox_scan")
+    assert set(trace.prox_gaps) == set(range(0, 400, 4)) | {399}
     assert trace.t_star in trace.prox_gaps
-    assert trace.t_star <= 9
+    assert trace.t_star <= 399
 
 
 def test_select_iterate_scan_returns_argmin():
     spec = half_game()
     trace = run(spec, None, IpgmaxConfig(eta=0.1, iters=12, iterate_selection="none"))
-    t = select_iterate(spec, trace, "prox_scan", stride=1)
+    t = select_iterate(spec, trace, "prox_scan")  # stride ceil(12/100) = 1
     gaps = trace.prox_gaps
     assert set(gaps) == set(range(12))
     assert gaps[t] == min(gaps.values())

@@ -5,44 +5,45 @@ import dataclasses
 import numpy as np
 import pytest
 
-from atmg import (
-    AdversaryPolicy,
-    GameSpec,
-    TeamPolicy,
-    adversary_best_response,
-    check_policies,
-    policy_gradient,
-    project_product_simplex,
-    smoothness_constants,
-    team_player_best_response,
-    team_policy_from_vector,
-    uniform_adversary_policy,
-    uniform_team_policy,
-    value_rho,
-    value_vector,
-    visitation,
-)
-from atmg import grid_world
+from atmg.game import GameSpec, grid_world
 from atmg.mdp import (
+    AdversaryPolicy,
+    TeamPolicy,
     _player_mdp,
     _successor_mean,
+    adversary_best_response,
+    check_policies,
     induced_reward,
     induced_transition,
     marginal_reward_table,
     marginal_transition_table,
+    policy_gradient,
+    project_product_simplex,
+    q_table,
+    smoothness_constants,
+    team_player_best_response,
+    team_policy_from_vector,
+    uniform_team_policy,
+    value_rho,
+    value_vector,
 )
 from conftest import (
+    dense_transition,
+    joint_index,
     make_mixed_support_game,
     make_random_game,
     pennies_game,
     random_game_dims,
     random_policies,
+    uniform_adversary_policy,
 )
 from oracles import (
     adversary_policy_gradient,
     dense_marginal_transition,
     dense_player_transition,
     dense_successor_mean,
+    q_table as oracle_q_table,
+    visitation,
 )
 
 
@@ -73,9 +74,9 @@ def test_induced_transition_point_mass_copies_rows():
     ))
     y = AdversaryPolicy(probs=np.tile([0.0, 1.0], (3, 1)))
     P = induced_transition(spec, x, y)
-    j = spec.joint_index((0, 1))
+    j = joint_index(spec, (0, 1))
     for s in range(3):
-        np.testing.assert_allclose(P[s], spec.transition.dense()[s, j, 1], atol=1e-15)
+        np.testing.assert_allclose(P[s], dense_transition(spec.transition)[s, j, 1], atol=1e-15)
 
 
 def test_induced_transition_uniform_average():
@@ -107,7 +108,7 @@ def test_marginals_match_definitions():
         w[j] = x.blocks[0][0, digits[j, 0]] * x.blocks[1][0, digits[j, 1]]
     expect_r = w @ spec.reward[0, :, 1]
     assert marginal_reward_table(spec, x)[0, 1] == pytest.approx(expect_r, rel=1e-12)
-    expect_P = w @ spec.transition.dense()[0, :, 1, :]
+    expect_P = w @ dense_transition(spec.transition)[0, :, 1, :]
     np.testing.assert_allclose(marginal_transition_table(spec, x)[0, 1], expect_P, rtol=1e-12)
     np.testing.assert_allclose(
         marginal_transition_table(spec, x).sum(axis=2), 1.0, atol=1e-12
@@ -141,7 +142,7 @@ def successor_list_games():
     for i in range(3):
         S, sizes, B = random_game_dims(rng)
         spec = make_mixed_support_game(rng, S + 2, sizes, B, 0.9)
-        K = int(np.count_nonzero(spec.transition.dense(), axis=-1).max())
+        K = int(np.count_nonzero(dense_transition(spec.transition), axis=-1).max())
         games.append(pytest.param(spec, K, id=f"mixed{i}"))
     return games
 
@@ -163,6 +164,16 @@ def test_successor_list_contractions_match_dense_oracles(spec, K):
     np.testing.assert_allclose(
         _successor_mean(spec, v), dense_successor_mean(spec, v), rtol=0, atol=1e-15
     )
+
+
+@pytest.mark.parametrize("spec,K", successor_list_games())
+def test_q_table_matches_the_marginal_table_oracle(spec, K):
+    # q_table gathers through the successor lists; the oracle contracts the
+    # (S, B, S) marginal transition table.
+    rng = np.random.default_rng(29)
+    x, _ = random_policies(rng, spec)
+    v = rng.random(spec.state_count) / (1.0 - spec.discount)
+    np.testing.assert_allclose(q_table(spec, x, v), oracle_q_table(spec, x, v), rtol=0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +398,7 @@ def finite_difference_gradient(spec, x, y, h):
         digits = spec.action_digits
         for k, block in enumerate(blocks):
             w = w * block[:, digits[:, k]]
-        P = np.einsum("sj,sb,sjbt->st", w, y.probs, spec.transition.dense())
+        P = np.einsum("sj,sb,sjbt->st", w, y.probs, dense_transition(spec.transition))
         r = np.einsum("sj,sb,sjb->s", w, y.probs, spec.reward)
         v = np.linalg.solve(np.eye(spec.state_count) - spec.discount * P, r)
         return float(spec.initial_dist @ v)
