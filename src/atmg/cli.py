@@ -171,7 +171,7 @@ def cmd_solve(args) -> int:
         try:
             spec = load_game(path)
         except ValueError as exc:
-            return _fail(f"cannot load {path}: {exc}")
+            return _fail(f"cannot load {exc}")
     else:
         if args.gridworld < 2:
             return _fail(f"--gridworld needs a side of at least 2, got {args.gridworld}")
@@ -266,7 +266,7 @@ def cmd_verify(args) -> int:
     try:
         spec = load_game(path)
     except ValueError as exc:
-        return _fail(f"cannot load {path}: {exc}")
+        return _fail(f"cannot load {exc}")
     problems = validate(spec)
     if problems:
         return _fail("invalid game: " + "; ".join(problems))
@@ -275,11 +275,11 @@ def cmd_verify(args) -> int:
     if not pol_path.is_file():
         return _fail(f"policies file not found: {pol_path}")
     try:
-        payload = json.loads(pol_path.read_text())
+        payload = json.loads(pol_path.read_text(encoding="utf-8"))
         x, y = _policies_from_json(spec, payload)
         check_policies(spec, x, y)
     except ValueError as exc:
-        return _fail(str(exc))
+        return _fail(f"cannot load {pol_path}: {exc}")
 
     report = nash_gap(spec, x, y)
     print(json.dumps(_gap_payload(report), indent=2))

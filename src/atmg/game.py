@@ -430,13 +430,16 @@ def save_game(spec: GameSpec, path) -> None:
 
 
 def load_game(path) -> GameSpec:
-    """Load an "atmg-v2" or "atmg-v1" game file; raises ValueError on bad schema."""
+    """Load an "atmg-v2" or "atmg-v1" game file.
+
+    Raises ValueError on bad content; its message starts with the path.
+    """
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path} is not valid JSON: {exc}") from exc
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValueError(f"{path}: not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: top level must be an object")
     schema = doc.get("schema")

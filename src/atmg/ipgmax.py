@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .game import GameSpec
+from .game import GameSpec, _count
 from .mdp import (
     AdversaryPolicy,
     TeamPolicy,
@@ -80,18 +80,19 @@ class IpgmaxConfig:
         if self.schedule_mode == "manual":
             if self.eta is None or self.iters is None:
                 raise ValueError("manual schedule requires eta and iters")
-            if self.iters < 1:
-                raise ValueError(f"iters must be at least 1, got {self.iters}")
         elif self.epsilon is None:
             raise ValueError("schedule modes require epsilon > 0")
         # Values a mode ignores still reach report.json, so they are checked
-        # too; `not 0 <= v < inf` also catches NaN.
+        # too; `not 0 <= v < inf` also catches NaN.  Counts must be whole
+        # numbers: a fraction or a boolean is an error, not truncated.
+        for name in ("iters", "cap_iters"):
+            value = getattr(self, name)
+            if value is not None and _count(name, value) < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
         if self.eta is not None and not 0.0 <= self.eta < math.inf:
             raise ValueError(f"eta must be finite and nonnegative, got {self.eta}")
         if self.epsilon is not None and not 0.0 < self.epsilon < math.inf:
             raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
-        if self.cap_iters is not None and self.cap_iters < 1:
-            raise ValueError(f"cap_iters must be at least 1, got {self.cap_iters}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
 
@@ -237,12 +238,11 @@ def run(spec: GameSpec, x0: TeamPolicy | None, config: IpgmaxConfig) -> RunTrace
     x = x0
     prev_joint: np.ndarray | None = None
     for t in range(1, T + 1):
-        y, v_hat = adversary_best_response(spec, x)
+        y, v_hat, grad = policy_gradient(spec, x)
         phi[t - 1] = float(rho @ v_hat)
         if eta == 0.0:
             x_next = x
         else:
-            grad = policy_gradient(spec, x, y)
             # A finite eta can still overflow the step or the projection's
             # sums; that would make the iterate NaN.
             try:
@@ -318,11 +318,9 @@ def prox_point(spec: GameSpec, x: TeamPolicy) -> ProxResult:
     anchor = x.as_vector()
 
     def psi_and_subgrad(point: TeamPolicy, vec: np.ndarray):
-        y_star, v_hat = adversary_best_response(spec, point)
-        phi_val = float(rho @ v_hat)
-        psi_val = phi_val + ell * float(np.dot(vec - anchor, vec - anchor))
-        grad = policy_gradient(spec, point, y_star) + 2.0 * ell * (vec - anchor)
-        return psi_val, grad
+        _, v_hat, grad = policy_gradient(spec, point)
+        psi_val = float(rho @ v_hat) + ell * float(np.dot(vec - anchor, vec - anchor))
+        return psi_val, grad + 2.0 * ell * (vec - anchor)
 
     current = x
     current_vec = anchor.copy()
@@ -347,7 +345,7 @@ def prox_point(spec: GameSpec, x: TeamPolicy) -> ProxResult:
             break
 
     # The final iterate never got scored inside the loop.
-    y_star, v_hat = adversary_best_response(spec, current)
+    _, v_hat = adversary_best_response(spec, current)
     psi_val = float(rho @ v_hat) + ell * float(
         np.dot(current_vec - anchor, current_vec - anchor)
     )

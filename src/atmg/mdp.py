@@ -6,8 +6,11 @@ responses by policy iteration, exact policy gradients under the direct
 parametrization, Euclidean projection onto the product of simplices, and
 the Lipschitz/smoothness constants of the best-response value function.
 Transition contractions read the game's successor lists: one bincount
-builds each marginal (S, ., S) table, and a gather gives expected
-next-state values.
+builds an induced S x S chain, and a gather gives expected next-state
+values.  No (S, ., S) table is built.  Policy iteration, the best
+responses and the gradient all use these two forms, and the gradient
+reuses the chain its best response ended with, so each team policy is
+evaluated once per gradient step.
 
 Policies are stored directly as probability tables.  The team's flattened
 coordinate vector concatenates the per-player blocks in player order, each
@@ -148,35 +151,22 @@ def joint_action_distribution(spec: GameSpec, x: TeamPolicy) -> np.ndarray:
     return w
 
 
-# Contractions over the team and adversary axes are matmuls, or einsum
-# without optimize=True, in a fixed order.  optimize=True would search for
-# a contraction path on every call, which costs more than the arithmetic on
-# small games.
-
-def _mix_over_adversary(y: AdversaryPolicy, table: np.ndarray) -> np.ndarray:
-    """(S, J) table sum_b y(s, b) table[s, j, b] of an (S, J, B) table."""
-    return (table @ y.probs[:, :, None])[:, :, 0]
-
-
-def _per_player(spec: GameSpec, x: TeamPolicy, k: int, table: np.ndarray) -> np.ndarray:
-    """Marginalize a joint-action table onto player k's actions.
-
-    table is indexed by state first and joint action last, (S, ..., J).
-    The (S, ..., A_k) result sums, for each action a of player k, the
-    entries of the joint actions in which player k plays a, each weighted
-    by the probability that the other players choose their part of it
-    under x.  x's block k is ignored.
-    """
-    S, J, A = spec.state_count, spec.joint_action_count, spec.team_sizes[k]
-    w = joint_action_distribution(spec, x.with_block(k, np.ones((S, A))))
-    mask = np.zeros((J, A))
-    mask[np.arange(J), spec.action_digits[:, k]] = 1.0
-    return (w.reshape((S,) + (1,) * (table.ndim - 2) + (J,)) * table) @ mask
-
+# Contractions over the team and adversary axes are matmuls in a fixed
+# order; einsum with optimize=True would search for a contraction path on
+# every call, which costs more than the arithmetic on small games.
 
 def induced_transition(spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy) -> np.ndarray:
-    """Row-stochastic S x S matrix of the chain induced by (x, y)."""
-    return (y.probs[:, None, :] @ marginal_transition_table(spec, x))[:, 0, :]
+    """Row-stochastic S x S matrix of the chain induced by (x, y).
+
+    One bincount over the successor lists; each entry adds its terms in
+    (j, b, k) order.
+    """
+    S = spec.state_count
+    T = spec.transition
+    w = joint_action_distribution(spec, x)[:, :, None] * y.probs[:, None, :]
+    bins = np.arange(S)[:, None, None, None] * S + T.succ
+    flat = np.bincount(bins.ravel(), weights=(w[..., None] * T.prob).ravel(), minlength=S * S)
+    return flat.reshape(S, S)
 
 
 def induced_reward(spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy) -> np.ndarray:
@@ -188,29 +178,6 @@ def marginal_reward_table(spec: GameSpec, x: TeamPolicy) -> np.ndarray:
     """(S, B) table r(s, x, b), the reward marginalized over the team only."""
     w = joint_action_distribution(spec, x)
     return (w[:, None, :] @ spec.reward)[:, 0, :]
-
-
-def marginal_transition_table(spec: GameSpec, x: TeamPolicy) -> np.ndarray:
-    """(S, B, S) table P(s' | s, x, b)."""
-    B = spec.adversary_actions
-    w = joint_action_distribution(spec, x)
-    return _accumulate(spec, w[:, :, None], np.arange(B), B)
-
-
-def _accumulate(spec: GameSpec, weight: np.ndarray, row: np.ndarray, rows: int) -> np.ndarray:
-    """(S, rows, S) table: sum_{j, b} weight[s, j, b] P(s' | s, j, b) in row row[j, b].
-
-    One bincount over the successor lists; weight broadcasts against
-    (S, J, B) and row against (J, B).  Each bin adds its terms in (j, b, k)
-    order.
-    """
-    S = spec.state_count
-    T = spec.transition
-    head = np.arange(S)[:, None, None] * rows + row
-    bins = head[..., None] * S + T.succ
-    flat = np.bincount(bins.ravel(), weights=(weight[..., None] * T.prob).ravel(),
-                       minlength=S * rows * S)
-    return flat.reshape(S, rows, S)
 
 
 def _successor_mean(spec: GameSpec, v: np.ndarray) -> np.ndarray:
@@ -228,6 +195,27 @@ def q_table(spec: GameSpec, x: TeamPolicy, v: np.ndarray) -> np.ndarray:
     w = joint_action_distribution(spec, x)
     q = spec.reward + spec.discount * _successor_mean(spec, v)
     return (w[:, None, :] @ q)[:, 0, :]
+
+
+def _player_q(
+    spec: GameSpec, x: TeamPolicy, k: int, y: AdversaryPolicy, v: np.ndarray
+) -> np.ndarray:
+    """(S, A_k) table Qbar_k(s, a): payoff plus discounted continuation v
+    when player k pins action a and everyone else follows (x_{-k}, y).
+
+        Qbar_k(s,a) = E[ r(s,(a;a_{-k}),b) + gamma sum_{s'} P(s'|...) v(s') ]
+
+    x's block k is ignored.
+    """
+    S, J, A = spec.state_count, spec.joint_action_count, spec.team_sizes[k]
+    q = spec.reward + spec.discount * _successor_mean(spec, v)
+    mixed = (q @ y.probs[:, :, None])[:, :, 0]
+    # Weight of the other players' part of each joint action; the mask
+    # sends joint action j to the action player k plays in it.
+    others = joint_action_distribution(spec, x.with_block(k, np.ones((S, A))))
+    mask = np.zeros((J, A))
+    mask[np.arange(J), spec.action_digits[:, k]] = 1.0
+    return (others * mixed) @ mask
 
 
 # ---------------------------------------------------------------------------
@@ -256,15 +244,10 @@ def _solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
     return z
 
 
-def _chain(spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy) -> tuple[np.ndarray, np.ndarray]:
-    """(I - gamma P(x, y), r(x, y)) of the chain induced by (x, y)."""
-    M = _bellman_matrix(induced_transition(spec, x, y), spec.discount)
-    return M, induced_reward(spec, x, y)
-
-
 def value_vector(spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy) -> np.ndarray:
     """Exact policy evaluation: solve (I - gamma P(x,y)) v = r(x,y)."""
-    return _solve(*_chain(spec, x, y))
+    M = _bellman_matrix(induced_transition(spec, x, y), spec.discount)
+    return _solve(M, induced_reward(spec, x, y))
 
 
 def value_rho(spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy) -> float:
@@ -282,26 +265,43 @@ def _greedy(q: np.ndarray) -> np.ndarray:
     return np.argmax(q >= q.max(axis=1, keepdims=True) - slack, axis=1)
 
 
-def _policy_iteration(r: np.ndarray, P: np.ndarray, gamma: float):
-    """Maximize the (S, actions) MDP given tables r[s, u] and P[s, u, s'].
+def _policy_iteration(spec: GameSpec, q_of, chain_of):
+    """Maximize one agent's MDP over its deterministic policies.
 
-    Howard's policy iteration.  It starts from the myopic greedy policy,
-    evaluates the current policy exactly, and moves a state to its greedy
-    action only where that gains more than the tie tolerance; each move
-    raises the value, so no policy repeats and the loop ends once no state
-    gains.  Returns (v, policy): the exact value of the deterministic
-    policy it returns, which is optimal up to ties.
+    q_of(v) is the agent's (S, U) table of one-step payoff plus gamma times
+    the expected continuation value v, so q_of(0) holds the rewards;
+    chain_of(policy) is the S x S transition matrix when the agent plays
+    action policy[s] in state s.  Howard's policy iteration: it starts from
+    the myopic greedy policy, evaluates the current policy exactly, and
+    moves a state to its greedy action only where that gains more than the
+    tie tolerance; each move raises the value, so no policy repeats and the
+    loop ends once no state gains.  Returns (v, policy, M): the exact value
+    of the deterministic policy it returns, which is optimal up to ties,
+    and the M = I - gamma P of that policy's chain.
     """
-    states = np.arange(r.shape[0])
+    states = np.arange(spec.state_count)
+    r = q_of(np.zeros(spec.state_count))
     policy = _greedy(r)
     while True:
-        v = _solve(_bellman_matrix(P[states, policy], gamma), r[states, policy])
-        q = r + gamma * (P @ v)
+        M = _bellman_matrix(chain_of(policy), spec.discount)
+        v = _solve(M, r[states, policy])
+        q = q_of(v)
         best = _greedy(q)
         gains = q[states, best] - q[states, policy] > _TIE_RTOL * np.abs(q).max(axis=1)
         if not gains.any():
-            return v, policy
+            return v, policy, M
         policy = np.where(gains, best, policy)
+
+
+def _adversary_iteration(spec: GameSpec, x: TeamPolicy):
+    """(y_star, v_hat, I - gamma P(x, y_star)) of the adversary's best response."""
+    pure = np.eye(spec.adversary_actions)
+    v_hat, greedy, M = _policy_iteration(
+        spec,
+        lambda v: q_table(spec, x, v),
+        lambda policy: induced_transition(spec, x, AdversaryPolicy(pure[policy])),
+    )
+    return AdversaryPolicy(pure[greedy]), v_hat, M
 
 
 def adversary_best_response(spec: GameSpec, x: TeamPolicy):
@@ -314,10 +314,8 @@ def adversary_best_response(spec: GameSpec, x: TeamPolicy):
 
     Returns (y_star, v_hat).
     """
-    r_x = marginal_reward_table(spec, x)
-    P_x = marginal_transition_table(spec, x)
-    v_hat, greedy = _policy_iteration(r_x, P_x, spec.discount)
-    return AdversaryPolicy(np.eye(spec.adversary_actions)[greedy]), v_hat
+    y_star, v_hat, _ = _adversary_iteration(spec, x)
+    return y_star, v_hat
 
 
 def team_player_best_response(spec: GameSpec, k: int, x_minus_k: TeamPolicy, y: AdversaryPolicy):
@@ -329,45 +327,39 @@ def team_player_best_response(spec: GameSpec, k: int, x_minus_k: TeamPolicy, y: 
     teammates; its block k is ignored.  Returns the deterministic table
     (S, A_k) and the minimized value rho' v.
     """
-    v_max, greedy = _policy_iteration(*_player_mdp(spec, k, x_minus_k, y), spec.discount)
-    return np.eye(spec.team_sizes[k])[greedy], -float(spec.initial_dist @ v_max)
-
-
-def _player_mdp(spec: GameSpec, k: int, x_minus_k: TeamPolicy, y: AdversaryPolicy):
-    """(-r_k, P_k): player k's negated (S, A_k) rewards and (S, A_k, S) transitions."""
-    S, A = spec.state_count, spec.team_sizes[k]
-    r_k = _per_player(spec, x_minus_k, k, _mix_over_adversary(y, spec.reward))
-    # Joint action j pins player k to one action, the row j lands in.
-    others = joint_action_distribution(spec, x_minus_k.with_block(k, np.ones((S, A))))
-    P_k = _accumulate(spec, others[:, :, None] * y.probs[:, None, :],
-                      spec.action_digits[:, k, None], A)
-    return -r_k, P_k
+    pure = np.eye(spec.team_sizes[k])
+    v_max, greedy, _ = _policy_iteration(
+        spec,
+        lambda v: -_player_q(spec, x_minus_k, k, y, -v),
+        lambda policy: induced_transition(spec, x_minus_k.with_block(k, pure[policy]), y),
+    )
+    return pure[greedy], -float(spec.initial_dist @ v_max)
 
 
 # ---------------------------------------------------------------------------
 # Gradients
 # ---------------------------------------------------------------------------
 
-def policy_gradient(spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy) -> np.ndarray:
-    """Exact gradient of V_rho(x, y) in all team coordinates.
+def policy_gradient(spec: GameSpec, x: TeamPolicy):
+    """The adversary's best response to x and the team gradient against it.
 
-    dV/dx_{k,s,a} = d(s) * Qbar_k(s, a) with the unnormalized visitation d
-    and Qbar_k(s, a) the expected one-step-plus-continuation payoff when
-    player k pins action a and everyone else follows (x_{-k}, y):
+    Returns (y_star, v_hat, grad): y_star and v_hat as from
+    adversary_best_response, and the exact gradient of V_rho(x, y_star) in
+    all team coordinates,
 
-        Qbar_k(s,a) = E[ r(s,(a;a_{-k}),b) + gamma sum_{s'} P(s'|...) v(s') ]
+        dV/dx_{k,s,a} = d(s) * Qbar_k(s, a)
 
-    The identity holds for the multilinear extension off the simplex too,
-    which is what the finite-difference oracle checks.
+    with d the unnormalized visitation of the chain (x, y_star), taken by
+    one transposed solve on the matrix policy iteration ended with, and
+    Qbar_k the table of _player_q at v_hat.
     """
-    M, r = _chain(spec, x, y)
-    v = _solve(M, r)
+    y_star, v_hat, M = _adversary_iteration(spec, x)
     d = _solve(M.T, spec.initial_dist)
-    # W[s, j]: payoff of joint action j mixed over b ~ y, with continuation.
-    W = _mix_over_adversary(y, spec.reward + spec.discount * _successor_mean(spec, v))
-    return np.concatenate(
-        [(d[:, None] * _per_player(spec, x, k, W)).ravel() for k in range(spec.n_players)]
-    )
+    grad = np.concatenate([
+        (d[:, None] * _player_q(spec, x, k, y_star, v_hat)).ravel()
+        for k in range(spec.n_players)
+    ])
+    return y_star, v_hat, grad
 
 
 # ---------------------------------------------------------------------------

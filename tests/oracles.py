@@ -1,15 +1,17 @@
-"""Test oracles: library quantities rebuilt from public atmg functions.
+"""Test oracles: library quantities rebuilt from atmg functions.
 
 The adversary's best-response MDP is solved by linear programming through
 the simplex in atmg.lp rather than the policy-iteration solver in
 atmg.mdp, so the two can be checked against each other.  The adversary's
 policy gradient and the residuals of the regularized program are read off
-the public marginal tables; the library itself uses neither.  The adversary
-LP is written out row by row, the reference for its vectorized assembly,
-and its per-state programs are put back on one block diagonal.
-The transition contractions are einsums over the dense tensor, the
-reference for the library's successor-list forms, and the discounted
-visitation measure is one dense solve.
+the dense marginal tables; the library itself uses neither.  The team's
+policy gradient at an arbitrary adversary policy is the library's formula
+outside the best-response loop, where the library only takes it at the
+best response.  The adversary LP is written out row by row, the reference
+for its vectorized assembly, and its per-state programs are put back on
+one block diagonal.  The transition contractions are einsums over the
+dense tensor, the reference for the library's successor-list forms, and
+the discounted visitation measure is one dense solve.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ from atmg.lp import OPTIMAL, LinearProgram, solve
 from atmg.mdp import (
     AdversaryPolicy,
     TeamPolicy,
+    _player_q,
     induced_transition,
     joint_action_distribution,
     marginal_reward_table,
-    marginal_transition_table,
     smoothness_constants,
     value_vector,
 )
@@ -65,7 +67,7 @@ def visitation(spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy) -> np.ndarray:
 
 def q_table(spec: GameSpec, x: TeamPolicy, v: np.ndarray) -> np.ndarray:
     """(S, B) table r(s, x, b) + gamma sum_t P(t | s, x, b) v(t)."""
-    return marginal_reward_table(spec, x) + spec.discount * (marginal_transition_table(spec, x) @ v)
+    return marginal_reward_table(spec, x) + spec.discount * (dense_marginal_transition(spec, x) @ v)
 
 
 def lp_adv_reference(
@@ -117,11 +119,27 @@ def whole_program(programs) -> LinearProgram:
     )
 
 
+def team_policy_gradient(spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy) -> np.ndarray:
+    """Exact gradient of V_rho(x, y) in all team coordinates, at any y.
+
+    dV/dx_{k,s,a} = d(s) * Qbar_k(s, a), with d the unnormalized visitation
+    and Qbar_k player k's pinned-action table.  The identity holds for the
+    multilinear extension off the simplex too, which is what the
+    finite-difference checks use.  At y = y_star(x) it is the gradient
+    atmg.mdp.policy_gradient returns, bit for bit.
+    """
+    v = value_vector(spec, x, y)
+    d = visitation(spec, x, y)
+    return np.concatenate(
+        [(d[:, None] * _player_q(spec, x, k, y, v)).ravel() for k in range(spec.n_players)]
+    )
+
+
 def adversary_policy_gradient(spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy) -> np.ndarray:
     """Gradient of V_rho in the adversary's coordinates, flattened (S*B,).
 
     dV/dy_{s,b} = d(s) * (r(s,x,b) + gamma sum_{s'} P(s'|s,x,b) v(s')).
-    Together with policy_gradient this makes up the full joint gradient,
+    Together with team_policy_gradient this makes up the full joint gradient,
     which the smoothness certificates measure.
     """
     v = value_vector(spec, x, y)
@@ -174,7 +192,7 @@ def adversary_mdp_primal_dual(spec: GameSpec, x: TeamPolicy):
     """
     S, B = spec.state_count, spec.adversary_actions
     r_x = marginal_reward_table(spec, x)
-    P_x = marginal_transition_table(spec, x)
+    P_x = dense_marginal_transition(spec, x)
     gamma = spec.discount
 
     # Primal: maximize -rho' v with v free, split as v = v_plus - v_minus

@@ -392,6 +392,43 @@ def test_verify_rejects_bad_policy_files(tmp_path, pennies_file, capsys):
                  "--policies", str(tmp_path / "absent.json"), "--epsilon", "0.1"]) == 1
 
 
+NOT_UTF8 = b'{"schema": "\xff"}'
+
+
+@pytest.mark.parametrize("command", ["verify", "solve"])
+@pytest.mark.parametrize("kind", ["fractional-states", "not-utf8", "not-json"])
+def test_game_load_errors_name_the_file_once(tmp_path, capsys, pennies_file, command, kind):
+    payload = json.loads(pennies_file.read_text())
+    payload["states"] = 1.5
+    content = {"fractional-states": json.dumps(payload).encode(),
+               "not-utf8": NOT_UTF8, "not-json": b'{"states": '}[kind]
+    bad = tmp_path / "bad-game.json"
+    bad.write_bytes(content)
+    if command == "verify":
+        pol = tmp_path / "pol.json"
+        pol.write_text(json.dumps({"x": [[[0.5, 0.5]]], "y": [[0.5, 0.5]]}))
+        argv = ["verify", "--game", str(bad), "--policies", str(pol), "--epsilon", "0.1"]
+    else:
+        argv = ["solve", "--game", str(bad), "--eta", "0.1", "--iters", "1",
+                "--out", str(tmp_path / "o")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot load {bad}: ")
+    assert err.count("bad-game.json") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("content", [NOT_UTF8, b'{"x": ', b'{"y": [[0.5, 0.5]]}'],
+                         ids=["not-utf8", "not-json", "no-x"])
+def test_policy_load_errors_name_the_file_once(tmp_path, capsys, pennies_file, content):
+    pol = tmp_path / "bad-policies.json"
+    pol.write_bytes(content)
+    assert main(["verify", "--game", str(pennies_file),
+                 "--policies", str(pol), "--epsilon", "0.1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot load {pol}: ")
+    assert err.count("bad-policies.json") == 1 and "Traceback" not in err
+
+
 def test_verify_rejects_out_of_range_policy_numbers(tmp_path, pennies_file, capsys):
     pol = tmp_path / "huge.json"
     pol.write_text('{"x": [[[1' + "0" * 400 + ', 0.0]]], "y": [[0.5, 0.5]]}')

@@ -385,6 +385,13 @@ def test_load_rejects_malformed_json(tmp_path):
         load_game(path)
 
 
+def test_load_names_the_file_of_a_non_utf8_game(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"schema": "\xe9"}')
+    with pytest.raises(ValueError, match="latin1.json: not valid UTF-8 JSON"):
+        load_game(path)
+
+
 def test_game_spec_tensors_are_read_only():
     spec = small_game()
     with pytest.raises(ValueError):

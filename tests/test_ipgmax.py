@@ -110,6 +110,25 @@ def test_resolve_schedule_modes_and_cap():
     assert resolve_schedule(spec, prop) == (pytest.approx(0.01), 5)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("iters", 2.5), ("iters", True), ("cap_iters", 2.5), ("cap_iters", True),
+    ("cap_iters", float("nan")),
+], ids=["iters-fraction", "iters-bool", "cap-fraction", "cap-bool", "cap-nan"])
+def test_config_rejects_counts_that_are_not_whole_numbers(field, value):
+    config = IpgmaxConfig(eta=0.05, iters=2)
+    setattr(config, field, value)
+    with pytest.raises(ValueError, match=f"{field} must be a whole number"):
+        config.validate()
+    with pytest.raises(ValueError, match=f"{field} must be a whole number"):
+        run(pennies_game(), None, config)
+
+
+def test_config_accepts_whole_counts_of_any_numeric_type():
+    config = IpgmaxConfig(eta=0.05, iters=2.0, cap_iters=np.int64(3), iterate_selection="none")
+    config.validate()
+    assert run(pennies_game(), None, config).iterations == 2
+
+
 def test_config_validation():
     IpgmaxConfig(eta=0.1, iters=10).validate()
     IpgmaxConfig(epsilon=0.1, schedule_mode="proposition").validate()
@@ -139,7 +158,7 @@ def test_config_validation():
 def test_run_zero_step_size_keeps_trace_constant(monkeypatch):
     spec = pennies_game()
     x0 = TeamPolicy(blocks=(np.array([[0.3, 0.7]]),))
-    calls = count_calls(monkeypatch, atmg.ipgmax, "adversary_best_response")
+    calls = count_calls(monkeypatch, atmg.ipgmax, "policy_gradient")
     trace = run(spec, x0, IpgmaxConfig(eta=0.0, iters=5, iterate_selection="none"))
     assert len(calls) == 1  # x never moves, so the first solve is the only one needed
     assert len(trace.policies) == 6 and len(trace.best_responses) == 5
@@ -157,9 +176,9 @@ def reference_trace(spec, x0, eta, T):
     policies, ys, phi, frob = [x0], [], [], [0.0]
     x, prev = x0, None
     for _ in range(T):
-        y, v = adversary_best_response(spec, x)
+        y, v, grad = policy_gradient(spec, x)
         phi.append(float(rho @ v))
-        x_next = project_product_simplex(spec, x.as_vector() - eta * policy_gradient(spec, x, y))
+        x_next = project_product_simplex(spec, x.as_vector() - eta * grad)
         joint = joint_policy_vector(x_next, y)
         if prev is None:
             prev = joint_policy_vector(x, y)
@@ -186,7 +205,7 @@ def test_run_copies_the_tail_once_the_iterate_is_fixed(monkeypatch):
     )
     x0 = uniform_team_policy(spec)
     policies, ys, phi, frob = reference_trace(spec, x0, 0.2, 12)
-    calls = count_calls(monkeypatch, atmg.ipgmax, "adversary_best_response")
+    calls = count_calls(monkeypatch, atmg.ipgmax, "policy_gradient")
     trace = run(spec, x0, IpgmaxConfig(eta=0.2, iters=12, iterate_selection="none"))
     assert len(calls) == 6  # t = 1..6; x(6) == x(5) ends the loop
     assert len(trace.policies) == len(policies)
@@ -265,10 +284,12 @@ def test_run_rejects_a_non_finite_iterate(gridworld2):
 def test_run_refuses_more_than_max_iters(monkeypatch, config, knob):
     # The refusal comes before the trace arrays (8 bytes per iteration each)
     # are allocated and before the first best response.
-    calls = count_calls(monkeypatch, atmg.ipgmax, "adversary_best_response")
+    calls = count_calls(monkeypatch, atmg.ipgmax, "policy_gradient")
+    final = count_calls(monkeypatch, atmg.ipgmax, "adversary_best_response")
     with pytest.raises(ValueError, match=f"iterations; set .*{knob}.* to at most 10000000"):
         run(pennies_game(), None, config)
     assert calls == []
+    assert final == []
 
 
 def test_run_allows_exactly_max_iters(monkeypatch):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,14 +10,12 @@ from atmg.game import GameSpec, grid_world
 from atmg.mdp import (
     AdversaryPolicy,
     TeamPolicy,
-    _player_mdp,
     _successor_mean,
     adversary_best_response,
     check_policies,
     induced_reward,
     induced_transition,
     marginal_reward_table,
-    marginal_transition_table,
     policy_gradient,
     project_product_simplex,
     q_table,
@@ -43,6 +42,7 @@ from oracles import (
     dense_player_transition,
     dense_successor_mean,
     q_table as oracle_q_table,
+    team_policy_gradient,
     visitation,
 )
 
@@ -98,6 +98,12 @@ def test_induced_rows_stochastic_on_gridworld(gridworld2):
     assert np.all((r > 0.0) & (r < 1.0))
 
 
+def pure_adversary_policy(spec: GameSpec, b) -> AdversaryPolicy:
+    """The adversary playing action b[s] in state s; b may be one action for all states."""
+    actions = np.broadcast_to(b, (spec.state_count,))
+    return AdversaryPolicy(np.eye(spec.adversary_actions)[actions])
+
+
 def test_marginals_match_definitions():
     rng = np.random.default_rng(9)
     spec = make_random_game(rng, 2, (2, 3), 2, 0.9)
@@ -109,10 +115,13 @@ def test_marginals_match_definitions():
     expect_r = w @ spec.reward[0, :, 1]
     assert marginal_reward_table(spec, x)[0, 1] == pytest.approx(expect_r, rel=1e-12)
     expect_P = w @ dense_transition(spec.transition)[0, :, 1, :]
-    np.testing.assert_allclose(marginal_transition_table(spec, x)[0, 1], expect_P, rtol=1e-12)
     np.testing.assert_allclose(
-        marginal_transition_table(spec, x).sum(axis=2), 1.0, atol=1e-12
+        induced_transition(spec, x, pure_adversary_policy(spec, 1))[0], expect_P, rtol=1e-12
     )
+    for b in range(spec.adversary_actions):
+        np.testing.assert_allclose(
+            induced_transition(spec, x, pure_adversary_policy(spec, b)).sum(axis=1), 1.0, atol=1e-12
+        )
 
 
 def test_marginal_multilinearity():
@@ -153,14 +162,28 @@ def test_successor_list_contractions_match_dense_oracles(spec, K):
     rng = np.random.default_rng(23)
     x, y = random_policies(rng, spec)
     v = rng.random(spec.state_count)
-    np.testing.assert_allclose(
-        marginal_transition_table(spec, x), dense_marginal_transition(spec, x), rtol=0, atol=1e-15
-    )
-    for k in range(spec.n_players):
-        _, P_k = _player_mdp(spec, k, x, y)
+    # induced_transition at every pure adversary action is the marginal
+    # table's slice, and at every action player k pins, its deviation
+    # table's slice.
+    states = np.arange(spec.state_count)
+    P_x = dense_marginal_transition(spec, x)
+    for b in range(spec.adversary_actions):
         np.testing.assert_allclose(
-            P_k, dense_player_transition(spec, k, x, y), rtol=0, atol=1e-15
+            induced_transition(spec, x, pure_adversary_policy(spec, b)), P_x[:, b],
+            rtol=0, atol=1e-15,
         )
+    varying = rng.integers(spec.adversary_actions, size=spec.state_count)
+    np.testing.assert_allclose(
+        induced_transition(spec, x, pure_adversary_policy(spec, varying)),
+        P_x[states, varying], rtol=0, atol=1e-15,
+    )
+    for k, size in enumerate(spec.team_sizes):
+        P_k = dense_player_transition(spec, k, x, y)
+        for a in range(size):
+            pinned = x.with_block(k, np.tile(np.eye(size)[a], (spec.state_count, 1)))
+            np.testing.assert_allclose(
+                induced_transition(spec, pinned, y), P_k[:, a], rtol=0, atol=1e-15
+            )
     np.testing.assert_allclose(
         _successor_mean(spec, v), dense_successor_mean(spec, v), rtol=0, atol=1e-15
     )
@@ -363,6 +386,28 @@ def test_strategic_equivalence_of_best_responses():
     assert w2 - w1 == pytest.approx(0.3 / 0.5, abs=1e-9)
 
 
+def traced_peak(call) -> int:
+    """Peak bytes tracemalloc sees allocated while call() runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_best_responses_stay_within_three_state_by_state_matrices():
+    # Policy iteration holds the S x S chain, its Bellman matrix and the
+    # solver's copy of it; one (S, U, S) table with U >= 4 actions would
+    # alone exceed the bound.
+    spec = grid_world(3)
+    S = spec.state_count
+    x, y = uniform_team_policy(spec), uniform_adversary_policy(spec)
+    bound = 3 * S**2 * 8
+    assert traced_peak(lambda: adversary_best_response(spec, x)) < bound
+    assert traced_peak(lambda: team_player_best_response(spec, 0, x, y)) < bound
+
+
 # ---------------------------------------------------------------------------
 # Gradients
 # ---------------------------------------------------------------------------
@@ -371,7 +416,7 @@ def test_policy_gradient_bilinear_case():
     spec = pennies_game()
     x = TeamPolicy(blocks=(np.array([[0.3, 0.7]]),))
     y = AdversaryPolicy(probs=np.array([[0.6, 0.4]]))
-    grad = policy_gradient(spec, x, y)
+    grad = team_policy_gradient(spec, x, y)
     R = spec.reward[0]
     np.testing.assert_allclose(grad, R @ y.probs[0], rtol=1e-14)
 
@@ -380,10 +425,23 @@ def test_policy_gradient_finite_differences():
     rng = np.random.default_rng(51)
     spec = make_random_game(rng, 3, (2, 2), 2, 0.9)
     x, y = random_policies(rng, spec)
-    grad = policy_gradient(spec, x, y)
+    grad = team_policy_gradient(spec, x, y)
     fd = finite_difference_gradient(spec, x, y, h=1e-6)
     scale = max(1.0, float(np.abs(fd).max()))
     assert float(np.abs(grad - fd).max()) / scale < 1e-5
+
+
+@pytest.mark.parametrize("spec,K", successor_list_games())
+def test_policy_gradient_is_the_gradient_at_the_best_response(spec, K):
+    # One policy iteration and one transposed solve give what the best
+    # response and the gradient at it give separately, bit for bit.
+    rng = np.random.default_rng(59)
+    x, _ = random_policies(rng, spec)
+    y_star, v_hat, grad = policy_gradient(spec, x)
+    y_ref, v_ref = adversary_best_response(spec, x)
+    assert y_star.probs.tobytes() == y_ref.probs.tobytes()
+    assert v_hat.tobytes() == v_ref.tobytes()
+    assert grad.tobytes() == team_policy_gradient(spec, x, y_ref).tobytes()
 
 
 def finite_difference_gradient(spec, x, y, h):
@@ -424,7 +482,7 @@ def test_gradient_norm_bounded_by_lipschitz_constant():
     L = smoothness_constants(spec).L
     for _ in range(50):
         x, y = random_policies(rng, spec)
-        assert np.linalg.norm(policy_gradient(spec, x, y)) <= L + 1e-12
+        assert np.linalg.norm(team_policy_gradient(spec, x, y)) <= L + 1e-12
 
 
 def test_adversary_policy_gradient_finite_differences():
@@ -439,7 +497,7 @@ def test_adversary_policy_gradient_finite_differences():
             up = y.probs.copy(); up[s, b] += h
             dn = y.probs.copy(); dn[s, b] -= h
             r_x = marginal_reward_table(spec, x)
-            P_x = marginal_transition_table(spec, x)
+            P_x = dense_marginal_transition(spec, x)
             def val(probs):
                 P = np.einsum("sb,sbt->st", probs, P_x)
                 r = np.einsum("sb,sb->s", probs, r_x)
