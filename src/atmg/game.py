@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -108,6 +108,13 @@ class Transitions:
     @property
     def nbytes(self) -> int:
         return self.succ.nbytes + self.prob.nbytes
+
+    @cached_property
+    def bins(self) -> np.ndarray:
+        """s * S + succ[s, ...]: each entry's index in a flattened S x S chain."""
+        bins = np.arange(self.succ.shape[0])[:, None, None, None] * self.state_count + self.succ
+        bins.setflags(write=False)
+        return bins
 
 
 @dataclass(frozen=True)
@@ -299,16 +306,7 @@ def normalize_rewards(
             f"margin delta={delta:.6g} swamps the reward span {hi - lo:.6g}: "
             "every normalized reward rounds to the same value"
         )
-    new_spec = GameSpec(
-        state_count=spec.state_count,
-        team_sizes=spec.team_sizes,
-        adversary_actions=spec.adversary_actions,
-        reward=reward,
-        transition=spec.transition,
-        discount=spec.discount,
-        initial_dist=spec.initial_dist,
-    )
-    return new_spec, shift, scale
+    return replace(spec, reward=reward), shift, scale
 
 
 # ---------------------------------------------------------------------------

@@ -84,11 +84,16 @@ class IpgmaxConfig:
             raise ValueError("schedule modes require epsilon > 0")
         # Values a mode ignores still reach report.json, so they are checked
         # too; `not 0 <= v < inf` also catches NaN.  Counts must be whole
-        # numbers: a fraction or a boolean is an error, not truncated.
+        # numbers, and no setting may be a boolean: neither is truncated.
         for name in ("iters", "cap_iters"):
             value = getattr(self, name)
             if value is not None and _count(name, value) < 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")
+        if _count("seed", self.seed) < 0:
+            raise ValueError(f"seed must be at least 0, got {self.seed}")
+        for name in ("eta", "epsilon", "delta"):
+            if isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         if self.eta is not None and not 0.0 <= self.eta < math.inf:
             raise ValueError(f"eta must be finite and nonnegative, got {self.eta}")
         if self.epsilon is not None and not 0.0 < self.epsilon < math.inf:
@@ -109,7 +114,9 @@ class RunTrace:
     consecutive joint-policy difference, zero at t = 0 by convention; at
     t = 1 only the team part can move since there is no previous adversary
     policy.  prox_gaps caches every proximal gap evaluated at a trace
-    index.  Iterate selection sets t_star; x_hat is policies[t_star].
+    index; indices that hold the same policy object, as the copied fixed
+    tail does, share one evaluation.  Iterate selection sets t_star; x_hat
+    is policies[t_star].
     """
 
     policies: list[TeamPolicy]
@@ -392,7 +399,8 @@ def select_iterate(
     plus the last candidate and returns the argmin.  "random" draws
     ceil(ln(1/delta)) indices uniformly with replacement and keeps the best
     of those.  The final policy x(T) is never a candidate.  All evaluated
-    gaps are cached in trace.prox_gaps.
+    gaps are cached in trace.prox_gaps, one entry per candidate index; a
+    policy object that several candidates hold is scored once.
     """
     T = trace.iterations
     if T < 1:
@@ -407,12 +415,14 @@ def select_iterate(
     else:
         raise ValueError(f"unknown selection mode {mode!r}")
 
+    scored = {id(trace.policies[t]): gap for t, gap in trace.prox_gaps.items()}
     best_t = None
     best_gap = np.inf
     for t in candidates:
-        if t not in trace.prox_gaps:
-            trace.prox_gaps[t] = prox_gap(spec, trace.policies[t])
-        gap = trace.prox_gaps[t]
+        x = trace.policies[t]
+        if id(x) not in scored:
+            scored[id(x)] = prox_gap(spec, x)
+        gap = trace.prox_gaps[t] = scored[id(x)]
         if gap < best_gap:
             best_gap = gap
             best_t = t

@@ -130,10 +130,7 @@ def _standardize(lp: LinearProgram) -> _StandardForm:
             art_rows.append(i)
             basis.append(art_start + len(art_rows) - 1)
     if art_rows:
-        art_block = np.zeros((k, len(art_rows)))
-        for pos, i in enumerate(art_rows):
-            art_block[i, pos] = 1.0
-        M = np.hstack([M, art_block])
+        M = np.hstack([M, np.eye(k)[:, art_rows]])
 
     return _StandardForm(matrix=M, b=b, cost=cost, basis=basis, art_start=art_start)
 
@@ -222,17 +219,10 @@ def _extract(lp: LinearProgram, sf: _StandardForm, T: np.ndarray) -> np.ndarray:
 
 def residuals(lp: LinearProgram, x: np.ndarray) -> float:
     """Worst violation of any row of `lp`, or of x >= 0, at the point x."""
-    lhs_vals = lp.lhs @ x
-    worst = 0.0
-    for i, sense in enumerate(lp.senses):
-        gap = lhs_vals[i] - lp.rhs[i]
-        if sense == "<=":
-            worst = max(worst, gap)
-        elif sense == ">=":
-            worst = max(worst, -gap)
-        else:
-            worst = max(worst, abs(gap))
-    return float(max(worst, -np.min(x, initial=0.0)))
+    gap = lp.lhs @ x - lp.rhs
+    senses = np.array(lp.senses, dtype=str)
+    worst = np.where(senses == "<=", gap, np.where(senses == ">=", -gap, np.abs(gap)))
+    return float(max(worst.max(initial=0.0), -np.min(x, initial=0.0)))
 
 
 def _finish(lp: LinearProgram, sf: _StandardForm, T: np.ndarray, status: str) -> LpSolution:
@@ -262,13 +252,9 @@ def _phase_one(lp: LinearProgram):
     if status != "optimal":  # cannot happen: phase-1 objective is bounded by 0
         raise NumericInstabilityError("phase one terminated abnormally")
 
-    art_values = np.array(
-        [T[i, -1] for i in range(T.shape[0]) if sf.basis[i] >= sf.art_start]
-    )
-    total_violation = float(art_values.sum()) if art_values.size else 0.0
-    if total_violation > FEAS_TOL:
-        worst = float(art_values.max()) if art_values.size else 0.0
-        return sf, T, LpSolution(status=INFEASIBLE, max_violation=worst)
+    art_values = T[np.array(sf.basis) >= sf.art_start, -1]
+    if art_values.sum() > FEAS_TOL:
+        return sf, T, LpSolution(status=INFEASIBLE, max_violation=float(art_values.max()))
 
     T = _drive_out_artificials(T, sf)
     return sf, T, None

@@ -9,8 +9,10 @@ Transition contractions read the game's successor lists: one bincount
 builds an induced S x S chain, and a gather gives expected next-state
 values.  No (S, ., S) table is built.  Policy iteration, the best
 responses and the gradient all use these two forms, and the gradient
-reuses the chain its best response ended with, so each team policy is
-evaluated once per gradient step.
+reuses the chain its best response ended with.  Each team policy is
+evaluated once across the pipeline: its best response (y_star, v_hat) is
+memoized on the TeamPolicy for one GameSpec object, never with the S x S
+matrix, and adversary_best_response, policy_gradient and value_rho read it.
 
 Policies are stored directly as probability tables.  The team's flattened
 coordinate vector concatenates the per-player blocks in player order, each
@@ -20,7 +22,7 @@ share that layout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,19 +41,23 @@ _TIE_RTOL = 1e-12
 # Policy containers
 # ---------------------------------------------------------------------------
 
+def _own(arr) -> np.ndarray:
+    """A read-only float64 copy of arr, so no caller's array can change it."""
+    arr = np.array(arr, dtype=np.float64, order="C")
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class TeamPolicy:
     """Per-player probability tables: blocks[k] has shape (S, A_k)."""
 
     blocks: tuple[np.ndarray, ...]
+    # (spec, y_star, v_hat) of the best response; see adversary_best_response.
+    _memo: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        frozen = []
-        for block in self.blocks:
-            arr = np.ascontiguousarray(np.asarray(block, dtype=np.float64))
-            arr.setflags(write=False)
-            frozen.append(arr)
-        object.__setattr__(self, "blocks", tuple(frozen))
+        object.__setattr__(self, "blocks", tuple(_own(block) for block in self.blocks))
 
     def as_vector(self) -> np.ndarray:
         """Flatten to the shared team coordinate layout."""
@@ -71,9 +77,7 @@ class AdversaryPolicy:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.ascontiguousarray(np.asarray(self.probs, dtype=np.float64))
-        arr.setflags(write=False)
-        object.__setattr__(self, "probs", arr)
+        object.__setattr__(self, "probs", _own(self.probs))
 
 
 @dataclass(frozen=True)
@@ -164,9 +168,16 @@ def induced_transition(spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy) -> np.
     S = spec.state_count
     T = spec.transition
     w = joint_action_distribution(spec, x)[:, :, None] * y.probs[:, None, :]
-    bins = np.arange(S)[:, None, None, None] * S + T.succ
-    flat = np.bincount(bins.ravel(), weights=(w[..., None] * T.prob).ravel(), minlength=S * S)
+    flat = np.bincount(T.bins.ravel(), weights=(w[..., None] * T.prob).ravel(), minlength=S * S)
     return flat.reshape(S, S)
+
+
+def _pure_adversary_chain(spec: GameSpec, w: np.ndarray, policy: np.ndarray) -> np.ndarray:
+    """induced_transition bit for bit, for the team's joint action table w and
+    the adversary playing policy[s]: the skipped actions add exact zeros."""
+    T, S, states = spec.transition, spec.state_count, np.arange(spec.state_count)
+    weights = (w[:, :, None] * T.prob[states, :, policy]).ravel()
+    return np.bincount(T.bins[states, :, policy].ravel(), weights, S * S).reshape(S, S)
 
 
 def induced_reward(spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy) -> np.ndarray:
@@ -186,6 +197,11 @@ def _successor_mean(spec: GameSpec, v: np.ndarray) -> np.ndarray:
     return (T.prob * v[T.succ]).sum(axis=-1)
 
 
+def _continuation(spec: GameSpec, v: np.ndarray) -> np.ndarray:
+    """(S, J, B) table r(s, j, b) + gamma sum_{s'} P(s' | s, j, b) v(s')."""
+    return spec.reward + spec.discount * _successor_mean(spec, v)
+
+
 def q_table(spec: GameSpec, x: TeamPolicy, v: np.ndarray) -> np.ndarray:
     """(S, B) table r(s, x, b) + gamma sum_{s'} P(s' | s, x, b) v(s').
 
@@ -193,22 +209,20 @@ def q_table(spec: GameSpec, x: TeamPolicy, v: np.ndarray) -> np.ndarray:
     then mixed over the team, so no (S, B, S) table is built.
     """
     w = joint_action_distribution(spec, x)
-    q = spec.reward + spec.discount * _successor_mean(spec, v)
-    return (w[:, None, :] @ q)[:, 0, :]
+    return (w[:, None, :] @ _continuation(spec, v))[:, 0, :]
 
 
 def _player_q(
-    spec: GameSpec, x: TeamPolicy, k: int, y: AdversaryPolicy, v: np.ndarray
+    spec: GameSpec, x: TeamPolicy, k: int, y: AdversaryPolicy, q: np.ndarray
 ) -> np.ndarray:
     """(S, A_k) table Qbar_k(s, a): payoff plus discounted continuation v
     when player k pins action a and everyone else follows (x_{-k}, y).
 
         Qbar_k(s,a) = E[ r(s,(a;a_{-k}),b) + gamma sum_{s'} P(s'|...) v(s') ]
 
-    x's block k is ignored.
+    q is _continuation(spec, v).  x's block k is ignored.
     """
     S, J, A = spec.state_count, spec.joint_action_count, spec.team_sizes[k]
-    q = spec.reward + spec.discount * _successor_mean(spec, v)
     mixed = (q @ y.probs[:, :, None])[:, :, 0]
     # Weight of the other players' part of each joint action; the mask
     # sends joint action j to the action player k plays in it.
@@ -251,8 +265,11 @@ def value_vector(spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy) -> np.ndarra
 
 
 def value_rho(spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy) -> float:
-    """V_rho(x, y) = E_{s ~ rho}[v(s)]."""
-    return float(spec.initial_dist @ value_vector(spec, x, y))
+    """V_rho(x, y) = E_{s ~ rho}[v(s)]; for x's memoized y_star, its v_hat is
+    this very evaluation, bit for bit."""
+    memo = _recall(spec, x)
+    v = memo[1] if memo and memo[0] is y else value_vector(spec, x, y)
+    return float(spec.initial_dist @ v)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +294,8 @@ def _policy_iteration(spec: GameSpec, q_of, chain_of):
     tie tolerance; each move raises the value, so no policy repeats and the
     loop ends once no state gains.  Returns (v, policy, M): the exact value
     of the deterministic policy it returns, which is optimal up to ties,
-    and the M = I - gamma P of that policy's chain.
+    and the M = I - gamma P of that policy's chain.  The last q_of call is
+    at the returned v.
     """
     states = np.arange(spec.state_count)
     r = q_of(np.zeros(spec.state_count))
@@ -293,15 +311,35 @@ def _policy_iteration(spec: GameSpec, q_of, chain_of):
         policy = np.where(gains, best, policy)
 
 
+def _recall(spec: GameSpec, x: TeamPolicy):
+    """(y_star, v_hat) from x's memo, or None unless it was filled for spec."""
+    memo = x._memo
+    return memo[1:] if memo is not None and memo[0] is spec else None
+
+
 def _adversary_iteration(spec: GameSpec, x: TeamPolicy):
-    """(y_star, v_hat, I - gamma P(x, y_star)) of the adversary's best response."""
-    pure = np.eye(spec.adversary_actions)
+    """(y_star, v_hat, I - gamma P(x, y_star), _continuation at v_hat) of the
+    adversary's best response.  Fills x's memo; on a memo hit only the last
+    two are rebuilt."""
+    w = joint_action_distribution(spec, x)
+    memo = _recall(spec, x)
+    if memo:
+        chain = _pure_adversary_chain(spec, w, memo[0].probs.argmax(axis=1))
+        return *memo, _bellman_matrix(chain, spec.discount), _continuation(spec, memo[1])
+    q = None
+
+    def q_of(v):
+        nonlocal q
+        q = _continuation(spec, v)
+        return (w[:, None, :] @ q)[:, 0, :]
+
     v_hat, greedy, M = _policy_iteration(
-        spec,
-        lambda v: q_table(spec, x, v),
-        lambda policy: induced_transition(spec, x, AdversaryPolicy(pure[policy])),
+        spec, q_of, lambda policy: _pure_adversary_chain(spec, w, policy)
     )
-    return AdversaryPolicy(pure[greedy]), v_hat, M
+    v_hat.setflags(write=False)
+    y_star = AdversaryPolicy(np.eye(spec.adversary_actions)[greedy])
+    object.__setattr__(x, "_memo", (spec, y_star, v_hat))
+    return y_star, v_hat, M, q
 
 
 def adversary_best_response(spec: GameSpec, x: TeamPolicy):
@@ -312,10 +350,10 @@ def adversary_best_response(spec: GameSpec, x: TeamPolicy):
     optimal policy y_star and its exact value vector v_hat, so
     rho' v_hat = phi(x) = max_y V_rho(x, y).
 
-    Returns (y_star, v_hat).
+    Returns (y_star, v_hat), kept in x's memo: the same objects (v_hat
+    read-only) on every call with this spec.
     """
-    y_star, v_hat, _ = _adversary_iteration(spec, x)
-    return y_star, v_hat
+    return _recall(spec, x) or _adversary_iteration(spec, x)[:2]
 
 
 def team_player_best_response(spec: GameSpec, k: int, x_minus_k: TeamPolicy, y: AdversaryPolicy):
@@ -330,7 +368,7 @@ def team_player_best_response(spec: GameSpec, k: int, x_minus_k: TeamPolicy, y: 
     pure = np.eye(spec.team_sizes[k])
     v_max, greedy, _ = _policy_iteration(
         spec,
-        lambda v: -_player_q(spec, x_minus_k, k, y, -v),
+        lambda v: -_player_q(spec, x_minus_k, k, y, _continuation(spec, -v)),
         lambda policy: induced_transition(spec, x_minus_k.with_block(k, pure[policy]), y),
     )
     return pure[greedy], -float(spec.initial_dist @ v_max)
@@ -351,12 +389,13 @@ def policy_gradient(spec: GameSpec, x: TeamPolicy):
 
     with d the unnormalized visitation of the chain (x, y_star), taken by
     one transposed solve on the matrix policy iteration ended with, and
-    Qbar_k the table of _player_q at v_hat.
+    Qbar_k the table of _player_q at v_hat.  On a memo hit only y_star's
+    chain is rebuilt.
     """
-    y_star, v_hat, M = _adversary_iteration(spec, x)
+    y_star, v_hat, M, q = _adversary_iteration(spec, x)
     d = _solve(M.T, spec.initial_dist)
     grad = np.concatenate([
-        (d[:, None] * _player_q(spec, x, k, y_star, v_hat)).ravel()
+        (d[:, None] * _player_q(spec, x, k, y_star, q)).ravel()
         for k in range(spec.n_players)
     ])
     return y_star, v_hat, grad
@@ -390,16 +429,8 @@ def project_product_simplex(spec: GameSpec, z: np.ndarray) -> TeamPolicy:
     Each (player, state) block is projected independently, so the operator
     is nonexpansive on the whole team vector.
     """
-    S = spec.state_count
-    blocks = []
-    offset = 0
-    for a in spec.team_sizes:
-        block = z[offset : offset + S * a].reshape(S, a)
-        blocks.append(_project_simplex_rows(block))
-        offset += S * a
-    if offset != z.size:
-        raise ValueError(f"team vector has {z.size} entries, expected {offset}")
-    return TeamPolicy(tuple(blocks))
+    blocks = team_policy_from_vector(spec, z).blocks
+    return TeamPolicy(tuple(_project_simplex_rows(block) for block in blocks))
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from atmg.lp import OPTIMAL, LinearProgram, solve
 from atmg.mdp import (
     AdversaryPolicy,
     TeamPolicy,
+    _continuation,
     _player_q,
     induced_transition,
     joint_action_distribution,
@@ -128,10 +129,10 @@ def team_policy_gradient(spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy) -> n
     finite-difference checks use.  At y = y_star(x) it is the gradient
     atmg.mdp.policy_gradient returns, bit for bit.
     """
-    v = value_vector(spec, x, y)
+    q = _continuation(spec, value_vector(spec, x, y))
     d = visitation(spec, x, y)
     return np.concatenate(
-        [(d[:, None] * _player_q(spec, x, k, y, v)).ravel() for k in range(spec.n_players)]
+        [(d[:, None] * _player_q(spec, x, k, y, q)).ravel() for k in range(spec.n_players)]
     )
 
 

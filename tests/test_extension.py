@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import atmg.mdp
 from atmg.extension import (
     GAP_FLOOR,
     LpAdvInfeasibleError,
@@ -329,6 +330,44 @@ def test_nash_gap_is_exact_at_the_best_response(gridworld2):
     for x in (uniform_team_policy(gridworld2), random_policies(rng, gridworld2)[0]):
         y_star, _ = adversary_best_response(gridworld2, x)
         assert abs(nash_gap(gridworld2, x, y_star).adversary_gap) <= 1e-12
+
+
+def nash_gap_games():
+    rng = np.random.default_rng(8)
+    games = [pytest.param(grid_world(2), id="grid2")]
+    for i in range(3):
+        S, sizes, B = random_game_dims(rng)
+        games.append(pytest.param(make_random_game(rng, S + 1, sizes, B, 0.9), id=f"full{i}"))
+    return games
+
+
+@pytest.mark.parametrize("spec", nash_gap_games())
+def test_nash_gap_at_the_memo_best_response_is_bitwise_the_fresh_report(spec):
+    # nash_gap reads the base value and the adversary's best response off
+    # x's memo; a copy of x without one evaluates both anew.
+    x, _ = random_policies(np.random.default_rng(9), spec)
+    y_star, _ = adversary_best_response(spec, x)
+    memo = nash_gap(spec, x, y_star)
+    copy = nash_gap(spec, TeamPolicy(tuple(block.copy() for block in x.blocks)), y_star)
+    assert memo.team_gaps.tobytes() == copy.team_gaps.tobytes()
+    assert memo.adversary_gap == copy.adversary_gap
+    assert memo.epsilon_certified == copy.epsilon_certified
+
+
+def test_loop_and_certificate_solve_count(gridworld2, monkeypatch):
+    # grid3-certify's call pattern on grid_world(2): three loop steps, the
+    # final best response, then the certificate.  Every policy iteration
+    # here ends after one evaluation, so the loop steps take two solves
+    # each (with the transposed one), the last iterate one, and each team
+    # player's best response one.  The repeated best responses to the last
+    # iterate and the certificate's base value come from the memo; without
+    # it this pattern takes 12 solves.
+    solves = count_calls(monkeypatch, atmg.mdp, "_solve")
+    trace = run(gridworld2, None, IpgmaxConfig(eta=0.1, iters=3, iterate_selection="none"))
+    x = trace.policies[-1]
+    y, _ = adversary_best_response(gridworld2, x)
+    nash_gap(gridworld2, x, y)
+    assert len(solves) == 9
 
 
 def test_nash_gap_rejects_invalid_policies():

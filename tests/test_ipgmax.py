@@ -149,6 +149,23 @@ def test_config_validation():
         IpgmaxConfig(eta=0.1, iters=1, iterate_selection="best").validate()
     with pytest.raises(ValueError, match="delta"):
         IpgmaxConfig(eta=0.1, iters=1, iterate_selection="random", delta=1.0).validate()
+    for field in ("eta", "epsilon", "delta"):
+        with pytest.raises(ValueError, match=f"{field} must be a number"):
+            IpgmaxConfig(**{"eta": 0.1, "iters": 1, field: True}).validate()
+    with pytest.raises(ValueError, match="eta must be a number"):
+        IpgmaxConfig(eta=np.True_, iters=1).validate()
+
+
+@pytest.mark.parametrize("seed,message", [
+    (2.5, "a whole number"), (True, "a whole number"), (None, "a whole number"),
+    (-1, "at least 0"),
+], ids=["fraction", "bool", "none", "negative"])
+def test_config_rejects_a_bad_seed_before_the_loop(seed, message, monkeypatch):
+    calls = count_calls(monkeypatch, atmg.ipgmax, "policy_gradient")
+    config = IpgmaxConfig(eta=0.05, iters=2, seed=seed)
+    with pytest.raises(ValueError, match=f"seed must be {message}"):
+        run(pennies_game(), None, config)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +417,22 @@ def test_select_iterate_random_is_seeded():
     t1 = select_iterate(spec, trace1, "random", delta=0.25, seed=3)
     t2 = select_iterate(spec, trace2, "random", delta=0.25, seed=3)
     assert t1 == t2
+
+
+def test_select_iterate_scores_each_policy_object_once(monkeypatch):
+    # At eta = 0 every trace entry is x0 itself: twelve candidate indices,
+    # one policy object.  Elsewhere in the trace each index is its own object.
+    spec = half_game()
+    still = run(spec, None, IpgmaxConfig(eta=0.0, iters=12, iterate_selection="none"))
+    moving = run(spec, None, IpgmaxConfig(eta=0.1, iters=12, iterate_selection="none"))
+    calls = count_calls(monkeypatch, atmg.ipgmax, "prox_gap")
+    select_iterate(spec, still, "prox_scan")
+    assert [x for _, x in calls] == [still.policies[0]]
+    assert set(still.prox_gaps) == set(range(12))
+    assert len(set(still.prox_gaps.values())) == 1
+    select_iterate(spec, moving, "prox_scan")
+    assert len(calls) == 1 + 12
+    assert set(moving.prox_gaps) == set(range(12))
 
 
 def test_select_iterate_unknown_mode():

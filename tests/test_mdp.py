@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import atmg.mdp
 from atmg.game import GameSpec, grid_world
 from atmg.mdp import (
     AdversaryPolicy,
@@ -27,6 +28,7 @@ from atmg.mdp import (
     value_vector,
 )
 from conftest import (
+    count_calls,
     dense_transition,
     joint_index,
     make_mixed_support_game,
@@ -601,3 +603,93 @@ def test_team_policy_vector_round_trip():
     back = team_policy_from_vector(spec, vec)
     for b1, b2 in zip(back.blocks, x.blocks):
         np.testing.assert_array_equal(b1, b2)
+
+
+def test_policies_own_their_data():
+    # A policy built from a view must not change when the viewed array does,
+    # and building it must leave the caller's array writable.
+    spec = make_random_game(np.random.default_rng(70), 2, (2, 2), 2, 0.5)
+    vec = uniform_team_policy(spec).as_vector()
+    x = team_policy_from_vector(spec, vec)
+    vec[:4] = [1.0, 0.0, 0.0, 0.0]
+    np.testing.assert_array_equal(x.blocks[0], np.full((2, 2), 0.5))
+    probs = np.full((2, 2), 0.5)
+    y = AdversaryPolicy(probs)
+    probs[0] = [1.0, 0.0]
+    np.testing.assert_array_equal(y.probs, np.full((2, 2), 0.5))
+    assert not x.blocks[0].flags.writeable and not y.probs.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# The per-policy best-response memo
+# ---------------------------------------------------------------------------
+
+def memo_games():
+    rng = np.random.default_rng(71)
+    games = [pytest.param(grid_world(2), id="grid2")]
+    for i in range(3):
+        S, sizes, B = random_game_dims(rng)
+        games.append(pytest.param(make_random_game(rng, S, sizes, B, 0.9), id=f"full{i}"))
+    return games
+
+
+def fresh(x: TeamPolicy) -> TeamPolicy:
+    """A copy of x with an empty memo."""
+    return TeamPolicy(tuple(block.copy() for block in x.blocks))
+
+
+@pytest.mark.parametrize("spec", memo_games())
+def test_second_best_response_reads_the_memo(spec, monkeypatch):
+    x, _ = random_policies(np.random.default_rng(72), spec)
+    calls = count_calls(monkeypatch, atmg.mdp, "_policy_iteration")
+    y_star, v_hat = adversary_best_response(spec, x)
+    assert len(calls) == 1
+    again = adversary_best_response(spec, x)
+    assert len(calls) == 1
+    assert again[0] is y_star and again[1] is v_hat
+    assert not v_hat.flags.writeable
+
+
+def test_memo_belongs_to_one_spec_object(gridworld2, monkeypatch):
+    # An equal spec that is another object misses, and so does another game
+    # of the same shape; each gets its own exact answer.
+    x = uniform_team_policy(gridworld2)
+    y_star, v_hat = adversary_best_response(gridworld2, x)
+    calls = count_calls(monkeypatch, atmg.mdp, "_policy_iteration")
+    twin = dataclasses.replace(gridworld2)
+    y_twin, v_twin = adversary_best_response(twin, x)
+    assert len(calls) == 1 and y_twin is not y_star
+    assert v_twin.tobytes() == v_hat.tobytes()
+    flipped = dataclasses.replace(gridworld2, reward=1.0 - gridworld2.reward)
+    _, v_flipped = adversary_best_response(flipped, x)
+    assert len(calls) == 2
+    assert v_flipped.tobytes() == adversary_best_response(flipped, fresh(x))[1].tobytes()
+    assert not np.array_equal(v_flipped, v_hat)
+
+
+@pytest.mark.parametrize("spec", memo_games())
+def test_policy_gradient_is_the_same_on_a_memo_hit(spec, monkeypatch):
+    x, _ = random_policies(np.random.default_rng(73), spec)
+    miss = policy_gradient(spec, fresh(x))
+    adversary_best_response(spec, x)
+    calls = count_calls(monkeypatch, atmg.mdp, "_policy_iteration")
+    hit = policy_gradient(spec, x)
+    assert calls == []
+    assert hit[0].probs.tobytes() == miss[0].probs.tobytes()
+    assert hit[1].tobytes() == miss[1].tobytes()
+    assert hit[2].tobytes() == miss[2].tobytes()
+    assert policy_gradient(spec, x)[2].tobytes() == miss[2].tobytes()
+
+
+@pytest.mark.parametrize("spec", memo_games())
+def test_value_rho_at_the_memo_best_response_is_the_dense_value(spec, monkeypatch):
+    x, y = random_policies(np.random.default_rng(74), spec)
+    y_star, _ = adversary_best_response(spec, x)
+    dense = value_rho(spec, fresh(x), y_star)
+    solves = count_calls(monkeypatch, atmg.mdp, "_solve")
+    assert value_rho(spec, x, y_star) == dense
+    assert solves == []
+    # Any other adversary policy, even an equal copy, is evaluated densely.
+    assert value_rho(spec, x, AdversaryPolicy(y_star.probs)) == dense
+    assert value_rho(spec, x, y) == value_rho(spec, fresh(x), y)
+    assert len(solves) == 3
