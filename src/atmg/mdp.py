@@ -142,16 +142,19 @@ def check_policies(spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy | None = No
 # Induced chains and marginalization
 # ---------------------------------------------------------------------------
 
-def joint_action_distribution(spec: GameSpec, x: TeamPolicy) -> np.ndarray:
+def joint_action_distribution(
+    spec: GameSpec, x: TeamPolicy, skip: int | None = None
+) -> np.ndarray:
     """(S, A_joint) table of joint team-action probabilities under x.
 
-    A block of ones in place of player k's table leaves the weights of the
-    other players' part of each joint action, with player k's action free.
+    With skip=k, player k's table is left out: the table holds the weight
+    of the other players' part of each joint action, player k's action free.
     """
     digits = spec.action_digits
     w = np.ones((spec.state_count, spec.joint_action_count))
     for k, block in enumerate(x.blocks):
-        w *= block[:, digits[:, k]]
+        if k != skip:
+            w *= block[:, digits[:, k]]
     return w
 
 
@@ -160,14 +163,14 @@ def joint_action_distribution(spec: GameSpec, x: TeamPolicy) -> np.ndarray:
 # every call, which costs more than the arithmetic on small games.
 
 def induced_transition(spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy) -> np.ndarray:
-    """Row-stochastic S x S matrix of the chain induced by (x, y).
+    """Row-stochastic S x S matrix of the chain induced by (x, y)."""
+    return _chain(spec, joint_action_distribution(spec, x)[:, :, None] * y.probs[:, None, :])
 
-    One bincount over the successor lists; each entry adds its terms in
-    (j, b, k) order.
-    """
-    S = spec.state_count
-    T = spec.transition
-    w = joint_action_distribution(spec, x)[:, :, None] * y.probs[:, None, :]
+
+def _chain(spec: GameSpec, w: np.ndarray) -> np.ndarray:
+    """S x S chain of the (S, J, B) joint-action weights w: one bincount over
+    the successor lists, each entry adding its terms in (j, b, k) order."""
+    S, T = spec.state_count, spec.transition
     flat = np.bincount(T.bins.ravel(), weights=(w[..., None] * T.prob).ravel(), minlength=S * S)
     return flat.reshape(S, S)
 
@@ -213,22 +216,19 @@ def q_table(spec: GameSpec, x: TeamPolicy, v: np.ndarray) -> np.ndarray:
 
 
 def _player_q(
-    spec: GameSpec, x: TeamPolicy, k: int, y: AdversaryPolicy, q: np.ndarray
+    spec: GameSpec, others: np.ndarray, k: int, y: AdversaryPolicy, q: np.ndarray
 ) -> np.ndarray:
     """(S, A_k) table Qbar_k(s, a): payoff plus discounted continuation v
     when player k pins action a and everyone else follows (x_{-k}, y).
 
         Qbar_k(s,a) = E[ r(s,(a;a_{-k}),b) + gamma sum_{s'} P(s'|...) v(s') ]
 
-    q is _continuation(spec, v).  x's block k is ignored.
+    others is joint_action_distribution(spec, x, skip=k) and q is
+    _continuation(spec, v).
     """
-    S, J, A = spec.state_count, spec.joint_action_count, spec.team_sizes[k]
     mixed = (q @ y.probs[:, :, None])[:, :, 0]
-    # Weight of the other players' part of each joint action; the mask
-    # sends joint action j to the action player k plays in it.
-    others = joint_action_distribution(spec, x.with_block(k, np.ones((S, A))))
-    mask = np.zeros((J, A))
-    mask[np.arange(J), spec.action_digits[:, k]] = 1.0
+    # The mask sends joint action j to the action player k plays in it.
+    mask = np.eye(spec.team_sizes[k])[spec.action_digits[:, k]]
     return (others * mixed) @ mask
 
 
@@ -289,17 +289,18 @@ def _policy_iteration(spec: GameSpec, q_of, chain_of):
     the expected continuation value v, so q_of(0) holds the rewards;
     chain_of(policy) is the S x S transition matrix when the agent plays
     action policy[s] in state s.  Howard's policy iteration: it starts from
-    the myopic greedy policy, evaluates the current policy exactly, and
-    moves a state to its greedy action only where that gains more than the
-    tie tolerance; each move raises the value, so no policy repeats and the
-    loop ends once no state gains.  Returns (v, policy, M): the exact value
-    of the deterministic policy it returns, which is optimal up to ties,
-    and the M = I - gamma P of that policy's chain.  The last q_of call is
-    at the returned v.
+    the greedy policy of one value-iteration step from v = 0, q_of(max_u r),
+    which sees a payoff one step ahead where the rewards alone do not.  It
+    evaluates the current policy exactly and moves a state to its greedy
+    action only where that gains more than the tie tolerance; each move
+    raises the value, so no policy repeats and the loop ends once no state
+    gains.  Returns (v, policy, M): the exact value of the deterministic
+    policy it returns, which is optimal up to ties, and the M = I - gamma P
+    of that policy's chain.  The last q_of call is at the returned v.
     """
     states = np.arange(spec.state_count)
     r = q_of(np.zeros(spec.state_count))
-    policy = _greedy(r)
+    policy = _greedy(q_of(r.max(axis=1)))
     while True:
         M = _bellman_matrix(chain_of(policy), spec.discount)
         v = _solve(M, r[states, policy])
@@ -363,15 +364,20 @@ def team_player_best_response(spec: GameSpec, k: int, x_minus_k: TeamPolicy, y: 
     its own A_k actions that MINIMIZES the adversary's value; policy
     iteration maximizes its negation.  x_minus_k supplies the frozen
     teammates; its block k is ignored.  Returns the deterministic table
-    (S, A_k) and the minimized value rho' v.
+    (S, A_k) and the minimized value rho' v.  The teammates' joint-action
+    weights are built once; a sweep's chain only masks them with player
+    k's pure policy.
     """
-    pure = np.eye(spec.team_sizes[k])
+    others = joint_action_distribution(spec, x_minus_k, skip=k)
+    digit = spec.action_digits[:, k]
     v_max, greedy, _ = _policy_iteration(
         spec,
-        lambda v: -_player_q(spec, x_minus_k, k, y, _continuation(spec, -v)),
-        lambda policy: induced_transition(spec, x_minus_k.with_block(k, pure[policy]), y),
+        lambda v: -_player_q(spec, others, k, y, _continuation(spec, -v)),
+        lambda policy: _chain(
+            spec, (others * (digit == policy[:, None]))[:, :, None] * y.probs[:, None, :]
+        ),
     )
-    return pure[greedy], -float(spec.initial_dist @ v_max)
+    return np.eye(spec.team_sizes[k])[greedy], -float(spec.initial_dist @ v_max)
 
 
 # ---------------------------------------------------------------------------
@@ -395,9 +401,9 @@ def policy_gradient(spec: GameSpec, x: TeamPolicy):
     y_star, v_hat, M, q = _adversary_iteration(spec, x)
     d = _solve(M.T, spec.initial_dist)
     grad = np.concatenate([
-        (d[:, None] * _player_q(spec, x, k, y_star, q)).ravel()
+        d[:, None] * _player_q(spec, joint_action_distribution(spec, x, skip=k), k, y_star, q)
         for k in range(spec.n_players)
-    ])
+    ], axis=None)
     return y_star, v_hat, grad
 
 

@@ -131,9 +131,10 @@ def team_policy_gradient(spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy) -> n
     """
     q = _continuation(spec, value_vector(spec, x, y))
     d = visitation(spec, x, y)
-    return np.concatenate(
-        [(d[:, None] * _player_q(spec, x, k, y, q)).ravel() for k in range(spec.n_players)]
-    )
+    return np.concatenate([
+        d[:, None] * _player_q(spec, joint_action_distribution(spec, x, skip=k), k, y, q)
+        for k in range(spec.n_players)
+    ], axis=None)
 
 
 def adversary_policy_gradient(spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy) -> np.ndarray:

@@ -370,6 +370,36 @@ def test_loop_and_certificate_solve_count(gridworld2, monkeypatch):
     assert len(solves) == 9
 
 
+def test_grid3_certify_takes_one_evaluation_per_best_response(monkeypatch):
+    # grid3-certify's call pattern on grid_world(3) from the uniform start.
+    # Starting policy iteration from one value-iteration step lands every
+    # best response here on its optimum, so each policy iteration builds
+    # one chain: three loop steps of two solves, the last iterate one, and
+    # the two team players one each.  From the myopic greedy start every
+    # best response took a second sweep, 15 solves in all.
+    spec = grid_world(3)
+    chains = []
+    real = atmg.mdp._policy_iteration
+
+    def counted(spec, q_of, chain_of):
+        chains.append(0)
+
+        def chain(policy):
+            chains[-1] += 1
+            return chain_of(policy)
+
+        return real(spec, q_of, chain)
+
+    monkeypatch.setattr(atmg.mdp, "_policy_iteration", counted)
+    solves = count_calls(monkeypatch, atmg.mdp, "_solve")
+    trace = run(spec, None, IpgmaxConfig(eta=0.1, iters=3, iterate_selection="none"))
+    x = trace.policies[-1]
+    y, _ = adversary_best_response(spec, x)
+    nash_gap(spec, x, y)
+    assert len(solves) == 9
+    assert chains == [1] * 6
+
+
 def test_nash_gap_rejects_invalid_policies():
     spec = pennies_game()
     with pytest.raises(ValueError):

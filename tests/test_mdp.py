@@ -329,6 +329,33 @@ def test_adversary_best_response_matches_enumeration():
         assert float(spec.initial_dist @ v_hat) == pytest.approx(best, abs=1e-12)
 
 
+def test_adversary_best_response_looks_one_step_ahead(monkeypatch):
+    # In state 0 action 0 pays 0.5 and stays, action 1 pays nothing and
+    # moves to state 1, which pays 2 per step for good: 18 against 5 at
+    # gamma 0.9.  The myopic greedy policy plays action 0 and needs a
+    # second sweep; one value-iteration step already sees state 1's payoff.
+    spec = GameSpec(
+        state_count=2,
+        team_sizes=(1,),
+        adversary_actions=2,
+        reward=np.array([[[0.5, 0.0]], [[2.0, 2.0]]]),
+        transition=np.array([[[[1.0, 0.0], [0.0, 1.0]]], [[[0.0, 1.0], [0.0, 1.0]]]]),
+        discount=0.9,
+        initial_dist=np.array([0.5, 0.5]),
+    )
+    x = uniform_team_policy(spec)
+    chains = count_calls(monkeypatch, atmg.mdp, "_pure_adversary_chain")
+    y, v = adversary_best_response(spec, x)
+    assert len(chains) == 1
+    np.testing.assert_array_equal(y.probs, [[0.0, 1.0], [1.0, 0.0]])
+    best = max(
+        value_rho(spec, x, AdversaryPolicy(np.eye(2)[[b0, b1]]))
+        for b0 in range(2) for b1 in range(2)
+    )
+    assert float(spec.initial_dist @ v) == pytest.approx(best, abs=1e-12)
+    np.testing.assert_allclose(v, [18.0, 20.0], rtol=1e-12)
+
+
 def test_team_player_best_response_tie_break_lowest_index():
     # Actions 1-3 tie for the minimum: 0.1 + 0.2 exceeds 0.3 by one ulp,
     # which is within the tie tolerance, so the lowest index wins.
