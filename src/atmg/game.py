@@ -178,6 +178,14 @@ class GameSpec:
         digits.setflags(write=False)
         return digits
 
+    @cached_property
+    def action_masks(self) -> tuple[np.ndarray, ...]:
+        """Per player k, the read-only (A_joint, A_k) table with a one at (j, digits[j, k])."""
+        masks = tuple(np.eye(a)[self.action_digits[:, k]] for k, a in enumerate(self.team_sizes))
+        for mask in masks:
+            mask.setflags(write=False)
+        return masks
+
 
 # ---------------------------------------------------------------------------
 # Validation

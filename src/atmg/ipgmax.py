@@ -242,7 +242,7 @@ def run(spec: GameSpec, x0: TeamPolicy | None, config: IpgmaxConfig) -> RunTrace
     phi = np.empty(T + 1)
     frob = np.zeros(T + 1)
 
-    x = x0
+    x, vec = x0, x0.as_vector()
     prev_joint: np.ndarray | None = None
     for t in range(1, T + 1):
         y, v_hat, grad = policy_gradient(spec, x)
@@ -254,7 +254,7 @@ def run(spec: GameSpec, x0: TeamPolicy | None, config: IpgmaxConfig) -> RunTrace
             # sums; that would make the iterate NaN.
             try:
                 with np.errstate(over="raise", invalid="raise"):
-                    x_next = project_product_simplex(spec, x.as_vector() - eta * grad)
+                    x_next = project_product_simplex(spec, vec - eta * grad)
             except FloatingPointError as exc:
                 raise ValueError(
                     f"iterate {t} is not finite: the step eta = {eta:g} overflows ({exc})"
@@ -268,12 +268,13 @@ def run(spec: GameSpec, x0: TeamPolicy | None, config: IpgmaxConfig) -> RunTrace
         prev_joint = joint
         best_responses.append(y)
         policies.append(x_next)
-        if np.array_equal(x_next.as_vector(), x.as_vector()):
+        # The team's part of joint is x_next's vector.
+        if np.array_equal(joint[: vec.size], vec):
             best_responses += [y] * (T - t)
             policies += [x] * (T - t)
             phi[t:] = phi[t - 1]
             break
-        x = x_next
+        x, vec = x_next, joint[: vec.size]
     else:
         _, v_final = adversary_best_response(spec, x)
         phi[T] = float(rho @ v_final)

@@ -94,17 +94,21 @@ def uniform_team_policy(spec: GameSpec) -> TeamPolicy:
     return TeamPolicy(tuple(np.full((S, a), 1.0 / a) for a in spec.team_sizes))
 
 
-def team_policy_from_vector(spec: GameSpec, vec: np.ndarray) -> TeamPolicy:
-    """Inverse of TeamPolicy.as_vector for this game's block sizes."""
-    S = spec.state_count
-    blocks = []
-    offset = 0
+def _block_views(spec: GameSpec, vec: np.ndarray) -> list[np.ndarray]:
+    """The (S, A_k) blocks of the flat team vector vec, as views."""
+    S, size = spec.state_count, spec.state_count * spec.sum_team_actions
+    if vec.size != size:
+        raise ValueError(f"team vector has {vec.size} entries, expected {size}")
+    blocks, offset = [], 0
     for a in spec.team_sizes:
         blocks.append(vec[offset : offset + S * a].reshape(S, a))
         offset += S * a
-    if offset != vec.size:
-        raise ValueError(f"team vector has {vec.size} entries, expected {offset}")
-    return TeamPolicy(tuple(blocks))
+    return blocks
+
+
+def team_policy_from_vector(spec: GameSpec, vec: np.ndarray) -> TeamPolicy:
+    """Inverse of TeamPolicy.as_vector for this game's block sizes."""
+    return TeamPolicy(tuple(_block_views(spec, vec)))
 
 
 def joint_policy_vector(x: TeamPolicy, y: AdversaryPolicy) -> np.ndarray:
@@ -151,10 +155,10 @@ def joint_action_distribution(
     of the other players' part of each joint action, player k's action free.
     """
     digits = spec.action_digits
-    w = np.ones((spec.state_count, spec.joint_action_count))
-    for k, block in enumerate(x.blocks):
-        if k != skip:
-            w *= block[:, digits[:, k]]
+    gathered = [block[:, digits[:, k]] for k, block in enumerate(x.blocks) if k != skip]
+    w = gathered[0] if gathered else np.ones((spec.state_count, spec.joint_action_count))
+    for factor in gathered[1:]:
+        w *= factor
     return w
 
 
@@ -197,6 +201,8 @@ def marginal_reward_table(spec: GameSpec, x: TeamPolicy) -> np.ndarray:
 def _successor_mean(spec: GameSpec, v: np.ndarray) -> np.ndarray:
     """(S, J, B) table sum_{s'} P(s' | s, j, b) v(s'), gathered from the successor lists."""
     T = spec.transition
+    if T.succ.shape[-1] == 1:  # deterministic moves: no length-1 reduction
+        return T.prob[..., 0] * v[T.succ[..., 0]]
     return (T.prob * v[T.succ]).sum(axis=-1)
 
 
@@ -224,12 +230,10 @@ def _player_q(
         Qbar_k(s,a) = E[ r(s,(a;a_{-k}),b) + gamma sum_{s'} P(s'|...) v(s') ]
 
     others is joint_action_distribution(spec, x, skip=k) and q is
-    _continuation(spec, v).
+    _continuation(spec, v), which is spec.reward at v = 0.
     """
     mixed = (q @ y.probs[:, :, None])[:, :, 0]
-    # The mask sends joint action j to the action player k plays in it.
-    mask = np.eye(spec.team_sizes[k])[spec.action_digits[:, k]]
-    return (others * mixed) @ mask
+    return (others * mixed) @ spec.action_masks[k]
 
 
 # ---------------------------------------------------------------------------
@@ -276,17 +280,17 @@ def value_rho(spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy) -> float:
 # Best responses
 # ---------------------------------------------------------------------------
 
-def _greedy(q: np.ndarray) -> np.ndarray:
-    """Per row, the lowest index whose value is within _TIE_RTOL of the row max."""
-    slack = _TIE_RTOL * np.abs(q).max(axis=1, keepdims=True)
-    return np.argmax(q >= q.max(axis=1, keepdims=True) - slack, axis=1)
+def _greedy(q: np.ndarray):
+    """(best, slack): per row, the lowest index within slack = _TIE_RTOL * max |q| of the max."""
+    slack = _TIE_RTOL * np.abs(q).max(axis=1)
+    return np.argmax(q >= (q.max(axis=1) - slack)[:, None], axis=1), slack
 
 
-def _policy_iteration(spec: GameSpec, q_of, chain_of):
+def _policy_iteration(spec: GameSpec, r: np.ndarray, q_of, chain_of):
     """Maximize one agent's MDP over its deterministic policies.
 
-    q_of(v) is the agent's (S, U) table of one-step payoff plus gamma times
-    the expected continuation value v, so q_of(0) holds the rewards;
+    r is the agent's (S, U) table of one-step payoffs, and q_of(v) is r
+    plus gamma times the expected continuation value v;
     chain_of(policy) is the S x S transition matrix when the agent plays
     action policy[s] in state s.  Howard's policy iteration: it starts from
     the greedy policy of one value-iteration step from v = 0, q_of(max_u r),
@@ -299,14 +303,13 @@ def _policy_iteration(spec: GameSpec, q_of, chain_of):
     of that policy's chain.  The last q_of call is at the returned v.
     """
     states = np.arange(spec.state_count)
-    r = q_of(np.zeros(spec.state_count))
-    policy = _greedy(q_of(r.max(axis=1)))
+    policy = _greedy(q_of(r.max(axis=1)))[0]
     while True:
         M = _bellman_matrix(chain_of(policy), spec.discount)
         v = _solve(M, r[states, policy])
         q = q_of(v)
-        best = _greedy(q)
-        gains = q[states, best] - q[states, policy] > _TIE_RTOL * np.abs(q).max(axis=1)
+        best, slack = _greedy(q)
+        gains = q[states, best] - q[states, policy] > slack
         if not gains.any():
             return v, policy, M
         policy = np.where(gains, best, policy)
@@ -334,8 +337,9 @@ def _adversary_iteration(spec: GameSpec, x: TeamPolicy):
         q = _continuation(spec, v)
         return (w[:, None, :] @ q)[:, 0, :]
 
+    r = (w[:, None, :] @ spec.reward)[:, 0, :]
     v_hat, greedy, M = _policy_iteration(
-        spec, q_of, lambda policy: _pure_adversary_chain(spec, w, policy)
+        spec, r, q_of, lambda policy: _pure_adversary_chain(spec, w, policy)
     )
     v_hat.setflags(write=False)
     y_star = AdversaryPolicy(np.eye(spec.adversary_actions)[greedy])
@@ -372,6 +376,7 @@ def team_player_best_response(spec: GameSpec, k: int, x_minus_k: TeamPolicy, y: 
     digit = spec.action_digits[:, k]
     v_max, greedy, _ = _policy_iteration(
         spec,
+        -_player_q(spec, others, k, y, spec.reward),
         lambda v: -_player_q(spec, others, k, y, _continuation(spec, -v)),
         lambda policy: _chain(
             spec, (others * (digit == policy[:, None]))[:, :, None] * y.probs[:, None, :]
@@ -433,10 +438,16 @@ def project_product_simplex(spec: GameSpec, z: np.ndarray) -> TeamPolicy:
     """Euclidean projection of flat team coordinates onto the product of simplices.
 
     Each (player, state) block is projected independently, so the operator
-    is nonexpansive on the whole team vector.
+    is nonexpansive on the whole team vector; one call projects the blocks
+    of all players with the same action count.
     """
-    blocks = team_policy_from_vector(spec, z).blocks
-    return TeamPolicy(tuple(_project_simplex_rows(block) for block in blocks))
+    blocks = _block_views(spec, z)
+    for a in set(spec.team_sizes):
+        players = [k for k, size in enumerate(spec.team_sizes) if size == a]
+        rows = _project_simplex_rows(np.concatenate([blocks[k] for k in players]))
+        for k, projected in zip(players, rows.reshape(len(players), -1, a)):
+            blocks[k] = projected
+    return TeamPolicy(tuple(blocks))
 
 
 # ---------------------------------------------------------------------------

@@ -381,14 +381,14 @@ def test_grid3_certify_takes_one_evaluation_per_best_response(monkeypatch):
     chains = []
     real = atmg.mdp._policy_iteration
 
-    def counted(spec, q_of, chain_of):
+    def counted(spec, r, q_of, chain_of):
         chains.append(0)
 
         def chain(policy):
             chains[-1] += 1
             return chain_of(policy)
 
-        return real(spec, q_of, chain)
+        return real(spec, r, q_of, chain)
 
     monkeypatch.setattr(atmg.mdp, "_policy_iteration", counted)
     solves = count_calls(monkeypatch, atmg.mdp, "_solve")

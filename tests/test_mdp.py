@@ -11,6 +11,7 @@ from atmg.game import GameSpec, grid_world
 from atmg.mdp import (
     AdversaryPolicy,
     TeamPolicy,
+    _project_simplex_rows,
     _successor_mean,
     adversary_best_response,
     check_policies,
@@ -199,6 +200,47 @@ def test_q_table_matches_the_marginal_table_oracle(spec, K):
     x, _ = random_policies(rng, spec)
     v = rng.random(spec.state_count) / (1.0 - spec.discount)
     np.testing.assert_allclose(q_table(spec, x, v), oracle_q_table(spec, x, v), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("spec,K", successor_list_games())
+def test_policy_iteration_rewards_are_q_at_zero(spec, K, monkeypatch):
+    # Each best response passes policy iteration its reward table, which
+    # is its q_of at v = 0 exactly: the adversary's and each team player's.
+    x, y = random_policies(np.random.default_rng(31), spec)
+    seen = []
+    real = atmg.mdp._policy_iteration
+
+    def spy(spec, r, q_of, chain_of):
+        seen.append((r, q_of(np.zeros(spec.state_count))))
+        return real(spec, r, q_of, chain_of)
+
+    monkeypatch.setattr(atmg.mdp, "_policy_iteration", spy)
+    adversary_best_response(spec, x)
+    for k in range(spec.n_players):
+        team_player_best_response(spec, k, x, y)
+    assert len(seen) == 1 + spec.n_players
+    for r, at_zero in seen:
+        np.testing.assert_array_equal(r, at_zero)
+
+
+def test_deterministic_successor_mean_is_the_reduction_bit_for_bit(gridworld2):
+    # Grid moves are deterministic (K = 1), so the mean reads the single
+    # successor instead of summing over a length-1 axis.
+    T = gridworld2.transition
+    assert T.succ.shape[-1] == 1
+    v = np.random.default_rng(33).normal(size=gridworld2.state_count)
+    assert _successor_mean(gridworld2, v).tobytes() == (T.prob * v[T.succ]).sum(-1).tobytes()
+
+
+def test_one_sweep_best_response_gathers_the_continuation_twice(gridworld2, monkeypatch):
+    # Once for the value-iteration step that starts policy iteration, once
+    # at v_hat; the rewards are not gathered at v = 0.
+    chains = count_calls(monkeypatch, atmg.mdp, "_pure_adversary_chain")
+    gathers = count_calls(monkeypatch, atmg.mdp, "_continuation")
+    _, v_hat = adversary_best_response(gridworld2, uniform_team_policy(gridworld2))
+    assert len(chains) == 1
+    assert len(gathers) == 2
+    assert gathers[1][1] is v_hat
 
 
 # ---------------------------------------------------------------------------
@@ -572,6 +614,30 @@ def test_projection_feasible_and_nonexpansive():
             np.linalg.norm(p1.as_vector() - p2.as_vector())
             <= np.linalg.norm(z1 - z2) + 1e-12
         )
+
+
+@pytest.mark.parametrize("spec", [
+    pytest.param(grid_world(2), id="grid2-equal-widths"),
+    pytest.param(make_random_game(np.random.default_rng(64), 3, (2, 3), 2, 0.5), id="mixed-widths"),
+])
+def test_projection_of_one_width_at_once_is_per_block(spec):
+    # All blocks of one width go through one _project_simplex_rows call;
+    # each comes out as its own projection would, rows on a vertex too.
+    rng = np.random.default_rng(65)
+    z = rng.normal(size=spec.state_count * spec.sum_team_actions)
+    z[: spec.team_sizes[0]] = np.eye(spec.team_sizes[0])[-1]
+    z[-spec.team_sizes[-1] :] = np.eye(spec.team_sizes[-1])[0]
+    blocks = team_policy_from_vector(spec, z).blocks
+    projected = project_product_simplex(spec, z).blocks
+    assert len(projected) == len(blocks)
+    for got, block in zip(projected, blocks):
+        assert got.tobytes() == _project_simplex_rows(block).tobytes()
+    assert projected[0][0].tolist() == np.eye(spec.team_sizes[0])[-1].tolist()
+    # A vector one row short or long is refused, even when its length is
+    # still a multiple of the width.
+    for bad in (z[: -spec.team_sizes[-1]], np.concatenate([z, z[: spec.team_sizes[0]]])):
+        with pytest.raises(ValueError, match="team vector has"):
+            project_product_simplex(spec, bad)
 
 
 def test_projection_is_euclidean_argmin():
