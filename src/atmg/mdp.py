@@ -1,10 +1,12 @@
 """Exact evaluation machinery for one game instance.
 
 Everything here is model-based and deterministic: induced Markov chains,
-value vectors by dense linear solve, discounted visitation measures, best
-responses by policy iteration, exact policy gradients under the direct
-parametrization, Euclidean projection onto the product of simplices, and
-the Lipschitz/smoothness constants of the best-response value function.
+value vectors by exact linear solve (level substitution on an acyclic chain,
+one schedule serving its visitation solve too; dense on a cyclic one),
+discounted visitation measures, best responses by policy iteration, exact
+policy gradients under the direct parametrization, Euclidean projection onto
+the product of simplices, and the Lipschitz/smoothness constants of the
+best-response value function.
 Transition contractions read the game's successor lists: one bincount
 builds an induced S x S chain, and a gather gives expected next-state
 values.  No (S, ., S) table is built.  Policy iteration, the best
@@ -35,6 +37,12 @@ _POLICY_SUM_TOL = 1e-12
 # round-off of an exact evaluation, so round-off neither breaks a tie nor
 # makes policy iteration cycle.
 _TIE_RTOL = 1e-12
+
+# A chain needing more substitution levels is solved densely.  A level took
+# 25-30 us over the schedule and both solves (2-core host, one BLAS thread),
+# so at S = 200, 32 levels cost the dense pair's 1 ms (a 200-level path took
+# 4 ms).  Grid-world chains under the adversary best response took 2-4.
+_MAX_LEVELS = 32
 
 
 # ---------------------------------------------------------------------------
@@ -154,11 +162,21 @@ def joint_action_distribution(
     With skip=k, player k's table is left out: the table holds the weight
     of the other players' part of each joint action, player k's action free.
     """
+    return _product(spec, _gathered(spec, x), skip)
+
+
+def _gathered(spec: GameSpec, x: TeamPolicy) -> list[np.ndarray]:
+    """Each player's (S, J) table: its block read at its digit of each joint action."""
     digits = spec.action_digits
-    gathered = [block[:, digits[:, k]] for k, block in enumerate(x.blocks) if k != skip]
-    w = gathered[0] if gathered else np.ones((spec.state_count, spec.joint_action_count))
-    for factor in gathered[1:]:
-        w *= factor
+    return [block[:, digits[:, k]] for k, block in enumerate(x.blocks)]
+
+
+def _product(spec: GameSpec, gathered: list[np.ndarray], skip: int | None = None) -> np.ndarray:
+    """The _gathered tables multiplied in player order, player skip left out."""
+    factors = [table for k, table in enumerate(gathered) if k != skip]
+    w = factors[0] if factors else np.ones((spec.state_count, spec.joint_action_count))
+    for factor in factors[1:]:
+        w = w * factor
     return w
 
 
@@ -221,19 +239,16 @@ def q_table(spec: GameSpec, x: TeamPolicy, v: np.ndarray) -> np.ndarray:
     return (w[:, None, :] @ _continuation(spec, v))[:, 0, :]
 
 
-def _player_q(
-    spec: GameSpec, others: np.ndarray, k: int, y: AdversaryPolicy, q: np.ndarray
-) -> np.ndarray:
+def _player_q(spec: GameSpec, others: np.ndarray, k: int, mixed: np.ndarray) -> np.ndarray:
     """(S, A_k) table Qbar_k(s, a): payoff plus discounted continuation v
     when player k pins action a and everyone else follows (x_{-k}, y).
 
         Qbar_k(s,a) = E[ r(s,(a;a_{-k}),b) + gamma sum_{s'} P(s'|...) v(s') ]
 
-    others is joint_action_distribution(spec, x, skip=k) and q is
-    _continuation(spec, v), which is spec.reward at v = 0.
+    others is joint_action_distribution(spec, x, skip=k) and mixed is
+    q @ y.probs[:, :, None] at q = _continuation(spec, v) (spec.reward at v = 0).
     """
-    mixed = (q @ y.probs[:, :, None])[:, :, 0]
-    return (others * mixed) @ spec.action_masks[k]
+    return (others * mixed[:, :, 0]) @ spec.action_masks[k]
 
 
 # ---------------------------------------------------------------------------
@@ -247,15 +262,36 @@ def _bellman_matrix(P: np.ndarray, gamma: float) -> np.ndarray:
     return P
 
 
-def _solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _levels(M: np.ndarray) -> list[np.ndarray] | None:
+    """Substitution schedule of M = I - gamma P: level 0 holds the states
+    whose row has no off-diagonal entry, each later level those whose row
+    reaches earlier levels only.  None if P has a cycle (self-loops aside)
+    or needs more than _MAX_LEVELS levels."""
+    reach = M != 0.0
+    reach.flat[:: M.shape[0] + 1] = False
+    pending = np.count_nonzero(reach, axis=1)
+    levels, level = [], np.flatnonzero(pending == 0)
+    while level.size and len(levels) < _MAX_LEVELS:
+        levels.append(level)
+        pending[level] = -1
+        pending -= np.count_nonzero(reach[:, level], axis=1)
+        level = np.flatnonzero(pending == 0)
+    return levels if (pending < 0).all() else None
+
+
+def _solve(M: np.ndarray, b: np.ndarray, levels: list[np.ndarray] | None) -> np.ndarray:
     """The one value solver: z with M z = b, for M = I - gamma P or its transpose.
 
+    levels is _levels(I - gamma P), reversed for the transpose: each level
+    is z[L] = (b[L] - M[L] z) / diag(M)[L]; with None the solve is dense.
     Either matrix is strictly diagonally dominant (by rows or by columns)
-    for gamma < 1, so the dense solve cannot fail; the residual is checked
+    for gamma < 1, so neither solve can fail; the residual is checked
     against 1e-10 * S anyway, in units of max |b| once that exceeds 1, since
     round-off grows with the magnitude of the rewards.
     """
-    z = np.linalg.solve(M, b)
+    z = np.linalg.solve(M, b) if levels is None else np.zeros_like(b)
+    for level in levels or ():
+        z[level] = (b[level] - M[level] @ z) / M[level, level]
     residual = float(np.abs(M @ z - b).max())
     if residual > 1e-10 * b.size * max(1.0, float(np.abs(b).max())):
         raise RuntimeError(f"policy evaluation residual {residual:g} is out of tolerance")
@@ -265,7 +301,7 @@ def _solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
 def value_vector(spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy) -> np.ndarray:
     """Exact policy evaluation: solve (I - gamma P(x,y)) v = r(x,y)."""
     M = _bellman_matrix(induced_transition(spec, x, y), spec.discount)
-    return _solve(M, induced_reward(spec, x, y))
+    return _solve(M, induced_reward(spec, x, y), _levels(M))
 
 
 def value_rho(spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy) -> float:
@@ -298,20 +334,21 @@ def _policy_iteration(spec: GameSpec, r: np.ndarray, q_of, chain_of):
     evaluates the current policy exactly and moves a state to its greedy
     action only where that gains more than the tie tolerance; each move
     raises the value, so no policy repeats and the loop ends once no state
-    gains.  Returns (v, policy, M): the exact value of the deterministic
-    policy it returns, which is optimal up to ties, and the M = I - gamma P
-    of that policy's chain.  The last q_of call is at the returned v.
+    gains.  Returns (v, policy, M, levels): the exact value of the returned
+    deterministic policy, optimal up to ties, and its chain's M = I - gamma P
+    with M's _levels.  The last q_of call is at the returned v.
     """
     states = np.arange(spec.state_count)
     policy = _greedy(q_of(r.max(axis=1)))[0]
     while True:
         M = _bellman_matrix(chain_of(policy), spec.discount)
-        v = _solve(M, r[states, policy])
+        levels = _levels(M)
+        v = _solve(M, r[states, policy], levels)
         q = q_of(v)
         best, slack = _greedy(q)
         gains = q[states, best] - q[states, policy] > slack
         if not gains.any():
-            return v, policy, M
+            return v, policy, M, levels
         policy = np.where(gains, best, policy)
 
 
@@ -321,15 +358,16 @@ def _recall(spec: GameSpec, x: TeamPolicy):
     return memo[1:] if memo is not None and memo[0] is spec else None
 
 
-def _adversary_iteration(spec: GameSpec, x: TeamPolicy):
-    """(y_star, v_hat, I - gamma P(x, y_star), _continuation at v_hat) of the
-    adversary's best response.  Fills x's memo; on a memo hit only the last
-    two are rebuilt."""
-    w = joint_action_distribution(spec, x)
+def _adversary_iteration(spec: GameSpec, x: TeamPolicy, gathered: list[np.ndarray]):
+    """(y_star, v_hat, M = I - gamma P(x, y_star), M's _levels, _continuation
+    at v_hat) of the adversary's best response, from x's _gathered tables.
+    Fills x's memo; on a memo hit only the last three are rebuilt."""
+    w = _product(spec, gathered)
     memo = _recall(spec, x)
     if memo:
         chain = _pure_adversary_chain(spec, w, memo[0].probs.argmax(axis=1))
-        return *memo, _bellman_matrix(chain, spec.discount), _continuation(spec, memo[1])
+        M = _bellman_matrix(chain, spec.discount)
+        return *memo, M, _levels(M), _continuation(spec, memo[1])
     q = None
 
     def q_of(v):
@@ -338,13 +376,13 @@ def _adversary_iteration(spec: GameSpec, x: TeamPolicy):
         return (w[:, None, :] @ q)[:, 0, :]
 
     r = (w[:, None, :] @ spec.reward)[:, 0, :]
-    v_hat, greedy, M = _policy_iteration(
+    v_hat, greedy, M, levels = _policy_iteration(
         spec, r, q_of, lambda policy: _pure_adversary_chain(spec, w, policy)
     )
     v_hat.setflags(write=False)
     y_star = AdversaryPolicy(np.eye(spec.adversary_actions)[greedy])
     object.__setattr__(x, "_memo", (spec, y_star, v_hat))
-    return y_star, v_hat, M, q
+    return y_star, v_hat, M, levels, q
 
 
 def adversary_best_response(spec: GameSpec, x: TeamPolicy):
@@ -358,7 +396,7 @@ def adversary_best_response(spec: GameSpec, x: TeamPolicy):
     Returns (y_star, v_hat), kept in x's memo: the same objects (v_hat
     read-only) on every call with this spec.
     """
-    return _recall(spec, x) or _adversary_iteration(spec, x)[:2]
+    return _recall(spec, x) or _adversary_iteration(spec, x, _gathered(spec, x))[:2]
 
 
 def team_player_best_response(spec: GameSpec, k: int, x_minus_k: TeamPolicy, y: AdversaryPolicy):
@@ -374,10 +412,10 @@ def team_player_best_response(spec: GameSpec, k: int, x_minus_k: TeamPolicy, y: 
     """
     others = joint_action_distribution(spec, x_minus_k, skip=k)
     digit = spec.action_digits[:, k]
-    v_max, greedy, _ = _policy_iteration(
+    v_max, greedy, _, _ = _policy_iteration(
         spec,
-        -_player_q(spec, others, k, y, spec.reward),
-        lambda v: -_player_q(spec, others, k, y, _continuation(spec, -v)),
+        -_player_q(spec, others, k, spec.reward @ y.probs[:, :, None]),
+        lambda v: -_player_q(spec, others, k, _continuation(spec, -v) @ y.probs[:, :, None]),
         lambda policy: _chain(
             spec, (others * (digit == policy[:, None]))[:, :, None] * y.probs[:, None, :]
         ),
@@ -399,14 +437,16 @@ def policy_gradient(spec: GameSpec, x: TeamPolicy):
         dV/dx_{k,s,a} = d(s) * Qbar_k(s, a)
 
     with d the unnormalized visitation of the chain (x, y_star), taken by
-    one transposed solve on the matrix policy iteration ended with, and
-    Qbar_k the table of _player_q at v_hat.  On a memo hit only y_star's
-    chain is rebuilt.
+    one transposed solve on the M and levels policy iteration ended with,
+    and Qbar_k the table of _player_q at v_hat, all from one gather of the
+    blocks.  On a memo hit only y_star's chain is rebuilt.
     """
-    y_star, v_hat, M, q = _adversary_iteration(spec, x)
-    d = _solve(M.T, spec.initial_dist)
+    gathered = _gathered(spec, x)
+    y_star, v_hat, M, levels, q = _adversary_iteration(spec, x, gathered)
+    d = _solve(M.T, spec.initial_dist, levels and levels[::-1])
+    mixed = q @ y_star.probs[:, :, None]
     grad = np.concatenate([
-        d[:, None] * _player_q(spec, joint_action_distribution(spec, x, skip=k), k, y_star, q)
+        d[:, None] * _player_q(spec, _product(spec, gathered, k), k, mixed)
         for k in range(spec.n_players)
     ], axis=None)
     return y_star, v_hat, grad

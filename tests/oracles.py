@@ -120,19 +120,23 @@ def whole_program(programs) -> LinearProgram:
     )
 
 
-def team_policy_gradient(spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy) -> np.ndarray:
+def team_policy_gradient(
+    spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy, d: np.ndarray | None = None
+) -> np.ndarray:
     """Exact gradient of V_rho(x, y) in all team coordinates, at any y.
 
     dV/dx_{k,s,a} = d(s) * Qbar_k(s, a), with d the unnormalized visitation
-    and Qbar_k player k's pinned-action table.  The identity holds for the
-    multilinear extension off the simplex too, which is what the
-    finite-difference checks use.  At y = y_star(x) it is the gradient
-    atmg.mdp.policy_gradient returns, bit for bit.
+    (by default the dense solve of visitation) and Qbar_k player k's
+    pinned-action table.  The identity holds for the multilinear extension
+    off the simplex too, which is what the finite-difference checks use.
+    At y = y_star(x), given d from atmg.mdp's own solver, it is the
+    gradient atmg.mdp.policy_gradient returns, bit for bit.
     """
     q = _continuation(spec, value_vector(spec, x, y))
-    d = visitation(spec, x, y)
+    d = visitation(spec, x, y) if d is None else d
     return np.concatenate([
-        d[:, None] * _player_q(spec, joint_action_distribution(spec, x, skip=k), k, y, q)
+        d[:, None]
+        * _player_q(spec, joint_action_distribution(spec, x, skip=k), k, q @ y.probs[:, :, None])
         for k in range(spec.n_players)
     ], axis=None)
 

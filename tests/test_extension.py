@@ -376,7 +376,10 @@ def test_grid3_certify_takes_one_evaluation_per_best_response(monkeypatch):
     # best response here on its optimum, so each policy iteration builds
     # one chain: three loop steps of two solves, the last iterate one, and
     # the two team players one each.  From the myopic greedy start every
-    # best response took a second sweep, 15 solves in all.
+    # best response took a second sweep, 15 solves in all.  Under the
+    # adversary's pure best response each chain here is acyclic apart from
+    # self-loops, so every solve, transposed ones included, walks a level
+    # schedule and none reaches LAPACK.
     spec = grid_world(3)
     chains = []
     real = atmg.mdp._policy_iteration
@@ -392,12 +395,14 @@ def test_grid3_certify_takes_one_evaluation_per_best_response(monkeypatch):
 
     monkeypatch.setattr(atmg.mdp, "_policy_iteration", counted)
     solves = count_calls(monkeypatch, atmg.mdp, "_solve")
+    lapack = count_calls(monkeypatch, np.linalg, "solve")
     trace = run(spec, None, IpgmaxConfig(eta=0.1, iters=3, iterate_selection="none"))
     x = trace.policies[-1]
     y, _ = adversary_best_response(spec, x)
     nash_gap(spec, x, y)
     assert len(solves) == 9
     assert chains == [1] * 6
+    assert lapack == []
 
 
 def test_nash_gap_rejects_invalid_policies():

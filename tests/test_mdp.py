@@ -11,7 +11,10 @@ from atmg.game import GameSpec, grid_world
 from atmg.mdp import (
     AdversaryPolicy,
     TeamPolicy,
+    _bellman_matrix,
+    _levels,
     _project_simplex_rows,
+    _solve,
     _successor_mean,
     adversary_best_response,
     check_policies,
@@ -332,6 +335,106 @@ def test_vec_inequality():
 
 
 # ---------------------------------------------------------------------------
+# The solver: level substitution on acyclic chains, dense on cyclic ones
+# ---------------------------------------------------------------------------
+
+def layered_chain(rng: np.random.Generator, S: int, depth: int):
+    """(P, layer): a random permutation of a lower-triangular chain with
+    self-loops.  The states fall in `depth` layers; layer 0 only loops, and
+    every other state loops, moves to a state of the layer just below and
+    maybe to further states below."""
+    layer = rng.permutation(np.concatenate([np.arange(depth), rng.integers(0, depth, S - depth)]))
+    P = np.diag(rng.uniform(0.1, 1.0, S))
+    for s in np.flatnonzero(layer > 0):
+        below = np.flatnonzero(layer < layer[s])
+        P[s, below] = rng.uniform(0.1, 1.0, below.size) * (rng.random(below.size) < 0.3)
+        P[s, rng.choice(np.flatnonzero(layer == layer[s] - 1))] = rng.uniform(0.1, 1.0)
+    return P / P.sum(axis=1, keepdims=True), layer
+
+
+def test_acyclic_chains_solve_both_ways_from_one_schedule(monkeypatch):
+    rng = np.random.default_rng(83)
+    lapack = count_calls(monkeypatch, np.linalg, "solve")
+    for S in range(1, 41):
+        depth = int(rng.integers(1, min(S, atmg.mdp._MAX_LEVELS) + 1))
+        P, layer = layered_chain(rng, S, depth)
+        M = _bellman_matrix(P, rng.uniform(0.0, 0.99))
+        levels = _levels(M)
+        assert [level.tolist() for level in levels] == [
+            np.flatnonzero(layer == i).tolist() for i in range(depth)
+        ]
+        b = rng.uniform(0.05, 0.95, S)
+        z, d = _solve(M, b, levels), _solve(M.T, b, levels[::-1])
+        assert lapack == []
+        np.testing.assert_allclose(z, np.linalg.solve(M, b), rtol=1e-12)
+        np.testing.assert_allclose(d, np.linalg.solve(M.T, b), rtol=1e-12)
+        lapack.clear()
+
+
+def test_cyclic_chains_solve_densely_bit_for_bit():
+    # A full-support chain, a ring with self-loops, and a layered chain with
+    # one edge back up a downward path, which peels part way and then stalls.
+    rng = np.random.default_rng(89)
+    for S in range(2, 41):
+        perm = rng.permutation(S)
+        ring = 0.5 * np.eye(S)
+        ring[perm, np.roll(perm, 1)] += 0.5
+        P, layer = layered_chain(rng, S, int(rng.integers(2, min(S, 8) + 1)))
+        top = s = int(np.argmax(layer))
+        while layer[s] > 0:
+            s = int(np.flatnonzero((P[s] > 0) & (layer == layer[s] - 1))[0])
+        P[s, top] = 1.0
+        for P in (rng.dirichlet(np.ones(S), size=S), ring, P / P.sum(axis=1, keepdims=True)):
+            M = _bellman_matrix(P, rng.uniform(0.0, 0.99))
+            assert _levels(M) is None
+            b = rng.uniform(0.05, 0.95, S)
+            assert _solve(M, b, None).tobytes() == np.linalg.solve(M, b).tobytes()
+            assert _solve(M.T, b, None).tobytes() == np.linalg.solve(M.T, b).tobytes()
+
+
+@pytest.mark.parametrize("S", [1, 5])
+@pytest.mark.parametrize("gamma", [0.0, 0.9])
+def test_an_all_self_loop_chain_is_one_level(S, gamma):
+    M = _bellman_matrix(np.eye(S), gamma)
+    levels = _levels(M)
+    assert [level.tolist() for level in levels] == [list(range(S))]
+    b = np.random.default_rng(97).uniform(0.05, 0.95, S)
+    assert _solve(M, b, levels).tobytes() == (b / (1.0 - gamma)).tobytes()
+    assert _solve(M.T, b, levels[::-1]).tobytes() == (b / (1.0 - gamma)).tobytes()
+
+
+def path_chain(S: int, rng: np.random.Generator) -> np.ndarray:
+    """A permuted path: state i loops or moves to state i - 1, state 0 loops.
+    Its schedule has S levels."""
+    P = 0.5 * np.eye(S) + 0.5 * np.eye(S, k=-1)
+    P[0, 0] = 1.0
+    perm = rng.permutation(S)
+    return P[np.ix_(perm, perm)]
+
+
+@pytest.mark.parametrize("S", [200, 730])
+def test_a_chain_deeper_than_the_level_cap_solves_densely(S, monkeypatch):
+    rng = np.random.default_rng(S)
+    M = _bellman_matrix(path_chain(S, rng), 0.99)
+    b = rng.uniform(0.05, 0.95, S)
+    assert _levels(M) is None
+    z, d = _solve(M, b, None), _solve(M.T, b, None)
+    # Walked level by level without the cap, the same chain gives the same
+    # solution to round-off.
+    monkeypatch.setattr(atmg.mdp, "_MAX_LEVELS", S)
+    levels = _levels(M)
+    assert len(levels) == S
+    np.testing.assert_allclose(_solve(M, b, levels), z, rtol=1e-12)
+    np.testing.assert_allclose(_solve(M.T, b, levels[::-1]), d, rtol=1e-12)
+
+
+def test_a_chain_as_deep_as_the_level_cap_is_substituted():
+    depth = atmg.mdp._MAX_LEVELS
+    M = _bellman_matrix(path_chain(depth, np.random.default_rng(101)), 0.99)
+    assert len(_levels(M)) == depth
+
+
+# ---------------------------------------------------------------------------
 # Best responses
 # ---------------------------------------------------------------------------
 
@@ -505,14 +608,20 @@ def test_policy_gradient_finite_differences():
 @pytest.mark.parametrize("spec,K", successor_list_games())
 def test_policy_gradient_is_the_gradient_at_the_best_response(spec, K):
     # One policy iteration and one transposed solve give what the best
-    # response and the gradient at it give separately, bit for bit.
+    # response and the gradient at it give separately: bit for bit with the
+    # visitation from mdp's own solver, and to round-off with the dense
+    # LAPACK one, which an acyclic chain's level substitution does not use.
     rng = np.random.default_rng(59)
     x, _ = random_policies(rng, spec)
     y_star, v_hat, grad = policy_gradient(spec, x)
     y_ref, v_ref = adversary_best_response(spec, x)
     assert y_star.probs.tobytes() == y_ref.probs.tobytes()
     assert v_hat.tobytes() == v_ref.tobytes()
-    assert grad.tobytes() == team_policy_gradient(spec, x, y_ref).tobytes()
+    M = _bellman_matrix(induced_transition(spec, x, y_ref), spec.discount)
+    levels = _levels(M)
+    d = _solve(M.T, spec.initial_dist, levels and levels[::-1])
+    assert grad.tobytes() == team_policy_gradient(spec, x, y_ref, d).tobytes()
+    np.testing.assert_allclose(grad, team_policy_gradient(spec, x, y_ref), rtol=1e-13, atol=0)
 
 
 def finite_difference_gradient(spec, x, y, h):
