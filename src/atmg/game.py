@@ -109,13 +109,6 @@ class Transitions:
     def nbytes(self) -> int:
         return self.succ.nbytes + self.prob.nbytes
 
-    @cached_property
-    def bins(self) -> np.ndarray:
-        """s * S + succ[s, ...]: each entry's index in a flattened S x S chain."""
-        bins = np.arange(self.succ.shape[0])[:, None, None, None] * self.state_count + self.succ
-        bins.setflags(write=False)
-        return bins
-
 
 @dataclass(frozen=True)
 class GameSpec:

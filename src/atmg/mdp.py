@@ -1,20 +1,21 @@
 """Exact evaluation machinery for one game instance.
 
 Everything here is model-based and deterministic: induced Markov chains,
-value vectors by exact linear solve (level substitution on an acyclic chain,
-one schedule serving its visitation solve too; dense on a cyclic one),
+value vectors by exact linear solve (one sweep per level on an acyclic chain,
+the schedule serving its visitation solve too; dense on a cyclic one),
 discounted visitation measures, best responses by policy iteration, exact
 policy gradients under the direct parametrization, Euclidean projection onto
 the product of simplices, and the Lipschitz/smoothness constants of the
 best-response value function.
-Transition contractions read the game's successor lists: one bincount
-builds an induced S x S chain, and a gather gives expected next-state
-values.  No (S, ., S) table is built.  Policy iteration, the best
-responses and the gradient all use these two forms, and the gradient
+Transition contractions read the game's successor lists: a chain is two
+(S, n) row lists of successors and weights taken from them, and a gather
+gives expected next-state values.  No (S, ., S) table is built, nor an
+S x S matrix unless a chain has no level schedule.  Policy iteration, the
+best responses and the gradient all use these two forms, and the gradient
 reuses the chain its best response ended with.  Each team policy is
 evaluated once across the pipeline: its best response (y_star, v_hat) is
-memoized on the TeamPolicy for one GameSpec object, never with the S x S
-matrix, and adversary_best_response, policy_gradient and value_rho read it.
+memoized on the TeamPolicy for one GameSpec object, never with its chain,
+and adversary_best_response, policy_gradient and value_rho read it.
 
 Policies are stored directly as probability tables.  The team's flattened
 coordinate vector concatenates the per-player blocks in player order, each
@@ -38,10 +39,9 @@ _POLICY_SUM_TOL = 1e-12
 # makes policy iteration cycle.
 _TIE_RTOL = 1e-12
 
-# A chain needing more substitution levels is solved densely.  A level took
-# 25-30 us over the schedule and both solves (2-core host, one BLAS thread),
-# so at S = 200, 32 levels cost the dense pair's 1 ms (a 200-level path took
-# 4 ms).  Grid-world chains under the adversary best response took 2-4.
+# A chain with more levels is solved densely.  Per level, the schedule and both
+# sweeps took 30 us at S = 200 and 50 us at S = 730 (2-core host, one BLAS thread):
+# 32 levels cost 1.0 and 1.6 ms, the dense pair 1.5 and 30 ms.  Grid worlds take 2-4.
 _MAX_LEVELS = 32
 
 
@@ -134,20 +134,14 @@ def check_policies(spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy | None = No
         raise ValueError(
             f"team policy has {len(x.blocks)} blocks, expected {spec.n_players}"
         )
-    for k, (block, a) in enumerate(zip(x.blocks, spec.team_sizes)):
-        if block.shape != (S, a):
-            raise ValueError(f"block {k} has shape {block.shape}, expected {(S, a)}")
-        if not (block >= 0.0).all() or np.abs(block.sum(axis=1) - 1.0).max() > _POLICY_SUM_TOL:
-            raise ValueError(f"block {k} is not a per-state distribution")
+    tables = [(f"block {k}", x.blocks[k], (S, a)) for k, a in enumerate(spec.team_sizes)]
     if y is not None:
-        if y.probs.shape != (S, spec.adversary_actions):
-            raise ValueError(
-                f"adversary policy has shape {y.probs.shape}, "
-                f"expected {(S, spec.adversary_actions)}"
-            )
-        probs = y.probs
-        if not (probs >= 0.0).all() or np.abs(probs.sum(axis=1) - 1.0).max() > _POLICY_SUM_TOL:
-            raise ValueError("adversary policy is not a per-state distribution")
+        tables.append(("adversary policy", y.probs, (S, spec.adversary_actions)))
+    for name, table, shape in tables:
+        if table.shape != shape:
+            raise ValueError(f"{name} has shape {table.shape}, expected {shape}")
+        if not (table >= 0.0).all() or np.abs(table.sum(axis=1) - 1.0).max() > _POLICY_SUM_TOL:
+            raise ValueError(f"{name} is not a per-state distribution")
 
 
 # ---------------------------------------------------------------------------
@@ -184,30 +178,26 @@ def _product(spec: GameSpec, gathered: list[np.ndarray], skip: int | None = None
 # order; einsum with optimize=True would search for a contraction path on
 # every call, which costs more than the arithmetic on small games.
 
-def induced_transition(spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy) -> np.ndarray:
-    """Row-stochastic S x S matrix of the chain induced by (x, y)."""
-    return _chain(spec, joint_action_distribution(spec, x)[:, :, None] * y.probs[:, None, :])
+def _support(probs: np.ndarray):
+    """(acts, p): each row's actions of positive probability in index order,
+    padded to the widest row with actions of probability zero, and p theirs."""
+    acts = np.argsort(probs == 0.0, axis=1, kind="stable")[:, : np.count_nonzero(probs, 1).max()]
+    return acts, np.take_along_axis(probs, acts, axis=1)
 
 
-def _chain(spec: GameSpec, w: np.ndarray) -> np.ndarray:
-    """S x S chain of the (S, J, B) joint-action weights w: one bincount over
-    the successor lists, each entry adding its terms in (j, b, k) order."""
-    S, T = spec.state_count, spec.transition
-    flat = np.bincount(T.bins.ravel(), weights=(w[..., None] * T.prob).ravel(), minlength=S * S)
-    return flat.reshape(S, S)
+def _chain(spec: GameSpec, w: np.ndarray, acts: np.ndarray, p: np.ndarray):
+    """Row lists (cols, wts) of the chain where the team plays the (S, J)
+    joint-action weights w and the adversary acts[s, i] with probability
+    p[s, i]: two (S, m J K) arrays, each row in (i, j, k) order."""
+    T, S = spec.transition, spec.state_count
+    states = np.arange(S)[:, None]
+    wts = (w[:, None, :] * p[:, :, None])[..., None] * T.prob[states, :, acts]
+    return T.succ[states, :, acts].reshape(S, -1), wts.reshape(S, -1)
 
 
-def _pure_adversary_chain(spec: GameSpec, w: np.ndarray, policy: np.ndarray) -> np.ndarray:
-    """induced_transition bit for bit, for the team's joint action table w and
-    the adversary playing policy[s]: the skipped actions add exact zeros."""
-    T, S, states = spec.transition, spec.state_count, np.arange(spec.state_count)
-    weights = (w[:, :, None] * T.prob[states, :, policy]).ravel()
-    return np.bincount(T.bins[states, :, policy].ravel(), weights, S * S).reshape(S, S)
-
-
-def induced_reward(spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy) -> np.ndarray:
-    """Per-state expected adversary reward under (x, y)."""
-    return (marginal_reward_table(spec, x) * y.probs).sum(axis=1)
+def _pure_adversary_chain(spec: GameSpec, w: np.ndarray, policy: np.ndarray):
+    """_chain for the adversary playing policy[s]."""
+    return _chain(spec, w, policy[:, None], np.ones((spec.state_count, 1)))
 
 
 def marginal_reward_table(spec: GameSpec, x: TeamPolicy) -> np.ndarray:
@@ -255,53 +245,75 @@ def _player_q(spec: GameSpec, others: np.ndarray, k: int, mixed: np.ndarray) -> 
 # Values
 # ---------------------------------------------------------------------------
 
-def _bellman_matrix(P: np.ndarray, gamma: float) -> np.ndarray:
-    """I - gamma P, written over the caller's freshly built S x S matrix P."""
-    P *= -gamma
-    P.flat[:: P.shape[0] + 1] += 1.0
-    return P
+def _bellman_rows(chain, gamma: float):
+    """M = I - gamma P of the row lists (cols, wts) as (cols, off, diag, gamma,
+    levels): P's weights off the diagonal, M's diagonal and their _levels."""
+    cols, wts = chain
+    loops = cols == np.arange(cols.shape[0])[:, None]
+    off, diag = np.where(loops, 0.0, wts), 1.0 - gamma * np.where(loops, wts, 0.0).sum(axis=1)
+    return cols, off, diag, gamma, _levels(cols, off)
 
 
-def _levels(M: np.ndarray) -> list[np.ndarray] | None:
-    """Substitution schedule of M = I - gamma P: level 0 holds the states
-    whose row has no off-diagonal entry, each later level those whose row
-    reaches earlier levels only.  None if P has a cycle (self-loops aside)
-    or needs more than _MAX_LEVELS levels."""
-    reach = M != 0.0
-    reach.flat[:: M.shape[0] + 1] = False
-    pending = np.count_nonzero(reach, axis=1)
-    levels, level = [], np.flatnonzero(pending == 0)
-    while level.size and len(levels) < _MAX_LEVELS:
-        levels.append(level)
-        pending[level] = -1
-        pending -= np.count_nonzero(reach[:, level], axis=1)
-        level = np.flatnonzero(pending == 0)
-    return levels if (pending < 0).all() else None
+def _levels(cols: np.ndarray, off: np.ndarray) -> np.ndarray | None:
+    """Each state's level: 0 for a row with no off-diagonal entry, else one
+    more than the deepest level its row reaches.  None on a cycle (self-loops
+    aside) or past _MAX_LEVELS levels.  The states above the current level
+    only shrink, so once their count stalls the rest is cyclic."""
+    edges = off != 0.0
+    blocked, last = edges.any(axis=1), -1
+    levels = np.zeros(blocked.size, dtype=np.intp)
+    for _ in range(_MAX_LEVELS):
+        count = np.count_nonzero(blocked)
+        if count == 0 or count == last:
+            break
+        levels += blocked
+        blocked, last = (edges & blocked[cols]).any(axis=1), count
+    return None if blocked.any() else levels
 
 
-def _solve(M: np.ndarray, b: np.ndarray, levels: list[np.ndarray] | None) -> np.ndarray:
-    """The one value solver: z with M z = b, for M = I - gamma P or its transpose.
+def _solve(M, b: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """The one value solver: z with M z = b (M' z = b with transpose) for
+    M = I - gamma P from _bellman_rows.
 
-    levels is _levels(I - gamma P), reversed for the transpose: each level
-    is z[L] = (b[L] - M[L] z) / diag(M)[L]; with None the solve is dense.
-    Either matrix is strictly diagonally dominant (by rows or by columns)
-    for gamma < 1, so neither solve can fail; the residual is checked
-    against 1e-10 * S anyway, in units of max |b| once that exceeds 1, since
-    round-off grows with the magnitude of the rewards.
+    With levels, z = b / diag is exact on level 0, and each sweep of
+    z = (b + gamma off z) / diag, off z gathered along the rows (scattered
+    for M'), makes one more level exact.  With None, M built densely by
+    one bincount goes to np.linalg.solve.  Either matrix is strictly
+    diagonally dominant (by rows or by columns) for gamma < 1, so neither
+    solve can fail; the residual is checked against 1e-10 * S anyway, in
+    units of max |b| once that exceeds 1, since round-off grows with the
+    magnitude of the rewards.
     """
-    z = np.linalg.solve(M, b) if levels is None else np.zeros_like(b)
-    for level in levels or ():
-        z[level] = (b[level] - M[level] @ z) / M[level, level]
-    residual = float(np.abs(M @ z - b).max())
-    if residual > 1e-10 * b.size * max(1.0, float(np.abs(b).max())):
+    cols, off, diag, gamma, levels = M
+    S = b.size
+
+    def carried(z):  # gamma off z
+        if transpose:
+            return gamma * np.bincount(cols.ravel(), (off * z[:, None]).ravel(), S)
+        return gamma * (off * z[cols]).sum(axis=1)
+
+    if levels is None:
+        flat = (np.arange(S)[:, None] * S + cols).ravel()
+        dense = np.bincount(flat, (-gamma * off).ravel(), S * S).reshape(S, S)
+        dense.flat[:: S + 1] = diag
+        z = np.linalg.solve(dense.T if transpose else dense, b)
+    else:
+        z = b / diag
+        for _ in range(levels.max()):
+            z = (b + carried(z)) / diag
+    residual = float(np.abs(diag * z - carried(z) - b).max())
+    if residual > 1e-10 * S and residual > 1e-10 * S * float(np.abs(b).max()):
         raise RuntimeError(f"policy evaluation residual {residual:g} is out of tolerance")
     return z
 
 
 def value_vector(spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy) -> np.ndarray:
-    """Exact policy evaluation: solve (I - gamma P(x,y)) v = r(x,y)."""
-    M = _bellman_matrix(induced_transition(spec, x, y), spec.discount)
-    return _solve(M, induced_reward(spec, x, y), _levels(M))
+    """Exact policy evaluation: solve (I - gamma P(x,y)) v = r(x,y).  The
+    chain's rows hold only the actions y plays: a pure y's are its
+    _pure_adversary_chain's, bit for bit."""
+    w = joint_action_distribution(spec, x)
+    M = _bellman_rows(_chain(spec, w, *_support(y.probs)), spec.discount)
+    return _solve(M, ((w[:, None, :] @ spec.reward)[:, 0, :] * y.probs).sum(axis=1))
 
 
 def value_rho(spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy) -> float:
@@ -327,28 +339,27 @@ def _policy_iteration(spec: GameSpec, r: np.ndarray, q_of, chain_of):
 
     r is the agent's (S, U) table of one-step payoffs, and q_of(v) is r
     plus gamma times the expected continuation value v;
-    chain_of(policy) is the S x S transition matrix when the agent plays
-    action policy[s] in state s.  Howard's policy iteration: it starts from
-    the greedy policy of one value-iteration step from v = 0, q_of(max_u r),
+    chain_of(policy) is the chain's row lists when the agent plays action
+    policy[s] in state s.  Howard's policy iteration: it starts from the
+    greedy policy of one value-iteration step from v = 0, q_of(max_u r),
     which sees a payoff one step ahead where the rewards alone do not.  It
     evaluates the current policy exactly and moves a state to its greedy
     action only where that gains more than the tie tolerance; each move
     raises the value, so no policy repeats and the loop ends once no state
-    gains.  Returns (v, policy, M, levels): the exact value of the returned
-    deterministic policy, optimal up to ties, and its chain's M = I - gamma P
-    with M's _levels.  The last q_of call is at the returned v.
+    gains.  Returns (v, policy, M): the exact value of the returned
+    deterministic policy, optimal up to ties, and its chain's _bellman_rows.
+    The last q_of call is at the returned v.
     """
     states = np.arange(spec.state_count)
     policy = _greedy(q_of(r.max(axis=1)))[0]
     while True:
-        M = _bellman_matrix(chain_of(policy), spec.discount)
-        levels = _levels(M)
-        v = _solve(M, r[states, policy], levels)
+        M = _bellman_rows(chain_of(policy), spec.discount)
+        v = _solve(M, r[states, policy])
         q = q_of(v)
         best, slack = _greedy(q)
         gains = q[states, best] - q[states, policy] > slack
         if not gains.any():
-            return v, policy, M, levels
+            return v, policy, M
         policy = np.where(gains, best, policy)
 
 
@@ -359,15 +370,14 @@ def _recall(spec: GameSpec, x: TeamPolicy):
 
 
 def _adversary_iteration(spec: GameSpec, x: TeamPolicy, gathered: list[np.ndarray]):
-    """(y_star, v_hat, M = I - gamma P(x, y_star), M's _levels, _continuation
+    """(y_star, v_hat, _bellman_rows of the chain (x, y_star), _continuation
     at v_hat) of the adversary's best response, from x's _gathered tables.
-    Fills x's memo; on a memo hit only the last three are rebuilt."""
+    Fills x's memo; on a memo hit only the last two are rebuilt."""
     w = _product(spec, gathered)
     memo = _recall(spec, x)
     if memo:
         chain = _pure_adversary_chain(spec, w, memo[0].probs.argmax(axis=1))
-        M = _bellman_matrix(chain, spec.discount)
-        return *memo, M, _levels(M), _continuation(spec, memo[1])
+        return *memo, _bellman_rows(chain, spec.discount), _continuation(spec, memo[1])
     q = None
 
     def q_of(v):
@@ -376,13 +386,13 @@ def _adversary_iteration(spec: GameSpec, x: TeamPolicy, gathered: list[np.ndarra
         return (w[:, None, :] @ q)[:, 0, :]
 
     r = (w[:, None, :] @ spec.reward)[:, 0, :]
-    v_hat, greedy, M, levels = _policy_iteration(
+    v_hat, greedy, M = _policy_iteration(
         spec, r, q_of, lambda policy: _pure_adversary_chain(spec, w, policy)
     )
     v_hat.setflags(write=False)
     y_star = AdversaryPolicy(np.eye(spec.adversary_actions)[greedy])
     object.__setattr__(x, "_memo", (spec, y_star, v_hat))
-    return y_star, v_hat, M, levels, q
+    return y_star, v_hat, M, q
 
 
 def adversary_best_response(spec: GameSpec, x: TeamPolicy):
@@ -406,19 +416,16 @@ def team_player_best_response(spec: GameSpec, k: int, x_minus_k: TeamPolicy, y: 
     its own A_k actions that MINIMIZES the adversary's value; policy
     iteration maximizes its negation.  x_minus_k supplies the frozen
     teammates; its block k is ignored.  Returns the deterministic table
-    (S, A_k) and the minimized value rho' v.  The teammates' joint-action
-    weights are built once; a sweep's chain only masks them with player
-    k's pure policy.
+    (S, A_k) and the minimized value rho' v.  The teammates' weights and y's
+    support are built once; each chain masks the weights with k's policy.
     """
     others = joint_action_distribution(spec, x_minus_k, skip=k)
-    digit = spec.action_digits[:, k]
-    v_max, greedy, _, _ = _policy_iteration(
+    digit, support = spec.action_digits[:, k], _support(y.probs)
+    v_max, greedy, _ = _policy_iteration(
         spec,
         -_player_q(spec, others, k, spec.reward @ y.probs[:, :, None]),
         lambda v: -_player_q(spec, others, k, _continuation(spec, -v) @ y.probs[:, :, None]),
-        lambda policy: _chain(
-            spec, (others * (digit == policy[:, None]))[:, :, None] * y.probs[:, None, :]
-        ),
+        lambda policy: _chain(spec, others * (digit == policy[:, None]), *support),
     )
     return np.eye(spec.team_sizes[k])[greedy], -float(spec.initial_dist @ v_max)
 
@@ -437,13 +444,13 @@ def policy_gradient(spec: GameSpec, x: TeamPolicy):
         dV/dx_{k,s,a} = d(s) * Qbar_k(s, a)
 
     with d the unnormalized visitation of the chain (x, y_star), taken by
-    one transposed solve on the M and levels policy iteration ended with,
+    one transposed solve on the rows policy iteration ended with,
     and Qbar_k the table of _player_q at v_hat, all from one gather of the
     blocks.  On a memo hit only y_star's chain is rebuilt.
     """
     gathered = _gathered(spec, x)
-    y_star, v_hat, M, levels, q = _adversary_iteration(spec, x, gathered)
-    d = _solve(M.T, spec.initial_dist, levels and levels[::-1])
+    y_star, v_hat, M, q = _adversary_iteration(spec, x, gathered)
+    d = _solve(M, spec.initial_dist, transpose=True)
     mixed = q @ y_star.probs[:, :, None]
     grad = np.concatenate([
         d[:, None] * _player_q(spec, _product(spec, gathered, k), k, mixed)

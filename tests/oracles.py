@@ -10,8 +10,9 @@ outside the best-response loop, where the library only takes it at the
 best response.  The adversary LP is written out row by row, the reference
 for its vectorized assembly, and its per-state programs are put back on
 one block diagonal.  The transition contractions are einsums over the
-dense tensor, the reference for the library's successor-list forms, and
-the discounted visitation measure is one dense solve.
+dense tensor, the reference for the library's successor-list forms; the
+induced S x S chain is the library's row lists summed into place, and
+the discounted visitation measure is one dense solve on it.
 """
 
 from __future__ import annotations
@@ -24,9 +25,10 @@ from atmg.lp import OPTIMAL, LinearProgram, solve
 from atmg.mdp import (
     AdversaryPolicy,
     TeamPolicy,
+    _chain,
     _continuation,
     _player_q,
-    induced_transition,
+    _support,
     joint_action_distribution,
     marginal_reward_table,
     smoothness_constants,
@@ -55,6 +57,20 @@ def dense_player_transition(
 def dense_successor_mean(spec: GameSpec, v: np.ndarray) -> np.ndarray:
     """(S, J, B) table sum_t P(t | s, j, b) v(t) from the dense tensor."""
     return np.einsum("sjbt,t->sjb", dense_transition(spec.transition), v)
+
+
+def induced_reward(spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy) -> np.ndarray:
+    """Per-state expected adversary reward under (x, y)."""
+    return (marginal_reward_table(spec, x) * y.probs).sum(axis=1)
+
+
+def induced_transition(spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy) -> np.ndarray:
+    """Row-stochastic S x S matrix of the chain induced by (x, y): mdp's
+    row lists of the chain, each entry added into its place."""
+    cols, wts = _chain(spec, joint_action_distribution(spec, x), *_support(y.probs))
+    P = np.zeros((spec.state_count, spec.state_count))
+    np.add.at(P, (np.arange(spec.state_count)[:, None], cols), wts)
+    return P
 
 
 def visitation(spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy) -> np.ndarray:

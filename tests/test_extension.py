@@ -378,8 +378,9 @@ def test_grid3_certify_takes_one_evaluation_per_best_response(monkeypatch):
     # the two team players one each.  From the myopic greedy start every
     # best response took a second sweep, 15 solves in all.  Under the
     # adversary's pure best response each chain here is acyclic apart from
-    # self-loops, so every solve, transposed ones included, walks a level
-    # schedule and none reaches LAPACK.
+    # self-loops, so every solve, transposed ones included, sweeps its
+    # levels on the chain's row lists: none reaches LAPACK, and the whole
+    # pattern peaks below one S x S float64 matrix.
     spec = grid_world(3)
     chains = []
     real = atmg.mdp._policy_iteration
@@ -396,13 +397,19 @@ def test_grid3_certify_takes_one_evaluation_per_best_response(monkeypatch):
     monkeypatch.setattr(atmg.mdp, "_policy_iteration", counted)
     solves = count_calls(monkeypatch, atmg.mdp, "_solve")
     lapack = count_calls(monkeypatch, np.linalg, "solve")
-    trace = run(spec, None, IpgmaxConfig(eta=0.1, iters=3, iterate_selection="none"))
-    x = trace.policies[-1]
-    y, _ = adversary_best_response(spec, x)
-    nash_gap(spec, x, y)
+    tracemalloc.start()
+    try:
+        trace = run(spec, None, IpgmaxConfig(eta=0.1, iters=3, iterate_selection="none"))
+        x = trace.policies[-1]
+        y, _ = adversary_best_response(spec, x)
+        nash_gap(spec, x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert len(solves) == 9
     assert chains == [1] * 6
     assert lapack == []
+    assert peak < spec.state_count**2 * 8
 
 
 def test_nash_gap_rejects_invalid_policies():

@@ -7,19 +7,20 @@ import numpy as np
 import pytest
 
 import atmg.mdp
-from atmg.game import GameSpec, grid_world
+from atmg.game import GameSpec, Transitions, grid_world
 from atmg.mdp import (
     AdversaryPolicy,
     TeamPolicy,
-    _bellman_matrix,
-    _levels,
+    _bellman_rows,
+    _chain,
     _project_simplex_rows,
+    _pure_adversary_chain,
     _solve,
     _successor_mean,
+    _support,
     adversary_best_response,
     check_policies,
-    induced_reward,
-    induced_transition,
+    joint_action_distribution,
     marginal_reward_table,
     policy_gradient,
     project_product_simplex,
@@ -47,6 +48,8 @@ from oracles import (
     dense_marginal_transition,
     dense_player_transition,
     dense_successor_mean,
+    induced_reward,
+    induced_transition,
     q_table as oracle_q_table,
     team_policy_gradient,
     visitation,
@@ -352,22 +355,29 @@ def layered_chain(rng: np.random.Generator, S: int, depth: int):
     return P / P.sum(axis=1, keepdims=True), layer
 
 
+def bellman_rows(P: np.ndarray, gamma: float):
+    """_bellman_rows of the dense chain P, whose row lists keep each row's
+    nonzeros in column order, padded with zero entries to the widest row.
+    Its last entry is the level of each state, or None."""
+    T = Transitions.from_dense(P)
+    return _bellman_rows((T.succ, T.prob), gamma)
+
+
 def test_acyclic_chains_solve_both_ways_from_one_schedule(monkeypatch):
     rng = np.random.default_rng(83)
     lapack = count_calls(monkeypatch, np.linalg, "solve")
     for S in range(1, 41):
         depth = int(rng.integers(1, min(S, atmg.mdp._MAX_LEVELS) + 1))
         P, layer = layered_chain(rng, S, depth)
-        M = _bellman_matrix(P, rng.uniform(0.0, 0.99))
-        levels = _levels(M)
-        assert [level.tolist() for level in levels] == [
-            np.flatnonzero(layer == i).tolist() for i in range(depth)
-        ]
+        gamma = rng.uniform(0.0, 0.99)
+        M = bellman_rows(P, gamma)
+        assert M[-1].tolist() == layer.tolist()
         b = rng.uniform(0.05, 0.95, S)
-        z, d = _solve(M, b, levels), _solve(M.T, b, levels[::-1])
+        z, d = _solve(M, b), _solve(M, b, transpose=True)
         assert lapack == []
-        np.testing.assert_allclose(z, np.linalg.solve(M, b), rtol=1e-12)
-        np.testing.assert_allclose(d, np.linalg.solve(M.T, b), rtol=1e-12)
+        dense = np.eye(S) - gamma * P
+        np.testing.assert_allclose(z, np.linalg.solve(dense, b), rtol=1e-12)
+        np.testing.assert_allclose(d, np.linalg.solve(dense.T, b), rtol=1e-12)
         lapack.clear()
 
 
@@ -385,22 +395,23 @@ def test_cyclic_chains_solve_densely_bit_for_bit():
             s = int(np.flatnonzero((P[s] > 0) & (layer == layer[s] - 1))[0])
         P[s, top] = 1.0
         for P in (rng.dirichlet(np.ones(S), size=S), ring, P / P.sum(axis=1, keepdims=True)):
-            M = _bellman_matrix(P, rng.uniform(0.0, 0.99))
-            assert _levels(M) is None
+            gamma = rng.uniform(0.0, 0.99)
+            M = bellman_rows(P, gamma)
+            assert M[-1] is None
+            dense = np.eye(S) - gamma * P
             b = rng.uniform(0.05, 0.95, S)
-            assert _solve(M, b, None).tobytes() == np.linalg.solve(M, b).tobytes()
-            assert _solve(M.T, b, None).tobytes() == np.linalg.solve(M.T, b).tobytes()
+            assert _solve(M, b).tobytes() == np.linalg.solve(dense, b).tobytes()
+            assert _solve(M, b, transpose=True).tobytes() == np.linalg.solve(dense.T, b).tobytes()
 
 
 @pytest.mark.parametrize("S", [1, 5])
 @pytest.mark.parametrize("gamma", [0.0, 0.9])
 def test_an_all_self_loop_chain_is_one_level(S, gamma):
-    M = _bellman_matrix(np.eye(S), gamma)
-    levels = _levels(M)
-    assert [level.tolist() for level in levels] == [list(range(S))]
+    M = bellman_rows(np.eye(S), gamma)
+    assert M[-1].tolist() == [0] * S
     b = np.random.default_rng(97).uniform(0.05, 0.95, S)
-    assert _solve(M, b, levels).tobytes() == (b / (1.0 - gamma)).tobytes()
-    assert _solve(M.T, b, levels[::-1]).tobytes() == (b / (1.0 - gamma)).tobytes()
+    assert _solve(M, b).tobytes() == (b / (1.0 - gamma)).tobytes()
+    assert _solve(M, b, transpose=True).tobytes() == (b / (1.0 - gamma)).tobytes()
 
 
 def path_chain(S: int, rng: np.random.Generator) -> np.ndarray:
@@ -415,23 +426,66 @@ def path_chain(S: int, rng: np.random.Generator) -> np.ndarray:
 @pytest.mark.parametrize("S", [200, 730])
 def test_a_chain_deeper_than_the_level_cap_solves_densely(S, monkeypatch):
     rng = np.random.default_rng(S)
-    M = _bellman_matrix(path_chain(S, rng), 0.99)
-    b = rng.uniform(0.05, 0.95, S)
-    assert _levels(M) is None
-    z, d = _solve(M, b, None), _solve(M.T, b, None)
-    # Walked level by level without the cap, the same chain gives the same
+    P, b = path_chain(S, rng), rng.uniform(0.05, 0.95, S)
+    M = bellman_rows(P, 0.99)
+    assert M[-1] is None
+    lapack = count_calls(monkeypatch, np.linalg, "solve")
+    z, d = _solve(M, b), _solve(M, b, transpose=True)
+    assert len(lapack) == 2
+    # Swept level by level without the cap, the same chain gives the same
     # solution to round-off.
     monkeypatch.setattr(atmg.mdp, "_MAX_LEVELS", S)
-    levels = _levels(M)
-    assert len(levels) == S
-    np.testing.assert_allclose(_solve(M, b, levels), z, rtol=1e-12)
-    np.testing.assert_allclose(_solve(M.T, b, levels[::-1]), d, rtol=1e-12)
+    M = bellman_rows(P, 0.99)
+    assert sorted(M[-1].tolist()) == list(range(S))
+    np.testing.assert_allclose(_solve(M, b), z, rtol=1e-12)
+    np.testing.assert_allclose(_solve(M, b, transpose=True), d, rtol=1e-12)
+    assert len(lapack) == 2
 
 
 def test_a_chain_as_deep_as_the_level_cap_is_substituted():
     depth = atmg.mdp._MAX_LEVELS
-    M = _bellman_matrix(path_chain(depth, np.random.default_rng(101)), 0.99)
-    assert len(_levels(M)) == depth
+    M = bellman_rows(path_chain(depth, np.random.default_rng(101)), 0.99)
+    assert sorted(M[-1].tolist()) == list(range(depth))
+
+
+def unequal_support_games():
+    """grid_world(2) and random full-support games."""
+    rng = np.random.default_rng(103)
+    games = [pytest.param(grid_world(2), id="grid2")]
+    for i in range(4):
+        S, sizes, B = random_game_dims(rng)
+        spec = make_random_game(rng, max(S, 3), sizes, max(B, 3), 0.9)
+        games.append(pytest.param(spec, id=f"full{i}"))
+    return games
+
+
+@pytest.mark.parametrize("spec", unequal_support_games())
+def test_value_vector_on_rows_of_unequal_support(spec):
+    # The adversary's table mixes pure, two-action and full rows, so the
+    # chain's rows are compacted to each state's support and padded to the
+    # widest; a pure table gives the best-response chain's rows exactly.
+    rng = np.random.default_rng(107)
+    S, B = spec.state_count, spec.adversary_actions
+    x, _ = random_policies(rng, spec)
+    probs = np.zeros((S, B))
+    for s, kind in enumerate(rng.permutation(np.arange(S) % 3)):
+        acts = rng.choice(B, size=(1, 2, B)[kind], replace=False)
+        probs[s, acts] = rng.dirichlet(np.ones(acts.size))
+    y = AdversaryPolicy(probs)
+    P = np.einsum("sb,sbt->st", probs, dense_marginal_transition(spec, x))
+    expect = np.linalg.solve(np.eye(S) - spec.discount * P, induced_reward(spec, x, y))
+    np.testing.assert_allclose(value_vector(spec, x, y), expect, rtol=1e-12)
+    acts, p = _support(y.probs)
+    assert acts.shape == (S, B)
+    assert (np.count_nonzero(p, axis=1) == np.count_nonzero(probs, axis=1)).all()
+    policy = rng.integers(B, size=S)
+    pure = AdversaryPolicy(np.eye(B)[policy])
+    w = joint_action_distribution(spec, x)
+    rows, pure_rows = _chain(spec, w, *_support(pure.probs)), _pure_adversary_chain(spec, w, policy)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(rows, pure_rows))
+    M = _bellman_rows(pure_rows, spec.discount)
+    v = _solve(M, marginal_reward_table(spec, x)[np.arange(S), policy])
+    assert value_vector(spec, x, pure).tobytes() == v.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -571,15 +625,30 @@ def traced_peak(call) -> int:
 
 
 def test_best_responses_stay_within_three_state_by_state_matrices():
-    # Policy iteration holds the S x S chain, its Bellman matrix and the
-    # solver's copy of it; one (S, U, S) table with U >= 4 actions would
-    # alone exceed the bound.
+    # A cyclic chain's dense solve holds its S x S matrix and LAPACK's copy
+    # of it; one (S, U, S) table with U >= 4 actions would alone exceed the
+    # bound.
     spec = grid_world(3)
     S = spec.state_count
     x, y = uniform_team_policy(spec), uniform_adversary_policy(spec)
     bound = 3 * S**2 * 8
     assert traced_peak(lambda: adversary_best_response(spec, x)) < bound
     assert traced_peak(lambda: team_player_best_response(spec, 0, x, y)) < bound
+
+
+def test_acyclic_solves_hold_no_state_by_state_matrix():
+    # Against a pure adversary policy every grid_world(3) chain here is
+    # acyclic, so its solves run on the (S, n) row lists alone: each call
+    # peaks below one S x S float64 matrix.
+    spec = grid_world(3)
+    S = spec.state_count
+    y, _ = adversary_best_response(spec, uniform_team_policy(spec))
+    bound = S**2 * 8
+    assert traced_peak(lambda: adversary_best_response(spec, uniform_team_policy(spec))) < bound
+    assert traced_peak(lambda: policy_gradient(spec, uniform_team_policy(spec))) < bound
+    for k in range(spec.n_players):
+        x = uniform_team_policy(spec)
+        assert traced_peak(lambda: team_player_best_response(spec, k, x, y)) < bound
 
 
 # ---------------------------------------------------------------------------
@@ -610,16 +679,16 @@ def test_policy_gradient_is_the_gradient_at_the_best_response(spec, K):
     # One policy iteration and one transposed solve give what the best
     # response and the gradient at it give separately: bit for bit with the
     # visitation from mdp's own solver, and to round-off with the dense
-    # LAPACK one, which an acyclic chain's level substitution does not use.
+    # LAPACK one, which an acyclic chain's level sweeps do not use.
     rng = np.random.default_rng(59)
     x, _ = random_policies(rng, spec)
     y_star, v_hat, grad = policy_gradient(spec, x)
     y_ref, v_ref = adversary_best_response(spec, x)
     assert y_star.probs.tobytes() == y_ref.probs.tobytes()
     assert v_hat.tobytes() == v_ref.tobytes()
-    M = _bellman_matrix(induced_transition(spec, x, y_ref), spec.discount)
-    levels = _levels(M)
-    d = _solve(M.T, spec.initial_dist, levels and levels[::-1])
+    chain = _chain(spec, joint_action_distribution(spec, x), *_support(y_ref.probs))
+    M = _bellman_rows(chain, spec.discount)
+    d = _solve(M, spec.initial_dist, transpose=True)
     assert grad.tobytes() == team_policy_gradient(spec, x, y_ref, d).tobytes()
     np.testing.assert_allclose(grad, team_policy_gradient(spec, x, y_ref), rtol=1e-13, atol=0)
 
@@ -891,7 +960,7 @@ def test_value_rho_at_the_memo_best_response_is_the_dense_value(spec, monkeypatc
     solves = count_calls(monkeypatch, atmg.mdp, "_solve")
     assert value_rho(spec, x, y_star) == dense
     assert solves == []
-    # Any other adversary policy, even an equal copy, is evaluated densely.
+    # Any other adversary policy, even an equal copy, is evaluated afresh.
     assert value_rho(spec, x, AdversaryPolicy(y_star.probs)) == dense
     assert value_rho(spec, x, y) == value_rho(spec, fresh(x), y)
     assert len(solves) == 3
