@@ -29,7 +29,6 @@ import numpy as np
 
 from .extension import LpAdvInfeasibleError, adv_nash_policy, nash_gap
 from .game import (
-    DegenerateRewardsError,
     GameSpec,
     grid_world,
     load_game,
@@ -37,7 +36,7 @@ from .game import (
     save_game,
     validate,
 )
-from .ipgmax import IpgmaxConfig, resolve_schedule, run, select_iterate
+from .ipgmax import IpgmaxConfig, resolve_schedule, run
 from .mdp import AdversaryPolicy, TeamPolicy, check_policies
 
 log = logging.getLogger(__name__)
@@ -62,6 +61,26 @@ def _fail(message: str) -> int:
 
 def _fmt(x: float) -> str:
     return format(float(x), ".12g")
+
+
+def _valid(spec: GameSpec) -> GameSpec:
+    """spec, or a ValueError naming every problem validate finds in it."""
+    problems = validate(spec)
+    if problems:
+        raise ValueError("invalid game: " + "; ".join(problems))
+    return spec
+
+
+def _load(path) -> GameSpec:
+    """The valid game in the file at path; a ValueError says why there is none."""
+    path = Path(path)
+    if not path.is_file():
+        raise ValueError(f"game file not found: {path}")
+    try:
+        spec = load_game(path)
+    except ValueError as exc:
+        raise ValueError(f"cannot load {exc}") from None
+    return _valid(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -147,60 +166,38 @@ def _certify(normalized: GameSpec, trace, report: dict, out_dir: Path, started: 
     if gap is None:
         return EXIT_LP_INFEASIBLE
     log.info(
-        "seed %d: t_star=%d prox_gap=%.3e certified=%.3e",
-        report["config"]["seed"],
-        t_star,
-        measured,
-        gap.epsilon_certified,
+        "t_star=%d prox_gap=%.3e certified=%.3e", t_star, measured, gap.epsilon_certified
     )
     return EXIT_OK
 
 
 def cmd_solve(args) -> int:
-    """Run the gradient loop once; select, extract and verify once per seed.
-
-    The trace does not depend on the seed, which only drives --select
-    random, so --jobs N reuses it and its cached prox gaps for every seed.
-    """
-    if args.jobs < 1:
-        return _fail(f"--jobs must be at least 1, got {args.jobs}")
-    if args.game is not None:
-        path = Path(args.game)
-        if not path.is_file():
-            return _fail(f"game file not found: {path}")
-        try:
-            spec = load_game(path)
-        except ValueError as exc:
-            return _fail(f"cannot load {exc}")
-    else:
-        if args.gridworld < 2:
-            return _fail(f"--gridworld needs a side of at least 2, got {args.gridworld}")
-        spec = grid_world(args.gridworld)
-
-    problems = validate(spec)
-    if problems:
-        return _fail("invalid game: " + "; ".join(problems))
-    try:
-        normalized, shift, scale = normalize_rewards(spec)
-    except DegenerateRewardsError as exc:
-        return _fail(str(exc))
-
-    selection = {"prox": "prox_scan", "random": "random"}[args.select]
+    """Run the gradient loop, then extract and verify the selected iterate."""
+    out = Path(args.out)
+    # _certify's mkdir would fail only after the loop; refuse such an --out now.
+    base = next(p for p in (out, *out.parents) if p.exists())
+    if not base.is_dir():
+        return _fail(f"cannot write {out}: {base} is not a directory")
+    if args.game is None and args.gridworld < 2:
+        return _fail(f"--gridworld needs a side of at least 2, got {args.gridworld}")
     config = IpgmaxConfig(
         epsilon=args.epsilon,
         eta=args.eta,
         iters=args.iters,
         schedule_mode=args.schedule,
-        iterate_selection=selection,
+        iterate_selection={"prox": "prox_scan", "random": "random"}[args.select],
         delta=args.delta,
         seed=args.seed,
         cap_iters=args.cap_iters,
     )
     try:
-        config.validate()
-        eta_used, T_used = resolve_schedule(normalized, config)
+        spec = _valid(grid_world(args.gridworld)) if args.game is None else _load(args.game)
+        normalized, shift, scale = normalize_rewards(spec)
+        started = time.perf_counter()
+        trace = run(normalized, None, config)
     except ValueError as exc:
         return _fail(str(exc))
+    eta_used, T_used = resolve_schedule(normalized, config)
 
     report = {
         "game": {
@@ -221,20 +218,7 @@ def cmd_solve(args) -> int:
         },
         "normalization": {"shift": shift, "scale": scale},
     }
-    started = time.perf_counter()
-    try:
-        trace = run(normalized, None, config)  # selects for args.seed
-    except ValueError as exc:
-        return _fail(str(exc))
-    out = Path(args.out)
-    codes = []
-    for seed in range(args.seed, args.seed + args.jobs):
-        if seed != args.seed:
-            select_iterate(normalized, trace, selection, delta=args.delta, seed=seed)
-        seed_report = dict(report, config=dict(report["config"], seed=seed))
-        out_dir = out if args.jobs <= 1 else out / f"seed-{seed}"
-        codes.append(_certify(normalized, trace, seed_report, out_dir, started))
-    return max(codes)
+    return _certify(normalized, trace, report, out, started)
 
 
 # ---------------------------------------------------------------------------
@@ -260,16 +244,10 @@ def _policies_from_json(spec: GameSpec, payload: dict) -> tuple[TeamPolicy, Adve
 def cmd_verify(args) -> int:
     if not (np.isfinite(args.epsilon) and args.epsilon >= 0.0):
         return _fail(f"--epsilon must be finite and >= 0, got {args.epsilon}")
-    path = Path(args.game)
-    if not path.is_file():
-        return _fail(f"game file not found: {path}")
     try:
-        spec = load_game(path)
+        spec = _load(args.game)
     except ValueError as exc:
-        return _fail(f"cannot load {exc}")
-    problems = validate(spec)
-    if problems:
-        return _fail("invalid game: " + "; ".join(problems))
+        return _fail(str(exc))
 
     pol_path = Path(args.policies)
     if not pol_path.is_file():
@@ -296,15 +274,15 @@ def cmd_gridworld(args) -> int:
     if args.n < 2:
         return _fail(f"--n must be at least 2, got {args.n}")
     try:
-        spec = grid_world(args.n, shift_delta=args.shift_delta, discount=args.gamma)
+        spec = _valid(grid_world(args.n, shift_delta=args.shift_delta, discount=args.gamma))
     except ValueError as exc:
         return _fail(str(exc))
-    problems = validate(spec)
-    if problems:
-        return _fail("invalid game: " + "; ".join(problems))
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    save_game(spec, out)
+    try:
+        out.parent.mkdir(parents=True, exist_ok=True)
+        save_game(spec, out)
+    except OSError as exc:
+        return _fail(f"cannot write {out}: {exc}")
     print(f"wrote {spec.state_count}-state game to {out}")
     return EXIT_OK
 
@@ -359,12 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--out", required=True, metavar="DIR")
-    solve.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="select, extract and verify for this many seeds (the loop runs once)",
-    )
     solve.set_defaults(func=cmd_solve)
 
     verify = sub.add_parser("verify", help="recompute the Nash gap of stored policies")

@@ -113,10 +113,10 @@ class RunTrace:
     iterate stopped moving.  frob_norms[t] is the Frobenius norm of the
     consecutive joint-policy difference, zero at t = 0 by convention; at
     t = 1 only the team part can move since there is no previous adversary
-    policy.  prox_gaps caches every proximal gap evaluated at a trace
-    index; indices that hold the same policy object, as the copied fixed
-    tail does, share one evaluation.  Iterate selection sets t_star; x_hat
-    is policies[t_star].
+    policy.  prox_gaps holds the proximal gap of every trace index that
+    iterate selection scored; indices that hold the same policy object, as
+    the copied fixed tail does, share one evaluation.  Iterate selection
+    sets t_star; x_hat is policies[t_star].
     """
 
     policies: list[TeamPolicy]
@@ -399,9 +399,9 @@ def select_iterate(
     "prox_scan" evaluates the proximal gap at every ceil(T/100)-th iterate
     plus the last candidate and returns the argmin.  "random" draws
     ceil(ln(1/delta)) indices uniformly with replacement and keeps the best
-    of those.  The final policy x(T) is never a candidate.  All evaluated
-    gaps are cached in trace.prox_gaps, one entry per candidate index; a
-    policy object that several candidates hold is scored once.
+    of those.  The final policy x(T) is never a candidate.  Every candidate's
+    gap is stored in trace.prox_gaps under its index; a policy object that
+    several candidates hold is scored once.
     """
     T = trace.iterations
     if T < 1:
@@ -416,7 +416,7 @@ def select_iterate(
     else:
         raise ValueError(f"unknown selection mode {mode!r}")
 
-    scored = {id(trace.policies[t]): gap for t, gap in trace.prox_gaps.items()}
+    scored: dict[int, float] = {}
     best_t = None
     best_gap = np.inf
     for t in candidates:

@@ -108,8 +108,10 @@ def test_solve_pennies_manual(tmp_path, pennies_file):
     assert np.array(policies["lambda"]).shape == (1, 2)
 
 
-def test_solve_is_reproducible(tmp_path, pennies_file):
-    args = ["solve", "--game", str(pennies_file), "--eta", "0.05", "--iters", "25"]
+@pytest.mark.parametrize("select", [["--select", "prox"], ["--select", "random", "--seed", "7"]],
+                         ids=["prox", "random"])
+def test_solve_is_reproducible(tmp_path, pennies_file, select):
+    args = ["solve", "--game", str(pennies_file), "--eta", "0.05", "--iters", "25"] + select
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
@@ -226,12 +228,10 @@ def test_solve_manual_requires_eta_and_iters(tmp_path, capsys, pennies_file):
     ["--eta", "0.1", "--iters", "5", "--cap-iters", "0"],
     ["--eta", "0.1", "--iters", "5", "--cap-iters", "-1"],
     ["--eta", "0.1", "--iters", "5", "--cap-iters", "-4"],
-    ["--eta", "0.1", "--iters", "5", "--jobs", "0"],
-    ["--eta", "0.1", "--iters", "5", "--jobs", "-2"],
     ["--schedule", "proposition", "--epsilon", "1e-5"],
     ["--eta", "0.1", "--iters", "1000000000000"],
 ], ids=["eta-nan", "eta-inf", "epsilon-inf", "cap-0", "cap-minus-1", "cap-minus-4",
-        "jobs-0", "jobs-minus-2", "proposition-huge-T", "iters-huge"])
+        "proposition-huge-T", "iters-huge"])
 def test_solve_rejects_out_of_range_settings(tmp_path, capsys, pennies_file, args):
     out = tmp_path / "run"
     code = main(["solve", "--game", str(pennies_file), "--out", str(out)] + args)
@@ -276,42 +276,6 @@ def test_solve_gridworld_proposition(tmp_path):
     assert report["config"]["eta"] == pytest.approx(0.008)
     assert report["lp_status"] == "feasible"
     assert len((out / "trace.csv").read_text().splitlines()) == 4
-
-
-def test_solve_jobs_fan_out(tmp_path, pennies_file):
-    out = tmp_path / "multi"
-    code = main([
-        "solve", "--game", str(pennies_file),
-        "--eta", "0.05", "--iters", "10",
-        "--seed", "5", "--jobs", "2", "--out", str(out),
-    ])
-    assert code == 0
-    for seed in (5, 6):
-        sub = out / f"seed-{seed}"
-        assert (sub / "trace.csv").is_file()
-        assert (sub / "policies.json").is_file()
-        assert read_report(sub)["config"]["seed"] == seed
-
-
-@pytest.mark.parametrize("select", ["prox", "random"])
-def test_solve_jobs_runs_the_loop_once(tmp_path, pennies_file, monkeypatch, select):
-    runs = count_calls(monkeypatch, atmg.cli, "run")
-    args = ["solve", "--game", str(pennies_file), "--eta", "0.05", "--iters", "20",
-            "--select", select]
-    out = tmp_path / "multi"
-    assert main(args + ["--seed", "5", "--jobs", "3", "--out", str(out)]) == 0
-    assert len(runs) == 1
-
-    seeds = [out / f"seed-{seed}" for seed in (5, 6, 7)]
-    assert len({(sub / "trace.csv").read_bytes() for sub in seeds}) == 1
-    if select == "prox":
-        assert len({(sub / "policies.json").read_bytes() for sub in seeds}) == 1
-    # Each seed's files are those of a single-seed run with that seed.
-    single = tmp_path / "single"
-    assert main(args + ["--seed", "7", "--out", str(single)]) == 0
-    for name in ("trace.csv", "policies.json"):
-        assert (single / name).read_bytes() == (seeds[-1] / name).read_bytes()
-    assert read_report(single)["t_star"] == read_report(seeds[-1])["t_star"]
 
 
 def test_solve_lp_infeasible_exit_code(tmp_path, pennies_file, monkeypatch, capsys):
@@ -465,9 +429,10 @@ SOLVE = ["solve", "--gridworld", "2", "--eta", "0.1", "--iters", "5"]
     SOLVE,
     ["solve", "--gridworld", "2", "--eta", "0.1", "--iters", "abc", "--out", "x"],
     SOLVE + ["--out", "x", "--schedule", "foo"],
+    SOLVE + ["--out", "x", "--jobs", "2"],
     [],
 ], ids=["unknown-flag", "missing-value", "missing-out", "iters-abc", "schedule-foo",
-        "no-subcommand"])
+        "jobs", "no-subcommand"])
 def test_usage_errors_exit_1(tmp_path, monkeypatch, capsys, argv):
     # Exit code 2 is reserved for an infeasible adversary LP.
     monkeypatch.chdir(tmp_path)
@@ -478,6 +443,23 @@ def test_usage_errors_exit_1(tmp_path, monkeypatch, capsys, argv):
     assert captured.err.startswith("usage: atmg")
     assert "error:" in captured.err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,out", [
+    (SOLVE, "file"),
+    (SOLVE, "file/x"),
+    (["gridworld", "--n", "2"], "file/x.json"),
+    (["gridworld", "--n", "2"], "."),
+], ids=["solve-at-file", "solve-under-file", "gridworld-under-file", "gridworld-at-dir"])
+def test_out_that_cannot_be_written_fails_cleanly(tmp_path, capsys, monkeypatch, argv, out):
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n")
+    runs = count_calls(monkeypatch, atmg.cli, "run")
+    assert main(argv + ["--out", str(tmp_path / out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
+    assert runs == []  # solve refuses before the loop
+    assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == "kept\n"
 
 
 # ---------------------------------------------------------------------------
