@@ -36,7 +36,7 @@ from .game import (
     save_game,
     validate,
 )
-from .ipgmax import IpgmaxConfig, resolve_schedule, run
+from .ipgmax import SCHEDULE_MODES, IpgmaxConfig, resolve_schedule, run
 from .mdp import AdversaryPolicy, TeamPolicy, check_policies
 
 log = logging.getLogger(__name__)
@@ -106,7 +106,7 @@ def _policies_payload(x: TeamPolicy, y: AdversaryPolicy | None, lam) -> dict:
     return {
         "x": [block.tolist() for block in x.blocks],
         "y": None if y is None else y.probs.tolist(),
-        "lambda": None if lam is None else lam.table.tolist(),
+        "lambda": None if lam is None else lam.tolist(),
     }
 
 
@@ -185,7 +185,7 @@ def cmd_solve(args) -> int:
         eta=args.eta,
         iters=args.iters,
         schedule_mode=args.schedule,
-        iterate_selection={"prox": "prox_scan", "random": "random"}[args.select],
+        iterate_selection=args.select,
         delta=args.delta,
         seed=args.seed,
         cap_iters=args.cap_iters,
@@ -225,7 +225,7 @@ def cmd_solve(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _policies_from_json(spec: GameSpec, payload: dict) -> tuple[TeamPolicy, AdversaryPolicy]:
+def _policies_from_json(payload: dict) -> tuple[TeamPolicy, AdversaryPolicy]:
     try:
         blocks = tuple(
             np.asarray(block, dtype=np.float64) for block in payload["x"]
@@ -233,11 +233,6 @@ def _policies_from_json(spec: GameSpec, payload: dict) -> tuple[TeamPolicy, Adve
         probs = np.asarray(payload["y"], dtype=np.float64)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"policies file does not match schema: {exc}") from exc
-    if len(blocks) != spec.n_players:
-        raise ValueError(
-            f"policies file has {len(blocks)} team blocks, "
-            f"game has {spec.n_players} players"
-        )
     return TeamPolicy(blocks=blocks), AdversaryPolicy(probs=probs)
 
 
@@ -254,7 +249,7 @@ def cmd_verify(args) -> int:
         return _fail(f"policies file not found: {pol_path}")
     try:
         payload = json.loads(pol_path.read_text(encoding="utf-8"))
-        x, y = _policies_from_json(spec, payload)
+        x, y = _policies_from_json(payload)
         check_policies(spec, x, y)
     except ValueError as exc:
         return _fail(f"cannot load {pol_path}: {exc}")
@@ -323,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     solve.add_argument(
         "--schedule",
-        choices=("manual", "proposition", "theorem"),
+        choices=SCHEDULE_MODES,
         default="manual",
     )
     solve.add_argument(

@@ -21,10 +21,12 @@ from .lp import FEASIBLE, LinearProgram, find_feasible
 from .mdp import (
     AdversaryPolicy,
     TeamPolicy,
+    _continuation,
+    _gathered,
+    _product,
     adversary_best_response,
     check_policies,
     marginal_reward_table,
-    q_table,
     smoothness_constants,
     team_player_best_response,
     value_rho,
@@ -53,13 +55,6 @@ class ExtensionConstants:
 
 
 @dataclass(frozen=True)
-class LagrangeMultipliers:
-    """Feasible lambda(s, b) table; the spec symbol is a Python keyword."""
-
-    table: np.ndarray
-
-
-@dataclass(frozen=True)
 class NashGapReport:
     """Exact unilateral-deviation gaps at a joint policy."""
 
@@ -82,11 +77,6 @@ def extension_constants(spec: GameSpec) -> ExtensionConstants:
     c2 = (root + gamma * S * root / one_minus + gamma * S * sm.L + sm.L) / one_minus
     c1 = 4.0 * sm.ell + c2
     return ExtensionConstants(c1=c1, c2=c2)
-
-
-def _bellman_slack(spec: GameSpec, x: TeamPolicy, v: np.ndarray) -> np.ndarray:
-    """(S, B) table r(s, x, b) + gamma sum_t P(t | s, x, b) v(t) - v(s)."""
-    return q_table(spec, x, v) - v[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +103,9 @@ def build_lp_adv(
     variables lambda(s, .).  Each has R = sum_k A_k + 2B + 2 rows, in this
     order:
 
-      (a) per player k, action a: the deviation Q-value of playing a
-          against x_hat's other blocks, averaged under lambda(s, .),
+      (a) per player k, action a: the Q-value of k pinning a while the
+          others play x_hat (x_hat's weights without k's factor, masked to
+          the joint actions where k plays a), averaged under lambda(s, .),
           exceeds v_hat(s) by at least -c1*eps;
       (b), (c) per b: lambda(s, b) times the Bellman slack of (s, b) at
           x_hat stays within [-c2*eps, +c2*eps] (the slack is a scalar, so
@@ -140,13 +131,21 @@ def build_lp_adv(
     A = spec.sum_team_actions
     cons = extension_constants(spec)
 
-    # deviation[s, i, b]: the Bellman slack at (s, b) of the i-th (player,
-    # pure action) deviation, its deviation value minus v_hat(s).
+    # One gather of x_hat and one continuation table serve every row, with
+    # one matmul per weight table (batching could reorder the sums).  A pure
+    # block's factors are exactly 0 or 1, so each deviation's masked weights
+    # equal x_hat's with k's block pinned, bit for bit.
+    gathered = _gathered(spec, x_hat)
+    q = _continuation(spec, v_hat)
+
+    def bellman_slack(w):  # r(s, w, b) + gamma E[v_hat(t)] - v_hat(s)
+        return (w[:, None, :] @ q)[:, 0, :] - v_hat[:, None]
+
     deviation = np.stack([
-        _bellman_slack(spec, x_hat.with_block(k, np.tile(pure, (S, 1))), v_hat)
-        for k, size in enumerate(spec.team_sizes) for pure in np.eye(size)
+        bellman_slack(_product(spec, gathered, k) * (spec.action_digits[:, k] == a))
+        for k, size in enumerate(spec.team_sizes) for a in range(size)
     ], axis=1)
-    slack = _bellman_slack(spec, x_hat, v_hat)[:, :, None] * np.eye(B)
+    slack = bellman_slack(_product(spec, gathered))[:, :, None] * np.eye(B)
     lhs = np.concatenate([deviation, slack, slack, np.ones((S, 2, B))], axis=1)
 
     senses = (">=",) * A + ("<=",) * B + (">=",) * B + (">=", "<=")
@@ -162,13 +161,14 @@ def build_lp_adv(
 
 def adv_nash_policy(
     spec: GameSpec, x_hat: TeamPolicy, epsilon: float
-) -> tuple[AdversaryPolicy, LagrangeMultipliers]:
+) -> tuple[AdversaryPolicy, np.ndarray]:
     """Extract the adversary's equilibrium policy at a near-stationary x_hat.
 
     Solves the adversary's best-response MDP for v_hat and builds the LP,
     one program per state: any feasible point of each, stitched together,
     is feasible for the whole LP.  Row-normalizing it is safe because every
-    feasible lambda has row sums at least rho(s) > 0.
+    feasible lambda has row sums at least rho(s) > 0.  Returns (y_hat, lam)
+    with lam the (S, B) table of multipliers lambda(s, b), clipped at 0.
     """
     _, v_hat = adversary_best_response(spec, x_hat)
     lam = np.empty((spec.state_count, spec.adversary_actions))
@@ -183,7 +183,7 @@ def adv_nash_policy(
         lam[s] = sol.x
     lam = np.maximum(lam, 0.0)
     y_hat = lam / lam.sum(axis=1, keepdims=True)
-    return AdversaryPolicy(probs=y_hat), LagrangeMultipliers(table=lam)
+    return AdversaryPolicy(probs=y_hat), lam
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from .mdp import (
 log = logging.getLogger(__name__)
 
 SCHEDULE_MODES = ("manual", "proposition", "theorem")
-SELECTION_MODES = ("prox_scan", "random", "none")
+SELECTION_MODES = ("prox", "random", "none")
 
 # prox_point stops once an iterate moves less than PROX_TOL, or after
 # PROX_MAX_ITER steps.
@@ -67,7 +67,7 @@ class IpgmaxConfig:
     eta: float | None = None
     iters: int | None = None
     schedule_mode: str = "manual"
-    iterate_selection: str = "prox_scan"
+    iterate_selection: str = "prox"
     delta: float = 0.5
     seed: int = 0
     cap_iters: int | None = None
@@ -396,7 +396,7 @@ def select_iterate(
 ) -> int:
     """Pick t_star in {0, ..., T-1} and stamp it into the trace.
 
-    "prox_scan" evaluates the proximal gap at every ceil(T/100)-th iterate
+    "prox" evaluates the proximal gap at every ceil(T/100)-th iterate
     plus the last candidate and returns the argmin.  "random" draws
     ceil(ln(1/delta)) indices uniformly with replacement and keeps the best
     of those.  The final policy x(T) is never a candidate.  Every candidate's
@@ -407,7 +407,7 @@ def select_iterate(
     if T < 1:
         raise ValueError("trace is empty")
 
-    if mode == "prox_scan":
+    if mode == "prox":
         candidates = sorted(set(range(0, T, math.ceil(T / 100))) | {T - 1})
     elif mode == "random":
         draws = math.ceil(math.log(1.0 / delta))

@@ -71,12 +71,6 @@ class TeamPolicy:
         """Flatten to the shared team coordinate layout."""
         return np.concatenate([block.ravel() for block in self.blocks])
 
-    def with_block(self, k: int, block: np.ndarray) -> "TeamPolicy":
-        """Copy of this policy with player k's table replaced."""
-        new_blocks = list(self.blocks)
-        new_blocks[k] = block
-        return TeamPolicy(tuple(new_blocks))
-
 
 @dataclass(frozen=True)
 class AdversaryPolicy:
@@ -217,16 +211,6 @@ def _successor_mean(spec: GameSpec, v: np.ndarray) -> np.ndarray:
 def _continuation(spec: GameSpec, v: np.ndarray) -> np.ndarray:
     """(S, J, B) table r(s, j, b) + gamma sum_{s'} P(s' | s, j, b) v(s')."""
     return spec.reward + spec.discount * _successor_mean(spec, v)
-
-
-def q_table(spec: GameSpec, x: TeamPolicy, v: np.ndarray) -> np.ndarray:
-    """(S, B) table r(s, x, b) + gamma sum_{s'} P(s' | s, x, b) v(s').
-
-    The one-step payoff plus continuation is gathered per joint action and
-    then mixed over the team, so no (S, B, S) table is built.
-    """
-    w = joint_action_distribution(spec, x)
-    return (w[:, None, :] @ _continuation(spec, v))[:, 0, :]
 
 
 def _player_q(spec: GameSpec, others: np.ndarray, k: int, mixed: np.ndarray) -> np.ndarray:

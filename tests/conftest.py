@@ -3,8 +3,9 @@
 Random games use Dirichlet transition rows, rewards uniform in (0.05, 0.95)
 so value bounds have real margin, and an initial distribution mixed with
 uniform so it always has full support.  The small helpers below (the dense
-transition tensor, joint-action indices, the uniform adversary) serve only
-the tests, so they live here rather than in atmg.
+transition tensor, joint-action indices, the uniform adversary, a team
+policy with one block replaced) serve only the tests, so they live here
+rather than in atmg.
 """
 
 from __future__ import annotations
@@ -112,6 +113,13 @@ def random_policies(
     )
     probs = rng.dirichlet(np.ones(spec.adversary_actions), size=spec.state_count)
     return TeamPolicy(blocks=blocks), AdversaryPolicy(probs=probs)
+
+
+def with_block(x: TeamPolicy, k: int, block: np.ndarray) -> TeamPolicy:
+    """Copy of x with player k's table replaced."""
+    blocks = list(x.blocks)
+    blocks[k] = block
+    return TeamPolicy(tuple(blocks))
 
 
 def count_calls(monkeypatch, module, name: str) -> list:

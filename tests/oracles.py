@@ -34,7 +34,7 @@ from atmg.mdp import (
     smoothness_constants,
     value_vector,
 )
-from conftest import dense_transition
+from conftest import dense_transition, with_block
 
 
 def dense_marginal_transition(spec: GameSpec, x: TeamPolicy) -> np.ndarray:
@@ -48,7 +48,7 @@ def dense_player_transition(
 ) -> np.ndarray:
     """(S, A_k, S) table P(s' | s, a_k; x_{-k}, y) of player k's deviation MDP."""
     S, A = spec.state_count, spec.team_sizes[k]
-    others = joint_action_distribution(spec, x.with_block(k, np.ones((S, A))))
+    others = joint_action_distribution(spec, with_block(x, k, np.ones((S, A))))
     pinned = np.eye(A)[spec.action_digits[:, k]]
     dense = dense_transition(spec.transition)
     return np.einsum("sj,ja,sb,sjbt->sat", others, pinned, y.probs, dense)
@@ -104,7 +104,7 @@ def lp_adv_reference(
 
     slack = q_table(spec, x, v_hat) - v_hat[:, None]
     deviations = [
-        q_table(spec, x.with_block(k, np.tile(pure, (S, 1))), v_hat) - v_hat[:, None]
+        q_table(spec, with_block(x, k, np.tile(pure, (S, 1))), v_hat) - v_hat[:, None]
         for k, size in enumerate(spec.team_sizes)
         for pure in np.eye(size)
     ]

@@ -13,7 +13,7 @@ import atmg.cli
 from atmg.cli import main
 from atmg.extension import LpAdvInfeasibleError
 from atmg.game import load_game, save_game
-from conftest import count_calls, pennies_game
+from conftest import count_calls, make_random_game, pennies_game
 
 
 @pytest.fixture()
@@ -354,6 +354,20 @@ def test_verify_rejects_bad_policy_files(tmp_path, pennies_file, capsys):
 
     assert main(["verify", "--game", str(pennies_file),
                  "--policies", str(tmp_path / "absent.json"), "--epsilon", "0.1"]) == 1
+
+
+@pytest.mark.parametrize("n_blocks", [1, 3])
+def test_verify_rejects_a_wrong_team_block_count(tmp_path, capsys, n_blocks):
+    game = tmp_path / "two-players.json"
+    save_game(make_random_game(np.random.default_rng(5), 1, (2, 2), 2, 0.5), game)
+    pol = tmp_path / "pol.json"
+    pol.write_text(json.dumps({"x": [[[0.5, 0.5]]] * n_blocks, "y": [[0.5, 0.5]]}))
+    assert main(["verify", "--game", str(game), "--policies", str(pol), "--epsilon", "0.1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: cannot load {pol}: team policy has {n_blocks} blocks, expected 2\n"
+    )
+    assert captured.out == ""
 
 
 NOT_UTF8 = b'{"schema": "\xff"}'

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import atmg.extension
 import atmg.mdp
 from atmg.extension import (
     GAP_FLOOR,
@@ -126,11 +127,13 @@ def test_lp_adv_bellman_slack_rows():
 
 
 def _lp_cases(gridworld2: GameSpec, seed: int) -> list[tuple[GameSpec, TeamPolicy]]:
-    """grid_world(2) at the uniform policy, then 10 random games at random policies."""
+    """grid_world(2) at the uniform policy, then 10 random games and one
+    three-player team game (its middle player's deviations mask a factor
+    between two others) at random policies."""
     rng = np.random.default_rng(seed)
     cases = [(gridworld2, uniform_team_policy(gridworld2))]
-    for _ in range(10):
-        S, sizes, B = random_game_dims(rng)
+    for i in range(11):
+        S, sizes, B = random_game_dims(rng) if i < 10 else (3, (2, 3, 2), 2)
         spec = make_random_game(rng, S, sizes, B, float(rng.choice([0.0, 0.5, 0.9])))
         cases.append((spec, random_policies(rng, spec)[0]))
     return cases
@@ -170,6 +173,17 @@ def test_lp_adv_matches_row_by_row_reference(gridworld2):
             np.testing.assert_allclose(lp.lhs, lhs, rtol=0.0, atol=1e-12)
 
 
+def test_lp_adv_evaluates_x_hat_once(gridworld2, monkeypatch):
+    # Every deviation row and the slack rows read one gather of x_hat's
+    # blocks and one continuation table at v_hat.
+    x = uniform_team_policy(gridworld2)
+    _, v_hat = adversary_best_response(gridworld2, x)
+    gathers = count_calls(monkeypatch, atmg.extension, "_gathered")
+    tables = count_calls(monkeypatch, atmg.extension, "_continuation")
+    build_lp_adv(gridworld2, x, v_hat, 0.01)
+    assert (len(gathers), len(tables)) == (1, 1)
+
+
 def test_lp_adv_memory_grows_with_states_not_their_square():
     # grid_world(3) has 730 states; one (S*R, S*B) matrix of its program
     # would take 293 MiB, its 730 blocks of 18 x 4 take 0.4 MiB.  No dense
@@ -207,7 +221,7 @@ def test_pennies_epsilon_zero_is_exact():
     spec = pennies_game()
     y, lam = adv_nash_policy(spec, uniform_team_policy(spec), 0.0)
     np.testing.assert_allclose(y.probs, [[0.5, 0.5]], atol=1e-12)
-    assert lam.table.sum(axis=1)[0] == pytest.approx(1.0, abs=1e-10)
+    assert lam.sum(axis=1)[0] == pytest.approx(1.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("epsilon", [1e-4, 1e-3])
@@ -235,9 +249,9 @@ def test_adv_nash_policy_generous_epsilon():
     x = uniform_team_policy(spec)
     y, lam = adv_nash_policy(spec, x, 0.5)
     check_policies(spec, x, y)
-    assert np.all(lam.table >= 0.0)
-    assert np.all(lam.table.sum(axis=1) >= spec.initial_dist - 1e-8)
-    assert np.all(lam.table.sum(axis=1) <= 2.0 + 1e-8)
+    assert np.all(lam >= 0.0)
+    assert np.all(lam.sum(axis=1) >= spec.initial_dist - 1e-8)
+    assert np.all(lam.sum(axis=1) <= 2.0 + 1e-8)
 
 
 def test_adv_nash_policy_optimize_picks_better_vertex():
@@ -249,12 +263,10 @@ def test_adv_nash_policy_optimize_picks_better_vertex():
     _, v_hat = adversary_best_response(spec, x)
     lam_opt = solve(whole_program(build_lp_adv(spec, x, v_hat, 0.5))).x.reshape(2, 2)
     lam_opt = np.maximum(lam_opt, 0.0)
-    assert (lam_opt * r_x).sum() >= (lam_any.table * r_x).sum() - 1e-9
+    assert (lam_opt * r_x).sum() >= (lam_any * r_x).sum() - 1e-9
 
 
 def test_adv_nash_policy_solves_one_program_per_state(gridworld2, monkeypatch):
-    import atmg.extension
-
     calls = count_calls(monkeypatch, atmg.extension, "find_feasible")
     adv_nash_policy(gridworld2, uniform_team_policy(gridworld2), 0.01)
     assert len(calls) == gridworld2.state_count
@@ -285,7 +297,7 @@ def test_stitched_lambda_is_feasible_for_the_whole_program(seed):
                 assert whole == INFEASIBLE and epsilon < eps0
                 continue
             assert whole == FEASIBLE
-            assert residuals(lp, lam.table.ravel()) <= RESIDUAL_LIMIT
+            assert residuals(lp, lam.ravel()) <= RESIDUAL_LIMIT
 
 
 def test_extraction_after_gradient_run():

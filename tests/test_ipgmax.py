@@ -369,7 +369,7 @@ def test_prox_point_reports_iterations(monkeypatch):
 def test_select_iterate_single_candidate():
     spec = pennies_game()
     trace = run(spec, None, IpgmaxConfig(eta=0.05, iters=1, iterate_selection="none"))
-    t = select_iterate(spec, trace, "prox_scan")
+    t = select_iterate(spec, trace, "prox")
     assert t == 0
     assert trace.t_star == 0
     assert trace.x_hat is trace.policies[0]
@@ -381,7 +381,7 @@ def test_select_iterate_stride_grid(monkeypatch):
     spec = pennies_game()
     trace = run(spec, None, IpgmaxConfig(eta=0.05, iters=400, iterate_selection="none"))
     monkeypatch.setattr(atmg.ipgmax, "prox_gap", lambda spec, x: float(x.blocks[0][0, 0]))
-    select_iterate(spec, trace, "prox_scan")
+    select_iterate(spec, trace, "prox")
     assert set(trace.prox_gaps) == set(range(0, 400, 4)) | {399}
     assert trace.t_star in trace.prox_gaps
     assert trace.t_star <= 399
@@ -390,7 +390,7 @@ def test_select_iterate_stride_grid(monkeypatch):
 def test_select_iterate_scan_returns_argmin():
     spec = half_game()
     trace = run(spec, None, IpgmaxConfig(eta=0.1, iters=12, iterate_selection="none"))
-    t = select_iterate(spec, trace, "prox_scan")  # stride ceil(12/100) = 1
+    t = select_iterate(spec, trace, "prox")  # stride ceil(12/100) = 1
     gaps = trace.prox_gaps
     assert set(gaps) == set(range(12))
     assert gaps[t] == min(gaps.values())
@@ -426,11 +426,11 @@ def test_select_iterate_scores_each_policy_object_once(monkeypatch):
     still = run(spec, None, IpgmaxConfig(eta=0.0, iters=12, iterate_selection="none"))
     moving = run(spec, None, IpgmaxConfig(eta=0.1, iters=12, iterate_selection="none"))
     calls = count_calls(monkeypatch, atmg.ipgmax, "prox_gap")
-    select_iterate(spec, still, "prox_scan")
+    select_iterate(spec, still, "prox")
     assert [x for _, x in calls] == [still.policies[0]]
     assert set(still.prox_gaps) == set(range(12))
     assert len(set(still.prox_gaps.values())) == 1
-    select_iterate(spec, moving, "prox_scan")
+    select_iterate(spec, moving, "prox")
     assert len(calls) == 1 + 12
     assert set(moving.prox_gaps) == set(range(12))
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import atmg.mdp
+from atmg.extension import build_lp_adv
 from atmg.game import GameSpec, Transitions, grid_world
 from atmg.mdp import (
     AdversaryPolicy,
@@ -24,7 +25,6 @@ from atmg.mdp import (
     marginal_reward_table,
     policy_gradient,
     project_product_simplex,
-    q_table,
     smoothness_constants,
     team_player_best_response,
     team_policy_from_vector,
@@ -42,6 +42,7 @@ from conftest import (
     random_game_dims,
     random_policies,
     uniform_adversary_policy,
+    with_block,
 )
 from oracles import (
     adversary_policy_gradient,
@@ -189,7 +190,7 @@ def test_successor_list_contractions_match_dense_oracles(spec, K):
     for k, size in enumerate(spec.team_sizes):
         P_k = dense_player_transition(spec, k, x, y)
         for a in range(size):
-            pinned = x.with_block(k, np.tile(np.eye(size)[a], (spec.state_count, 1)))
+            pinned = with_block(x, k, np.tile(np.eye(size)[a], (spec.state_count, 1)))
             np.testing.assert_allclose(
                 induced_transition(spec, pinned, y), P_k[:, a], rtol=0, atol=1e-15
             )
@@ -200,12 +201,17 @@ def test_successor_list_contractions_match_dense_oracles(spec, K):
 
 @pytest.mark.parametrize("spec,K", successor_list_games())
 def test_q_table_matches_the_marginal_table_oracle(spec, K):
-    # q_table gathers through the successor lists; the oracle contracts the
-    # (S, B, S) marginal transition table.
+    # build_lp_adv's (b) rows carry q(s, b) - v(s), gathered through the
+    # successor lists; the oracle contracts the (S, B, S) marginal
+    # transition table.
     rng = np.random.default_rng(29)
     x, _ = random_policies(rng, spec)
     v = rng.random(spec.state_count) / (1.0 - spec.discount)
-    np.testing.assert_allclose(q_table(spec, x, v), oracle_q_table(spec, x, v), rtol=0, atol=1e-14)
+    A, B = spec.sum_team_actions, spec.adversary_actions
+    slack = np.array([lp.lhs[A : A + B].sum(axis=1) for lp in build_lp_adv(spec, x, v, 0.0)])
+    np.testing.assert_allclose(
+        slack, oracle_q_table(spec, x, v) - v[:, None], rtol=0, atol=1e-14
+    )
 
 
 @pytest.mark.parametrize("spec,K", successor_list_games())
@@ -586,7 +592,7 @@ def test_team_player_best_response_matches_enumeration():
                 block = np.zeros((2, 2))
                 block[0, d0] = 1.0
                 block[1, d1] = 1.0
-                x_dev = x.with_block(k, block)
+                x_dev = with_block(x, k, block)
                 best = min(best, value_rho(spec, x_dev, y))
         assert value == pytest.approx(best, abs=1e-12)
 
