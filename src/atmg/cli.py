@@ -36,7 +36,7 @@ from .game import (
     save_game,
     validate,
 )
-from .ipgmax import SCHEDULE_MODES, IpgmaxConfig, resolve_schedule, run
+from .ipgmax import SCHEDULE_MODES, SELECTION_MODES, IpgmaxConfig, resolve_schedule, run
 from .mdp import AdversaryPolicy, TeamPolicy, check_policies
 
 log = logging.getLogger(__name__)
@@ -323,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     solve.add_argument(
         "--select",
-        choices=("prox", "random"),
+        choices=[mode for mode in SELECTION_MODES if mode != "none"],
         default="prox",
         help="iterate selection strategy",
     )

@@ -5,7 +5,8 @@ The adversary side comes out of a linear program over occupancy-style
 multipliers lambda(s, b): its constraints relax the adversary's Bellman
 conditions at x_hat by c2*eps and the team players' first-order conditions
 by c1*eps, and any feasible point, row-normalized, is the equilibrium
-policy y_hat.  The certifier below (nash_gap) then measures the result
+policy y_hat, so the LP has a zero objective and phase one of the simplex
+alone solves it.  The certifier below (nash_gap) then measures the result
 exactly, one best-response solve per player, so no bound has to be taken
 on faith.
 """
@@ -26,7 +27,6 @@ from .mdp import (
     _product,
     adversary_best_response,
     check_policies,
-    marginal_reward_table,
     smoothness_constants,
     team_player_best_response,
     value_rho,
@@ -90,13 +90,8 @@ class StatePrograms(tuple):
     n_vars = property(lambda self: sum(lp.n_vars for lp in self))
 
 
-def build_lp_adv(
-    spec: GameSpec,
-    x_hat: TeamPolicy,
-    v_hat: np.ndarray,
-    epsilon: float,
-) -> StatePrograms:
-    """Assemble the adversary LP at (x_hat, v_hat), one program per state.
+def build_lp_adv(spec: GameSpec, x_hat: TeamPolicy, epsilon: float) -> StatePrograms:
+    """Assemble the adversary LP at x_hat, one program per state.
 
     Every row of the LP touches the variables lambda(s, b) >= 0 of one
     state only, so it is returned as S programs, the s-th over the B
@@ -113,19 +108,14 @@ def build_lp_adv(
       (d) sum_b lambda(s, b) >= rho(s);
       (e) sum_b lambda(s, b) <= 1/(1-gamma).
 
-    The objective maximizes sum_b lambda(s, b) r(s, x_hat, b); feasibility
-    is what matters downstream, but the objective is kept for callers that
-    want a distinguished vertex.  epsilon may be zero, which pins the
-    perturbation rows to exact equalities of sense.
+    v_hat is x_hat's memoized best-response value.  Only feasibility
+    matters downstream, so each objective is zero.  epsilon may be zero,
+    which pins the perturbation rows to exact equalities of sense.
     """
     if epsilon < 0.0:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
-    v_hat = np.asarray(v_hat, dtype=np.float64)
-    if v_hat.shape != (spec.state_count,):
-        raise ValueError(
-            f"v_hat has shape {v_hat.shape}, expected ({spec.state_count},)"
-        )
     check_policies(spec, x_hat)
+    _, v_hat = adversary_best_response(spec, x_hat)
 
     S, B = spec.state_count, spec.adversary_actions
     A = spec.sum_team_actions
@@ -152,10 +142,9 @@ def build_lp_adv(
     bounds = np.repeat([-cons.c1, cons.c2, -cons.c2], [A, B, B]) * epsilon
     ceiling = np.full(S, 1.0 / (1.0 - spec.discount))
     rhs = np.column_stack([np.tile(bounds, (S, 1)), spec.initial_dist, ceiling])
-    objective = marginal_reward_table(spec, x_hat)
 
     return StatePrograms(
-        LinearProgram(objective[s], lhs[s], senses, rhs[s]) for s in range(S)
+        LinearProgram(np.zeros(B), lhs[s], senses, rhs[s]) for s in range(S)
     )
 
 
@@ -164,15 +153,14 @@ def adv_nash_policy(
 ) -> tuple[AdversaryPolicy, np.ndarray]:
     """Extract the adversary's equilibrium policy at a near-stationary x_hat.
 
-    Solves the adversary's best-response MDP for v_hat and builds the LP,
-    one program per state: any feasible point of each, stitched together,
-    is feasible for the whole LP.  Row-normalizing it is safe because every
-    feasible lambda has row sums at least rho(s) > 0.  Returns (y_hat, lam)
+    Builds the LP at x_hat's best-response value v_hat, one program per
+    state: any feasible point of each, stitched together, is feasible for
+    the whole LP.  Row-normalizing it is safe because every feasible lambda
+    has row sums at least rho(s) > 0.  Returns (y_hat, lam)
     with lam the (S, B) table of multipliers lambda(s, b), clipped at 0.
     """
-    _, v_hat = adversary_best_response(spec, x_hat)
     lam = np.empty((spec.state_count, spec.adversary_actions))
-    for s, lp in enumerate(build_lp_adv(spec, x_hat, v_hat, epsilon)):
+    for s, lp in enumerate(build_lp_adv(spec, x_hat, epsilon)):
         sol = find_feasible(lp)
         if sol.status != FEASIBLE:
             raise LpAdvInfeasibleError(

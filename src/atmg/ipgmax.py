@@ -25,7 +25,6 @@ import numpy as np
 
 from .game import GameSpec, _count
 from .mdp import (
-    AdversaryPolicy,
     TeamPolicy,
     adversary_best_response,
     check_policies,
@@ -56,11 +55,10 @@ class IpgmaxConfig:
     """Knobs for one run.
 
     With schedule_mode="manual", eta and iters must be set explicitly.  The
-    other modes derive (eta, iters) from epsilon, the theorem schedule with
-    D = D_bar; cap_iters, when given, clamps the derived iteration count.
-    iterate_selection="none" skips the selection pass entirely (the trace is
-    still complete), which is useful when the caller wants to select later
-    or not at all.
+    other modes derive (eta, iters) from epsilon; cap_iters, when given,
+    clamps the derived iteration count.  iterate_selection="none" skips the
+    selection pass entirely (the trace is still complete), which is useful
+    when the caller wants to select later or not at all.
     """
 
     epsilon: float | None = None
@@ -106,11 +104,11 @@ class IpgmaxConfig:
 class RunTrace:
     """Everything one run produced.
 
-    policies has length T+1 (x0 first); best_responses has length T, with
-    best_responses[t-1] the response to policies[t-1].  phi[t] is the
-    best-response value of policies[t] for every t, including t = T, whose
-    entry costs one extra best-response solve after the loop unless the
-    iterate stopped moving.  frob_norms[t] is the Frobenius norm of the
+    policies has length T+1 (x0 first); no adversary policy is kept, since
+    the loop's y(t) is the memoized best response to policies[t-1].  phi[t]
+    is the best-response value of policies[t] for every t, including t = T,
+    whose entry costs one extra best-response solve after the loop unless
+    the iterate stopped moving.  frob_norms[t] is the Frobenius norm of the
     consecutive joint-policy difference, zero at t = 0 by convention; at
     t = 1 only the team part can move since there is no previous adversary
     policy.  prox_gaps holds the proximal gap of every trace index that
@@ -120,7 +118,6 @@ class RunTrace:
     """
 
     policies: list[TeamPolicy]
-    best_responses: list[AdversaryPolicy]
     phi: np.ndarray
     frob_norms: np.ndarray
     prox_gaps: dict[int, float] = field(default_factory=dict)
@@ -129,7 +126,7 @@ class RunTrace:
 
     @property
     def iterations(self) -> int:
-        return len(self.best_responses)
+        return len(self.policies) - 1
 
     @property
     def x_hat(self) -> TeamPolicy | None:
@@ -141,19 +138,19 @@ class RunTrace:
 # Schedules
 # ---------------------------------------------------------------------------
 
-def schedule_theorem(spec: GameSpec, epsilon: float, D: float) -> tuple[float, int]:
+def schedule_theorem(spec: GameSpec, epsilon: float) -> tuple[float, int]:
     """Step size and iteration count with the full worst-case constants.
 
         eta = eps^2 (1-gamma)^9 / (32 S^4 D^2 (sum A_k + B)^3)
         T   = ceil( 512 S^8 D^4 (sum A_k + B)^4 / (eps^4 (1-gamma)^12) )
 
-    T is exact big-integer arithmetic (it overflows float range long before
-    it becomes runnable); callers must cap it for practical runs.
+    with D = D_bar from smoothness_constants.  T is exact big-integer
+    arithmetic (it overflows float range long before it becomes runnable);
+    callers must cap it for practical runs.
     """
     if epsilon <= 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if D < 1.0:
-        raise ValueError(f"D must be at least 1, got {D}")
+    D = smoothness_constants(spec).D_bar
     S = spec.state_count
     total = spec.sum_team_actions + spec.adversary_actions
     one_minus = 1.0 - spec.discount
@@ -192,7 +189,7 @@ def resolve_schedule(spec: GameSpec, config: IpgmaxConfig) -> tuple[float, int]:
     elif config.schedule_mode == "proposition":
         eta, T = schedule_proposition(spec, config.epsilon)
     else:
-        eta, T = schedule_theorem(spec, config.epsilon, smoothness_constants(spec).D_bar)
+        eta, T = schedule_theorem(spec, config.epsilon)
     if config.cap_iters is not None:
         T = min(T, int(config.cap_iters))
     return eta, T
@@ -238,7 +235,6 @@ def run(spec: GameSpec, x0: TeamPolicy | None, config: IpgmaxConfig) -> RunTrace
     started = time.perf_counter()
     rho = spec.initial_dist
     policies = [x0]
-    best_responses: list[AdversaryPolicy] = []
     phi = np.empty(T + 1)
     frob = np.zeros(T + 1)
 
@@ -266,11 +262,9 @@ def run(spec: GameSpec, x0: TeamPolicy | None, config: IpgmaxConfig) -> RunTrace
             prev_joint = joint_policy_vector(x, y)
         frob[t] = float(np.linalg.norm(joint - prev_joint))
         prev_joint = joint
-        best_responses.append(y)
         policies.append(x_next)
         # The team's part of joint is x_next's vector.
         if np.array_equal(joint[: vec.size], vec):
-            best_responses += [y] * (T - t)
             policies += [x] * (T - t)
             phi[t:] = phi[t - 1]
             break
@@ -279,12 +273,7 @@ def run(spec: GameSpec, x0: TeamPolicy | None, config: IpgmaxConfig) -> RunTrace
         _, v_final = adversary_best_response(spec, x)
         phi[T] = float(rho @ v_final)
 
-    trace = RunTrace(
-        policies=policies,
-        best_responses=best_responses,
-        phi=phi,
-        frob_norms=frob,
-    )
+    trace = RunTrace(policies=policies, phi=phi, frob_norms=frob)
     if config.iterate_selection != "none":
         select_iterate(
             spec,
@@ -306,7 +295,6 @@ class ProxResult:
     x_tilde: TeamPolicy
     converged: bool
     iterations: int
-    psi: float
 
 
 def prox_point(spec: GameSpec, x: TeamPolicy) -> ProxResult:
@@ -365,7 +353,6 @@ def prox_point(spec: GameSpec, x: TeamPolicy) -> ProxResult:
         x_tilde=team_policy_from_vector(spec, best_vec),
         converged=converged,
         iterations=used,
-        psi=best_psi,
     )
 
 

@@ -74,7 +74,6 @@ class LpSolution:
     status: str
     x: np.ndarray | None = None
     objective: float | None = None
-    max_residual: float | None = None
     max_violation: float | None = None   # diagnostics when infeasible
 
 
@@ -232,12 +231,7 @@ def _finish(lp: LinearProgram, sf: _StandardForm, T: np.ndarray, status: str) ->
         raise NumericInstabilityError(
             f"solution residual {residual:g} exceeds {RESIDUAL_LIMIT:g}"
         )
-    return LpSolution(
-        status=status,
-        x=x,
-        objective=float(lp.objective @ x),
-        max_residual=residual,
-    )
+    return LpSolution(status=status, x=x, objective=float(lp.objective @ x))
 
 
 def _phase_one(lp: LinearProgram):

@@ -142,17 +142,6 @@ def check_policies(spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy | None = No
 # Induced chains and marginalization
 # ---------------------------------------------------------------------------
 
-def joint_action_distribution(
-    spec: GameSpec, x: TeamPolicy, skip: int | None = None
-) -> np.ndarray:
-    """(S, A_joint) table of joint team-action probabilities under x.
-
-    With skip=k, player k's table is left out: the table holds the weight
-    of the other players' part of each joint action, player k's action free.
-    """
-    return _product(spec, _gathered(spec, x), skip)
-
-
 def _gathered(spec: GameSpec, x: TeamPolicy) -> list[np.ndarray]:
     """Each player's (S, J) table: its block read at its digit of each joint action."""
     digits = spec.action_digits
@@ -160,7 +149,8 @@ def _gathered(spec: GameSpec, x: TeamPolicy) -> list[np.ndarray]:
 
 
 def _product(spec: GameSpec, gathered: list[np.ndarray], skip: int | None = None) -> np.ndarray:
-    """The _gathered tables multiplied in player order, player skip left out."""
+    """(S, J) joint team-action weights: the _gathered tables multiplied in
+    player order, player skip left out (its action free)."""
     factors = [table for k, table in enumerate(gathered) if k != skip]
     w = factors[0] if factors else np.ones((spec.state_count, spec.joint_action_count))
     for factor in factors[1:]:
@@ -194,12 +184,6 @@ def _pure_adversary_chain(spec: GameSpec, w: np.ndarray, policy: np.ndarray):
     return _chain(spec, w, policy[:, None], np.ones((spec.state_count, 1)))
 
 
-def marginal_reward_table(spec: GameSpec, x: TeamPolicy) -> np.ndarray:
-    """(S, B) table r(s, x, b), the reward marginalized over the team only."""
-    w = joint_action_distribution(spec, x)
-    return (w[:, None, :] @ spec.reward)[:, 0, :]
-
-
 def _successor_mean(spec: GameSpec, v: np.ndarray) -> np.ndarray:
     """(S, J, B) table sum_{s'} P(s' | s, j, b) v(s'), gathered from the successor lists."""
     T = spec.transition
@@ -219,7 +203,7 @@ def _player_q(spec: GameSpec, others: np.ndarray, k: int, mixed: np.ndarray) -> 
 
         Qbar_k(s,a) = E[ r(s,(a;a_{-k}),b) + gamma sum_{s'} P(s'|...) v(s') ]
 
-    others is joint_action_distribution(spec, x, skip=k) and mixed is
+    others is _product(spec, _gathered(spec, x), k) and mixed is
     q @ y.probs[:, :, None] at q = _continuation(spec, v) (spec.reward at v = 0).
     """
     return (others * mixed[:, :, 0]) @ spec.action_masks[k]
@@ -295,7 +279,7 @@ def value_vector(spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy) -> np.ndarra
     """Exact policy evaluation: solve (I - gamma P(x,y)) v = r(x,y).  The
     chain's rows hold only the actions y plays: a pure y's are its
     _pure_adversary_chain's, bit for bit."""
-    w = joint_action_distribution(spec, x)
+    w = _product(spec, _gathered(spec, x))
     M = _bellman_rows(_chain(spec, w, *_support(y.probs)), spec.discount)
     return _solve(M, ((w[:, None, :] @ spec.reward)[:, 0, :] * y.probs).sum(axis=1))
 
@@ -403,7 +387,7 @@ def team_player_best_response(spec: GameSpec, k: int, x_minus_k: TeamPolicy, y: 
     (S, A_k) and the minimized value rho' v.  The teammates' weights and y's
     support are built once; each chain masks the weights with k's policy.
     """
-    others = joint_action_distribution(spec, x_minus_k, skip=k)
+    others = _product(spec, _gathered(spec, x_minus_k), k)
     digit, support = spec.action_digits[:, k], _support(y.probs)
     v_max, greedy, _ = _policy_iteration(
         spec,

@@ -7,10 +7,12 @@ policy gradient and the residuals of the regularized program are read off
 the dense marginal tables; the library itself uses neither.  The team's
 policy gradient at an arbitrary adversary policy is the library's formula
 outside the best-response loop, where the library only takes it at the
-best response.  The adversary LP is written out row by row, the reference
-for its vectorized assembly, and its per-state programs are put back on
-one block diagonal.  The transition contractions are einsums over the
-dense tensor, the reference for the library's successor-list forms; the
+best response.  The joint team-action table and the team-marginal reward
+table are the library's gather and product, named for the tests.  The
+adversary LP is written out row by row, the reference for its vectorized
+assembly, and its per-state programs are put back on one block diagonal.
+The transition contractions are einsums over the dense tensor, the
+reference for the library's successor-list forms; the
 induced S x S chain is the library's row lists summed into place, and
 the discounted visitation measure is one dense solve on it.
 """
@@ -27,14 +29,31 @@ from atmg.mdp import (
     TeamPolicy,
     _chain,
     _continuation,
+    _gathered,
     _player_q,
+    _product,
     _support,
-    joint_action_distribution,
-    marginal_reward_table,
     smoothness_constants,
     value_vector,
 )
 from conftest import dense_transition, with_block
+
+
+def joint_action_distribution(
+    spec: GameSpec, x: TeamPolicy, skip: int | None = None
+) -> np.ndarray:
+    """(S, A_joint) table of joint team-action probabilities under x.
+
+    With skip=k, player k's table is left out: the table holds the weight
+    of the other players' part of each joint action, player k's action free.
+    """
+    return _product(spec, _gathered(spec, x), skip)
+
+
+def marginal_reward_table(spec: GameSpec, x: TeamPolicy) -> np.ndarray:
+    """(S, B) table r(s, x, b), the reward marginalized over the team only."""
+    w = joint_action_distribution(spec, x)
+    return (w[:, None, :] @ spec.reward)[:, 0, :]
 
 
 def dense_marginal_transition(spec: GameSpec, x: TeamPolicy) -> np.ndarray:

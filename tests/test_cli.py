@@ -443,10 +443,11 @@ SOLVE = ["solve", "--gridworld", "2", "--eta", "0.1", "--iters", "5"]
     SOLVE,
     ["solve", "--gridworld", "2", "--eta", "0.1", "--iters", "abc", "--out", "x"],
     SOLVE + ["--out", "x", "--schedule", "foo"],
+    SOLVE + ["--out", "x", "--select", "none"],
     SOLVE + ["--out", "x", "--jobs", "2"],
     [],
 ], ids=["unknown-flag", "missing-value", "missing-out", "iters-abc", "schedule-foo",
-        "jobs", "no-subcommand"])
+        "select-none", "jobs", "no-subcommand"])
 def test_usage_errors_exit_1(tmp_path, monkeypatch, capsys, argv):
     # Exit code 2 is reserved for an infeasible adversary LP.
     monkeypatch.chdir(tmp_path)

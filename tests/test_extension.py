@@ -17,13 +17,12 @@ from atmg.extension import (
 )
 from atmg.game import GameSpec, grid_world
 from atmg.ipgmax import IpgmaxConfig, run
-from atmg.lp import FEASIBLE, INFEASIBLE, RESIDUAL_LIMIT, find_feasible, residuals, solve
+from atmg.lp import FEASIBLE, INFEASIBLE, RESIDUAL_LIMIT, find_feasible, residuals
 from atmg.mdp import (
     AdversaryPolicy,
     TeamPolicy,
     adversary_best_response,
     check_policies,
-    marginal_reward_table,
     smoothness_constants,
     uniform_team_policy,
 )
@@ -88,8 +87,7 @@ HALF_R = 8
 def test_lp_adv_row_layout():
     spec = half_game()
     x = uniform_team_policy(spec)
-    _, v_hat = adversary_best_response(spec, x)
-    lp = whole_program(build_lp_adv(spec, x, v_hat, 0.01))
+    lp = whole_program(build_lp_adv(spec, x, 0.01))
     # (a) 2 states x 2 actions, (b) and (c) 4 each, (d) and (e) 2 each
     assert lp.n_rows == 16
     assert lp.n_vars == 4
@@ -102,9 +100,8 @@ def test_lp_adv_row_layout():
 def test_lp_adv_rhs_scales_with_epsilon():
     spec = half_game()
     x = uniform_team_policy(spec)
-    _, v_hat = adversary_best_response(spec, x)
-    lp1 = whole_program(build_lp_adv(spec, x, v_hat, 0.01))
-    lp2 = whole_program(build_lp_adv(spec, x, v_hat, 0.02))
+    lp1 = whole_program(build_lp_adv(spec, x, 0.01))
+    lp2 = whole_program(build_lp_adv(spec, x, 0.02))
     scaled = np.tile(np.arange(HALF_R) < 6, 2)  # the (a), (b), (c) rows
     np.testing.assert_allclose(lp2.rhs[scaled], 2.0 * lp1.rhs[scaled], rtol=1e-14)
     np.testing.assert_array_equal(lp2.rhs[~scaled], lp1.rhs[~scaled])
@@ -117,8 +114,7 @@ def test_lp_adv_bellman_slack_rows():
     # each state has an action with slack 0.
     spec = half_game()
     x = uniform_team_policy(spec)
-    _, v_hat = adversary_best_response(spec, x)
-    lp = whole_program(build_lp_adv(spec, x, v_hat, 0.01))
+    lp = whole_program(build_lp_adv(spec, x, 0.01))
     slack_rows = lp.lhs.reshape(2, HALF_R, 4)[:, 2:4].reshape(4, 4)
     assert all(np.count_nonzero(row) <= 1 for row in slack_rows)
     slack = slack_rows.sum(axis=1).reshape(2, 2)
@@ -146,8 +142,7 @@ def test_lp_adv_rows_touch_one_state(gridworld2):
     for spec, x in _lp_cases(gridworld2, 13):
         S, B = spec.state_count, spec.adversary_actions
         R = spec.sum_team_actions + 2 * B + 2
-        _, v_hat = adversary_best_response(spec, x)
-        programs = build_lp_adv(spec, x, v_hat, 0.01)
+        programs = build_lp_adv(spec, x, 0.01)
         assert len(programs) == S
         assert all(p.lhs.shape == (R, B) for p in programs)
         assert (programs.n_rows, programs.n_vars) == (S * R, S * B)
@@ -166,7 +161,7 @@ def test_lp_adv_matches_row_by_row_reference(gridworld2):
     for spec, x in _lp_cases(gridworld2, 17):
         _, v_hat = adversary_best_response(spec, x)
         for epsilon in (0.0, 0.01):
-            lp = whole_program(build_lp_adv(spec, x, v_hat, epsilon))
+            lp = whole_program(build_lp_adv(spec, x, epsilon))
             lhs, senses, rhs = lp_adv_reference(spec, x, v_hat, epsilon)
             assert lp.senses == senses
             np.testing.assert_array_equal(lp.rhs, rhs)
@@ -175,13 +170,14 @@ def test_lp_adv_matches_row_by_row_reference(gridworld2):
 
 def test_lp_adv_evaluates_x_hat_once(gridworld2, monkeypatch):
     # Every deviation row and the slack rows read one gather of x_hat's
-    # blocks and one continuation table at v_hat.
+    # blocks and one continuation table at v_hat, which comes from x_hat's
+    # memo; no other gather of x_hat is made, in extension or in mdp.
     x = uniform_team_policy(gridworld2)
-    _, v_hat = adversary_best_response(gridworld2, x)
-    gathers = count_calls(monkeypatch, atmg.extension, "_gathered")
+    adversary_best_response(gridworld2, x)
+    gathers = [count_calls(monkeypatch, m, "_gathered") for m in (atmg.extension, atmg.mdp)]
     tables = count_calls(monkeypatch, atmg.extension, "_continuation")
-    build_lp_adv(gridworld2, x, v_hat, 0.01)
-    assert (len(gathers), len(tables)) == (1, 1)
+    build_lp_adv(gridworld2, x, 0.01)
+    assert (sum(map(len, gathers)), len(tables)) == (1, 1)
 
 
 def test_lp_adv_memory_grows_with_states_not_their_square():
@@ -190,10 +186,10 @@ def test_lp_adv_memory_grows_with_states_not_their_square():
     # (S, B, S) table (16 MiB) is built either.
     spec = grid_world(3)
     x = uniform_team_policy(spec)
-    _, v_hat = adversary_best_response(spec, x)
+    adversary_best_response(spec, x)  # x's memo is filled, as x_hat's is in a solve
     tracemalloc.start()
     try:
-        programs = build_lp_adv(spec, x, v_hat, 0.01)
+        programs = build_lp_adv(spec, x, 0.01)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -208,9 +204,7 @@ def test_lp_adv_input_validation():
     spec = half_game()
     x = uniform_team_policy(spec)
     with pytest.raises(ValueError, match="nonnegative"):
-        build_lp_adv(spec, x, np.zeros(2), -0.1)
-    with pytest.raises(ValueError, match="v_hat"):
-        build_lp_adv(spec, x, np.zeros(3), 0.1)
+        build_lp_adv(spec, x, -0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -254,18 +248,6 @@ def test_adv_nash_policy_generous_epsilon():
     assert np.all(lam.sum(axis=1) <= 2.0 + 1e-8)
 
 
-def test_adv_nash_policy_optimize_picks_better_vertex():
-    spec = half_game()
-    x = uniform_team_policy(spec)
-    r_x = marginal_reward_table(spec, x)
-    _, lam_any = adv_nash_policy(spec, x, 0.5)
-    # The objective-optimal vertex of the same LP, clipped like the extractor.
-    _, v_hat = adversary_best_response(spec, x)
-    lam_opt = solve(whole_program(build_lp_adv(spec, x, v_hat, 0.5))).x.reshape(2, 2)
-    lam_opt = np.maximum(lam_opt, 0.0)
-    assert (lam_opt * r_x).sum() >= (lam_any * r_x).sum() - 1e-9
-
-
 def test_adv_nash_policy_solves_one_program_per_state(gridworld2, monkeypatch):
     calls = count_calls(monkeypatch, atmg.extension, "find_feasible")
     adv_nash_policy(gridworld2, uniform_team_policy(gridworld2), 0.01)
@@ -285,11 +267,10 @@ def test_stitched_lambda_is_feasible_for_the_whole_program(seed):
         S, sizes, B = random_game_dims(rng)
         spec = make_random_game(rng, S, sizes, B, float(rng.choice([0.0, 0.5, 0.9])))
         x = random_policies(rng, spec)[0]
-        _, v_hat = adversary_best_response(spec, x)
-        eps0 = np.abs(whole_program(build_lp_adv(spec, x, v_hat, 0.0)).lhs).max()
+        eps0 = np.abs(whole_program(build_lp_adv(spec, x, 0.0)).lhs).max()
         eps0 /= extension_constants(spec).c1
         for epsilon in (1e-3 * eps0, 0.1 * eps0, eps0, 3.0 * eps0, 10.0 * eps0):
-            lp = whole_program(build_lp_adv(spec, x, v_hat, epsilon))
+            lp = whole_program(build_lp_adv(spec, x, epsilon))
             whole = find_feasible(lp).status
             try:
                 _, lam = adv_nash_policy(spec, x, epsilon)

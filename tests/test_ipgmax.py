@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import atmg.ipgmax
-from atmg.game import GameSpec
+from atmg.game import GameSpec, validate
 from atmg.ipgmax import (
     IpgmaxConfig,
     prox_gap,
@@ -49,15 +49,15 @@ def half_game(adversary_actions: int = 2) -> GameSpec:
 
 def test_theorem_schedule_frozen_values():
     spec = half_game()
-    eta, T = schedule_theorem(spec, 0.1, 4.0)
+    eta, T = schedule_theorem(spec, 0.1)
     assert eta == pytest.approx(3.725290298461915e-11, rel=1e-12)
     assert T == 351843720888319922
 
 
 def test_theorem_schedule_scaling_in_epsilon():
     spec = half_game()
-    _, T1 = schedule_theorem(spec, 0.1, 4.0)
-    eta2, T2 = schedule_theorem(spec, 0.05, 4.0)
+    _, T1 = schedule_theorem(spec, 0.1)
+    eta2, T2 = schedule_theorem(spec, 0.05)
     # 0.05 is exactly half of 0.1 in binary, so T scales by 16 up to the
     # ceiling and eta by exactly 1/4.
     assert 16 * T1 - 15 <= T2 <= 16 * T1
@@ -67,9 +67,26 @@ def test_theorem_schedule_scaling_in_epsilon():
 def test_theorem_schedule_rejects_bad_arguments():
     spec = half_game()
     with pytest.raises(ValueError, match="epsilon"):
-        schedule_theorem(spec, 0.0, 4.0)
-    with pytest.raises(ValueError, match="D must"):
-        schedule_theorem(spec, 0.1, 0.5)
+        schedule_theorem(spec, 0.0)
+
+
+def test_theorem_schedule_takes_a_valid_game_whose_d_bar_rounds_below_one():
+    # One state, gamma = 0: D_bar = 1 / min rho, and a rho within validate's
+    # 1e-12 of 1 makes it 0.9999999999995.
+    spec = GameSpec(
+        state_count=1,
+        team_sizes=(2,),
+        adversary_actions=2,
+        reward=np.full((1, 2, 2), 0.5),
+        transition=np.ones((1, 2, 2, 1)),
+        discount=0.0,
+        initial_dist=np.array([1.0 + 5e-13]),
+    )
+    assert validate(spec) == []
+    assert smoothness_constants(spec).D_bar < 1.0
+    config = IpgmaxConfig(epsilon=0.5, schedule_mode="theorem", cap_iters=10)
+    eta, T = resolve_schedule(spec, config)
+    assert eta > 0.0 and T == 10
 
 
 def test_proposition_schedule_frozen_values():
@@ -104,7 +121,7 @@ def test_resolve_schedule_modes_and_cap():
     # the theorem schedule takes D = D_bar, which is 4 for this fixture
     assert smoothness_constants(spec).D_bar == pytest.approx(4.0)
     implicit = IpgmaxConfig(epsilon=0.1, schedule_mode="theorem")
-    assert resolve_schedule(spec, implicit) == schedule_theorem(spec, 0.1, 4.0)
+    assert resolve_schedule(spec, implicit) == schedule_theorem(spec, 0.1)
 
     prop = IpgmaxConfig(epsilon=0.1, schedule_mode="proposition", cap_iters=1000)
     assert resolve_schedule(spec, prop) == (pytest.approx(0.01), 5)
@@ -178,7 +195,7 @@ def test_run_zero_step_size_keeps_trace_constant(monkeypatch):
     calls = count_calls(monkeypatch, atmg.ipgmax, "policy_gradient")
     trace = run(spec, x0, IpgmaxConfig(eta=0.0, iters=5, iterate_selection="none"))
     assert len(calls) == 1  # x never moves, so the first solve is the only one needed
-    assert len(trace.policies) == 6 and len(trace.best_responses) == 5
+    assert len(trace.policies) == 6 and trace.iterations == 5
     for x in trace.policies:
         np.testing.assert_array_equal(x.blocks[0], x0.blocks[0])
     np.testing.assert_array_equal(trace.frob_norms, np.zeros(6))
@@ -228,7 +245,8 @@ def test_run_copies_the_tail_once_the_iterate_is_fixed(monkeypatch):
     assert len(trace.policies) == len(policies)
     for x, ref in zip(trace.policies, policies):
         np.testing.assert_array_equal(x.blocks[0], ref.blocks[0])
-    for y, ref in zip(trace.best_responses, ys):
+    for t, ref in enumerate(ys):  # y(t+1), the best response to x(t)
+        y, _ = adversary_best_response(spec, trace.policies[t])
         np.testing.assert_array_equal(y.probs, ref.probs)
     np.testing.assert_array_equal(trace.phi, phi)
     np.testing.assert_array_equal(trace.frob_norms, frob)
@@ -239,7 +257,6 @@ def test_run_trace_shapes():
     spec = pennies_game()
     trace = run(spec, None, IpgmaxConfig(eta=0.05, iters=7, iterate_selection="none"))
     assert len(trace.policies) == 8
-    assert len(trace.best_responses) == 7
     assert trace.phi.shape == (8,)
     assert trace.frob_norms.shape == (8,)
     assert trace.frob_norms[0] == 0.0
@@ -322,6 +339,13 @@ def test_run_allows_exactly_max_iters(monkeypatch):
 # Proximal point and gap
 # ---------------------------------------------------------------------------
 
+def psi(spec: GameSpec, x: TeamPolicy, x_tilde: TeamPolicy) -> float:
+    """prox_point's objective phi(x_tilde) + ell ||x - x_tilde||^2."""
+    diff = x_tilde.as_vector() - x.as_vector()
+    phi = float(spec.initial_dist @ adversary_best_response(spec, x_tilde)[1])
+    return phi + smoothness_constants(spec).ell * float(diff @ diff)
+
+
 def test_prox_gap_zero_at_stationary_point():
     spec = pennies_game()
     assert prox_gap(spec, uniform_team_policy(spec)) <= 1e-12
@@ -348,7 +372,7 @@ def test_prox_point_matches_grid_search():
         phi_val = max(point @ reward[0, :, b] for b in range(2))
         dist = np.sum((point - x.blocks[0][0]) ** 2)
         grid_best = min(grid_best, phi_val + ell * dist)
-    assert result.psi <= grid_best + 1e-3
+    assert psi(spec, x, result.x_tilde) <= grid_best + 1e-3
 
     gap = np.linalg.norm(x.as_vector() - result.x_tilde.as_vector())
     assert gap == prox_gap(spec, x)
@@ -359,7 +383,7 @@ def test_prox_point_reports_iterations(monkeypatch):
     spec = pennies_game()
     result = prox_point(spec, uniform_team_policy(spec))
     assert 1 <= result.iterations <= 50
-    assert result.psi == pytest.approx(0.5, abs=1e-12)
+    assert psi(spec, uniform_team_policy(spec), result.x_tilde) == pytest.approx(0.5, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

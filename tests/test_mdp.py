@@ -21,8 +21,6 @@ from atmg.mdp import (
     _support,
     adversary_best_response,
     check_policies,
-    joint_action_distribution,
-    marginal_reward_table,
     policy_gradient,
     project_product_simplex,
     smoothness_constants,
@@ -51,6 +49,8 @@ from oracles import (
     dense_successor_mean,
     induced_reward,
     induced_transition,
+    joint_action_distribution,
+    marginal_reward_table,
     q_table as oracle_q_table,
     team_policy_gradient,
     visitation,
@@ -201,14 +201,14 @@ def test_successor_list_contractions_match_dense_oracles(spec, K):
 
 @pytest.mark.parametrize("spec,K", successor_list_games())
 def test_q_table_matches_the_marginal_table_oracle(spec, K):
-    # build_lp_adv's (b) rows carry q(s, b) - v(s), gathered through the
-    # successor lists; the oracle contracts the (S, B, S) marginal
-    # transition table.
+    # build_lp_adv's (b) rows carry q(s, b) - v(s) at x's best-response
+    # value v, gathered through the successor lists; the oracle contracts
+    # the (S, B, S) marginal transition table.
     rng = np.random.default_rng(29)
     x, _ = random_policies(rng, spec)
-    v = rng.random(spec.state_count) / (1.0 - spec.discount)
+    _, v = adversary_best_response(spec, x)
     A, B = spec.sum_team_actions, spec.adversary_actions
-    slack = np.array([lp.lhs[A : A + B].sum(axis=1) for lp in build_lp_adv(spec, x, v, 0.0)])
+    slack = np.array([lp.lhs[A : A + B].sum(axis=1) for lp in build_lp_adv(spec, x, 0.0)])
     np.testing.assert_allclose(
         slack, oracle_q_table(spec, x, v) - v[:, None], rtol=0, atol=1e-14
     )
