@@ -88,18 +88,15 @@ def _load(path) -> GameSpec:
 # ---------------------------------------------------------------------------
 
 def _write_trace(path: Path, trace, n_players: int) -> None:
-    lines = [
-        f"# team_value = -phi/{n_players} (per-player team payoff; phi is the "
-        "adversary's best-response value)",
-        "t,frobenius_norm_consecutive_joint_policies,team_value,phi",
-    ]
-    for t in range(len(trace.phi)):
-        phi = trace.phi[t]
-        lines.append(
-            f"{t},{_fmt(trace.frob_norms[t])},{_fmt(-phi / n_players)},{_fmt(phi)}"
-        )
+    """Write trace.csv one row at a time, so no copy of the trace is built."""
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(
+            f"# team_value = -phi/{n_players} (per-player team payoff; phi is the "
+            "adversary's best-response value)\n"
+            "t,frobenius_norm_consecutive_joint_policies,team_value,phi\n"
+        )
+        for t, (norm, phi) in enumerate(zip(trace.frob_norms, trace.phi)):
+            fh.write(f"{t},{_fmt(norm)},{_fmt(-phi / n_players)},{_fmt(phi)}\n")
 
 
 def _policies_payload(x: TeamPolicy, y: AdversaryPolicy | None, lam) -> dict:

@@ -2,9 +2,10 @@
 
 Each iteration gets the exact adversary best response to the current team
 policy, then every team player takes one projected gradient step on its own
-simplex block, all simultaneously.  The trace records every iterate; a
-near-stationary one is selected afterwards, either by scanning proximal
-gaps or by drawing a few indices at random.
+simplex block, all simultaneously.  A near-stationary iterate is then
+selected, either by scanning proximal gaps or by drawing a few indices at
+random; both fix their candidates before the loop, so the trace keeps only
+those iterates and its memory does not grow with the iteration count.
 
 The proximal machinery evaluates the Moreau envelope of the best-response
 value phi(x) = max_y V_rho(x, y) at regularization 1/(2 ell): the prox
@@ -56,9 +57,8 @@ class IpgmaxConfig:
 
     With schedule_mode="manual", eta and iters must be set explicitly.  The
     other modes derive (eta, iters) from epsilon; cap_iters, when given,
-    clamps the derived iteration count.  iterate_selection="none" skips the
-    selection pass entirely (the trace is still complete), which is useful
-    when the caller wants to select later or not at all.
+    clamps the derived iteration count.  iterate_selection="none" skips
+    selection, and the trace then keeps only x(0) and x(T).
     """
 
     epsilon: float | None = None
@@ -104,20 +104,23 @@ class IpgmaxConfig:
 class RunTrace:
     """Everything one run produced.
 
-    policies has length T+1 (x0 first); no adversary policy is kept, since
-    the loop's y(t) is the memoized best response to policies[t-1].  phi[t]
-    is the best-response value of policies[t] for every t, including t = T,
-    whose entry costs one extra best-response solve after the loop unless
-    the iterate stopped moving.  frob_norms[t] is the Frobenius norm of the
-    consecutive joint-policy difference, zero at t = 0 by convention; at
-    t = 1 only the team part can move since there is no previous adversary
-    policy.  prox_gaps holds the proximal gap of every trace index that
-    iterate selection scored; indices that hold the same policy object, as
-    the copied fixed tail does, share one evaluation.  Iterate selection
-    sets t_star; x_hat is policies[t_star].
+    policies holds x(t) for each trace index t in kept, which lists in
+    ascending order 0, T and the candidates of the run's iterate selection
+    (selection_candidates); no other iterate is kept.  No adversary policy
+    is kept either, since the loop's y(t) is the memoized best response to
+    x(t-1).  phi[t] is the best-response value of x(t) for every t,
+    including t = T, whose entry costs one extra best-response solve after
+    the loop unless the iterate stopped moving.  frob_norms[t] is the
+    Frobenius norm of the consecutive joint-policy difference, zero at
+    t = 0 by convention; at t = 1 only the team part can move since there
+    is no previous adversary policy.  prox_gaps holds the proximal gap of
+    every trace index that iterate selection scored; indices that hold the
+    same policy object, as the copied fixed tail does, share one
+    evaluation.  Iterate selection sets t_star; x_hat is x(t_star).
     """
 
     policies: list[TeamPolicy]
+    kept: list[int]
     phi: np.ndarray
     frob_norms: np.ndarray
     prox_gaps: dict[int, float] = field(default_factory=dict)
@@ -126,12 +129,12 @@ class RunTrace:
 
     @property
     def iterations(self) -> int:
-        return len(self.policies) - 1
+        return len(self.phi) - 1
 
     @property
     def x_hat(self) -> TeamPolicy | None:
         """The selected iterate, None before selection."""
-        return None if self.t_star is None else self.policies[self.t_star]
+        return None if self.t_star is None else self.policies[self.kept.index(self.t_star)]
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +219,7 @@ def run(spec: GameSpec, x0: TeamPolicy | None, config: IpgmaxConfig) -> RunTrace
     the update is skipped outright so the trace is exactly constant.  Once
     an update leaves x bitwise unchanged, every later iteration would
     repeat it bit for bit, so the rest of the trace is filled by copying.
+    Of the iterates, only x(0), x(T) and the selection candidates are kept.
 
     Iterate selection runs at the end per config (see select_iterate) and
     sets t_star.
@@ -228,6 +232,8 @@ def run(spec: GameSpec, x0: TeamPolicy | None, config: IpgmaxConfig) -> RunTrace
             f"the {config.schedule_mode} schedule asks for T = {T} iterations; "
             f"set {knob} to at most {MAX_ITERS}"
         )
+    keep = {0, T, *selection_candidates(T, config.iterate_selection,
+                                        delta=config.delta, seed=config.seed)}
     if x0 is None:
         x0 = uniform_team_policy(spec)
     check_policies(spec, x0)
@@ -262,10 +268,11 @@ def run(spec: GameSpec, x0: TeamPolicy | None, config: IpgmaxConfig) -> RunTrace
             prev_joint = joint_policy_vector(x, y)
         frob[t] = float(np.linalg.norm(joint - prev_joint))
         prev_joint = joint
-        policies.append(x_next)
+        if t in keep:
+            policies.append(x_next)
         # The team's part of joint is x_next's vector.
         if np.array_equal(joint[: vec.size], vec):
-            policies += [x] * (T - t)
+            policies += [x] * (len(keep) - len(policies))
             phi[t:] = phi[t - 1]
             break
         x, vec = x_next, joint[: vec.size]
@@ -273,15 +280,9 @@ def run(spec: GameSpec, x0: TeamPolicy | None, config: IpgmaxConfig) -> RunTrace
         _, v_final = adversary_best_response(spec, x)
         phi[T] = float(rho @ v_final)
 
-    trace = RunTrace(policies=policies, phi=phi, frob_norms=frob)
+    trace = RunTrace(policies=policies, kept=sorted(keep), phi=phi, frob_norms=frob)
     if config.iterate_selection != "none":
-        select_iterate(
-            spec,
-            trace,
-            config.iterate_selection,
-            delta=config.delta,
-            seed=config.seed,
-        )
+        select_iterate(spec, trace, config.iterate_selection, delta=config.delta, seed=config.seed)
     trace.wall_clock = time.perf_counter() - started
     return trace
 
@@ -373,47 +374,51 @@ def prox_gap(spec: GameSpec, x: TeamPolicy) -> float:
 # Iterate selection
 # ---------------------------------------------------------------------------
 
-def select_iterate(
-    spec: GameSpec,
-    trace: RunTrace,
-    mode: str,
-    *,
-    delta: float = 0.5,
-    seed: int = 0,
-) -> int:
-    """Pick t_star in {0, ..., T-1} and stamp it into the trace.
+def selection_candidates(T: int, mode: str, *, delta: float = 0.5, seed: int = 0) -> list[int]:
+    """The trace indices iterate selection scores, in scoring order; run
+    keeps these iterates.  "prox": every ceil(T/100)-th plus T - 1.
+    "random": ceil(ln(1/delta)) uniform draws from {0, ..., T-1} by
+    default_rng(seed), the random output rule of Ghadimi and Lan (2013).
+    """
+    if mode == "prox":
+        return sorted(set(range(0, T, math.ceil(T / 100))) | {T - 1})
+    if mode == "random":
+        rng = np.random.default_rng(seed)
+        return [int(i) for i in rng.integers(0, T, size=math.ceil(math.log(1.0 / delta)))]
+    if mode == "none":
+        return []
+    raise ValueError(f"unknown selection mode {mode!r}")
 
-    "prox" evaluates the proximal gap at every ceil(T/100)-th iterate
-    plus the last candidate and returns the argmin.  "random" draws
-    ceil(ln(1/delta)) indices uniformly with replacement and keeps the best
-    of those.  The final policy x(T) is never a candidate.  Every candidate's
-    gap is stored in trace.prox_gaps under its index; a policy object that
-    several candidates hold is scored once.
+
+def select_iterate(
+    spec: GameSpec, trace: RunTrace, mode: str, *, delta: float = 0.5, seed: int = 0
+) -> int:
+    """Pick t_star among selection_candidates and stamp it into the trace.
+
+    "prox" returns the argmin of the proximal gap over its candidates, and
+    "random" the best of its draws; the final policy x(T) is never a
+    candidate.  Every candidate's gap is stored in trace.prox_gaps under its
+    index; a policy object that several candidates hold is scored once.
+    Raises ValueError naming any candidate the trace did not keep.
     """
     T = trace.iterations
     if T < 1:
         raise ValueError("trace is empty")
-
-    if mode == "prox":
-        candidates = sorted(set(range(0, T, math.ceil(T / 100))) | {T - 1})
-    elif mode == "random":
-        draws = math.ceil(math.log(1.0 / delta))
-        rng = np.random.default_rng(seed)
-        candidates = [int(i) for i in rng.integers(0, T, size=max(1, draws))]
-    else:
-        raise ValueError(f"unknown selection mode {mode!r}")
+    candidates = selection_candidates(T, mode, delta=delta, seed=seed)
+    kept = dict(zip(trace.kept, trace.policies))
+    missing = sorted(set(candidates) - kept.keys())
+    if missing:
+        raise ValueError(f"selection mode {mode!r} needs iterates the trace did not keep: {missing}")
+    if not candidates:
+        raise ValueError(f"selection mode {mode!r} has no candidates")
 
     scored: dict[int, float] = {}
-    best_t = None
-    best_gap = np.inf
     for t in candidates:
-        x = trace.policies[t]
+        x = kept[t]
         if id(x) not in scored:
             scored[id(x)] = prox_gap(spec, x)
-        gap = trace.prox_gaps[t] = scored[id(x)]
-        if gap < best_gap:
-            best_gap = gap
-            best_t = t
-
-    trace.t_star = best_t
-    return best_t
+        trace.prox_gaps[t] = scored[id(x)]
+    # min keeps the first of equal gaps: the lowest t of the scan, the
+    # earliest draw.
+    trace.t_star = min(candidates, key=trace.prox_gaps.__getitem__)
+    return trace.t_star

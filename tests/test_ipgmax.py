@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 
 import atmg.ipgmax
 from atmg.game import GameSpec, validate
 from atmg.ipgmax import (
+    SELECTION_MODES,
     IpgmaxConfig,
     prox_gap,
     prox_point,
@@ -14,6 +17,7 @@ from atmg.ipgmax import (
     schedule_proposition,
     schedule_theorem,
     select_iterate,
+    selection_candidates,
 )
 from atmg.mdp import (
     TeamPolicy,
@@ -195,7 +199,7 @@ def test_run_zero_step_size_keeps_trace_constant(monkeypatch):
     calls = count_calls(monkeypatch, atmg.ipgmax, "policy_gradient")
     trace = run(spec, x0, IpgmaxConfig(eta=0.0, iters=5, iterate_selection="none"))
     assert len(calls) == 1  # x never moves, so the first solve is the only one needed
-    assert len(trace.policies) == 6 and trace.iterations == 5
+    assert trace.kept == [0, 5] and len(trace.policies) == 2 and trace.iterations == 5
     for x in trace.policies:
         np.testing.assert_array_equal(x.blocks[0], x0.blocks[0])
     np.testing.assert_array_equal(trace.frob_norms, np.zeros(6))
@@ -239,12 +243,17 @@ def test_run_copies_the_tail_once_the_iterate_is_fixed(monkeypatch):
     )
     x0 = uniform_team_policy(spec)
     policies, ys, phi, frob = reference_trace(spec, x0, 0.2, 12)
+    # The scan's stride is 1 at T = 12, so every iterate is kept; a stand-in
+    # prox_gap keeps the scan's best responses out of the count.
+    monkeypatch.setattr(atmg.ipgmax, "prox_gap", lambda spec, x: 0.0)
     calls = count_calls(monkeypatch, atmg.ipgmax, "policy_gradient")
-    trace = run(spec, x0, IpgmaxConfig(eta=0.2, iters=12, iterate_selection="none"))
+    trace = run(spec, x0, IpgmaxConfig(eta=0.2, iters=12, iterate_selection="prox"))
     assert len(calls) == 6  # t = 1..6; x(6) == x(5) ends the loop
-    assert len(trace.policies) == len(policies)
-    for x, ref in zip(trace.policies, policies):
+    assert trace.kept == list(range(13))
+    for x, ref in zip(trace.policies, policies, strict=True):
         np.testing.assert_array_equal(x.blocks[0], ref.blocks[0])
+    # x(7), ..., x(12) are x(5) itself, so selection scores that object once.
+    assert all(x is trace.policies[5] for x in trace.policies[7:])
     for t, ref in enumerate(ys):  # y(t+1), the best response to x(t)
         y, _ = adversary_best_response(spec, trace.policies[t])
         np.testing.assert_array_equal(y.probs, ref.probs)
@@ -256,7 +265,7 @@ def test_run_copies_the_tail_once_the_iterate_is_fixed(monkeypatch):
 def test_run_trace_shapes():
     spec = pennies_game()
     trace = run(spec, None, IpgmaxConfig(eta=0.05, iters=7, iterate_selection="none"))
-    assert len(trace.policies) == 8
+    assert trace.kept == [0, 7] and len(trace.policies) == 2
     assert trace.phi.shape == (8,)
     assert trace.frob_norms.shape == (8,)
     assert trace.frob_norms[0] == 0.0
@@ -292,7 +301,8 @@ def test_run_is_deterministic():
     b = run(spec, None, config)
     assert a.t_star == b.t_star
     assert a.prox_gaps == b.prox_gaps
-    for xa, xb in zip(a.policies, b.policies):
+    assert a.kept == b.kept == list(range(31))  # the scan's stride is 1 at T = 30
+    for xa, xb in zip(a.policies, b.policies, strict=True):
         np.testing.assert_array_equal(xa.blocks[0], xb.blocks[0])
     np.testing.assert_array_equal(a.phi, b.phi)
 
@@ -403,18 +413,19 @@ def test_select_iterate_stride_grid(monkeypatch):
     # The scan's stride is ceil(T/100), 4 at T = 400.  Which gaps come out
     # does not matter here, so a cheap stand-in replaces prox_gap.
     spec = pennies_game()
-    trace = run(spec, None, IpgmaxConfig(eta=0.05, iters=400, iterate_selection="none"))
     monkeypatch.setattr(atmg.ipgmax, "prox_gap", lambda spec, x: float(x.blocks[0][0, 0]))
-    select_iterate(spec, trace, "prox")
-    assert set(trace.prox_gaps) == set(range(0, 400, 4)) | {399}
+    trace = run(spec, None, IpgmaxConfig(eta=0.05, iters=400, iterate_selection="prox"))
+    grid = set(range(0, 400, 4)) | {399}
+    assert set(trace.prox_gaps) == grid
+    assert trace.kept == sorted(grid | {400})
     assert trace.t_star in trace.prox_gaps
     assert trace.t_star <= 399
 
 
 def test_select_iterate_scan_returns_argmin():
     spec = half_game()
-    trace = run(spec, None, IpgmaxConfig(eta=0.1, iters=12, iterate_selection="none"))
-    t = select_iterate(spec, trace, "prox")  # stride ceil(12/100) = 1
+    trace = run(spec, None, IpgmaxConfig(eta=0.1, iters=12, iterate_selection="prox"))
+    t = trace.t_star  # stride ceil(12/100) = 1
     gaps = trace.prox_gaps
     assert set(gaps) == set(range(12))
     assert gaps[t] == min(gaps.values())
@@ -422,39 +433,38 @@ def test_select_iterate_scan_returns_argmin():
 
 def test_select_iterate_random_draw_count():
     spec = pennies_game()
-    trace = run(spec, None, IpgmaxConfig(eta=0.05, iters=50, iterate_selection="none"))
-    t = select_iterate(spec, trace, "random", delta=0.5, seed=7)
+    config = IpgmaxConfig(eta=0.05, iters=50, iterate_selection="random", delta=0.5, seed=7)
+    trace = run(spec, None, config)
     # ceil(ln 2) = 1 draw
     assert len(trace.prox_gaps) == 1
-    assert trace.t_star == t < 50
+    assert trace.t_star < 50
 
-    trace2 = run(spec, None, IpgmaxConfig(eta=0.05, iters=50, iterate_selection="none"))
-    select_iterate(spec, trace2, "random", delta=0.01, seed=7)
+    config.delta = 0.01
+    trace2 = run(spec, None, config)
     # ceil(ln 100) = 5 draws, possibly with repeats
+    assert len(selection_candidates(50, "random", delta=0.01, seed=7)) == 5
     assert 1 <= len(trace2.prox_gaps) <= 5
 
 
 def test_select_iterate_random_is_seeded():
     spec = pennies_game()
-    trace1 = run(spec, None, IpgmaxConfig(eta=0.05, iters=50, iterate_selection="none"))
-    trace2 = run(spec, None, IpgmaxConfig(eta=0.05, iters=50, iterate_selection="none"))
-    t1 = select_iterate(spec, trace1, "random", delta=0.25, seed=3)
-    t2 = select_iterate(spec, trace2, "random", delta=0.25, seed=3)
-    assert t1 == t2
+    config = IpgmaxConfig(eta=0.05, iters=50, iterate_selection="random", delta=0.25, seed=3)
+    trace1 = run(spec, None, config)
+    trace2 = run(spec, None, config)
+    assert trace1.t_star == trace2.t_star
+    assert trace1.kept == trace2.kept
 
 
 def test_select_iterate_scores_each_policy_object_once(monkeypatch):
     # At eta = 0 every trace entry is x0 itself: twelve candidate indices,
     # one policy object.  Elsewhere in the trace each index is its own object.
     spec = half_game()
-    still = run(spec, None, IpgmaxConfig(eta=0.0, iters=12, iterate_selection="none"))
-    moving = run(spec, None, IpgmaxConfig(eta=0.1, iters=12, iterate_selection="none"))
     calls = count_calls(monkeypatch, atmg.ipgmax, "prox_gap")
-    select_iterate(spec, still, "prox")
+    still = run(spec, None, IpgmaxConfig(eta=0.0, iters=12, iterate_selection="prox"))
     assert [x for _, x in calls] == [still.policies[0]]
     assert set(still.prox_gaps) == set(range(12))
     assert len(set(still.prox_gaps.values())) == 1
-    select_iterate(spec, moving, "prox")
+    moving = run(spec, None, IpgmaxConfig(eta=0.1, iters=12, iterate_selection="prox"))
     assert len(calls) == 1 + 12
     assert set(moving.prox_gaps) == set(range(12))
 
@@ -464,3 +474,57 @@ def test_select_iterate_unknown_mode():
     trace = run(spec, None, IpgmaxConfig(eta=0.05, iters=2, iterate_selection="none"))
     with pytest.raises(ValueError, match="selection mode"):
         select_iterate(spec, trace, "oracle")
+
+
+def live_team_policies() -> int:
+    gc.collect()
+    return sum(isinstance(o, TeamPolicy) for o in gc.get_objects())
+
+
+@pytest.mark.parametrize("mode", SELECTION_MODES)
+def test_run_keeps_only_the_iterates_selection_can_pick(monkeypatch, mode):
+    # From this start the pennies iterate moves on every one of the 20000
+    # steps, so a trace of every iterate would hold 20001 policies.
+    spec = pennies_game()
+    monkeypatch.setattr(atmg.ipgmax, "prox_gap", lambda spec, x: float(x.blocks[0][0, 0]))
+    config = IpgmaxConfig(eta=0.05, iters=20000, iterate_selection=mode, delta=0.01, seed=5)
+    candidates = set(selection_candidates(20000, mode, delta=0.01, seed=5))
+    before = live_team_policies()
+    trace = run(spec, TeamPolicy(blocks=(np.array([[0.9, 0.1]]),)), config)
+    assert np.count_nonzero(trace.frob_norms) == 20000
+    assert trace.kept == sorted(candidates | {0, 20000})
+    assert len({id(x) for x in trace.policies}) <= len(candidates) + 2
+    assert live_team_policies() - before <= len(candidates) + 2
+    assert trace.iterations == 20000 and trace.phi.shape == (20001,)
+
+
+@pytest.mark.parametrize("mode", ["prox", "random"])
+@pytest.mark.parametrize("spec,T,last_move", [(half_game(), 300, 122), (half_game(3), 150, 150)],
+                         ids=["fixed-tail", "moving"])
+def test_selection_matches_scoring_the_full_reference_trace(spec, T, last_move, mode):
+    # half_game() stops moving at t = 122, so the kept tail shares one
+    # object; half_game(3) moves on every step.
+    x0 = uniform_team_policy(spec)
+    config = IpgmaxConfig(eta=0.05, iters=T, iterate_selection=mode, delta=0.01, seed=4)
+    trace = run(spec, x0, config)
+    assert np.flatnonzero(trace.frob_norms)[-1] == last_move
+    policies, _, phi, frob = reference_trace(spec, x0, 0.05, T)
+    candidates = selection_candidates(T, mode, delta=0.01, seed=4)
+    gaps = {t: prox_gap(spec, policies[t]) for t in candidates}
+    best = min(gaps.values())
+    t_star = next(t for t in candidates if gaps[t] == best)
+    assert trace.t_star == t_star
+    assert trace.prox_gaps == gaps
+    assert trace.x_hat.as_vector().tobytes() == policies[t_star].as_vector().tobytes()
+    assert trace.phi.tobytes() == phi.tobytes()
+    assert trace.frob_norms.tobytes() == frob.tobytes()
+
+
+def test_select_iterate_names_candidates_the_trace_did_not_keep():
+    spec = pennies_game()
+    trace = run(spec, None, IpgmaxConfig(eta=0.05, iters=4, iterate_selection="none"))
+    assert trace.kept == [0, 4]
+    with pytest.raises(ValueError, match=r"did not keep: \[1, 2, 3\]"):
+        select_iterate(spec, trace, "prox")
+    with pytest.raises(ValueError, match="'none' has no candidates"):
+        select_iterate(spec, trace, "none")
