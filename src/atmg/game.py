@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -133,6 +133,8 @@ class GameSpec:
     transition: Transitions
     discount: float
     initial_dist: np.ndarray
+    # Pure adversary policies' chain skeletons, filled by mdp._skeleton.
+    _skeletons: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         # Coerce to read-only float arrays so instances can be shared freely.

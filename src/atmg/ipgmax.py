@@ -51,6 +51,11 @@ PROX_MAX_ITER = 400
 MAX_ITERS = 10**7
 
 
+def _check_delta(delta: float) -> None:
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+
+
 @dataclass
 class IpgmaxConfig:
     """Knobs for one run.
@@ -96,8 +101,7 @@ class IpgmaxConfig:
             raise ValueError(f"eta must be finite and nonnegative, got {self.eta}")
         if self.epsilon is not None and not 0.0 < self.epsilon < math.inf:
             raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
+        _check_delta(self.delta)
 
 
 @dataclass
@@ -383,6 +387,7 @@ def selection_candidates(T: int, mode: str, *, delta: float = 0.5, seed: int = 0
     if mode == "prox":
         return sorted(set(range(0, T, math.ceil(T / 100))) | {T - 1})
     if mode == "random":
+        _check_delta(delta)
         rng = np.random.default_rng(seed)
         return [int(i) for i in rng.integers(0, T, size=math.ceil(math.log(1.0 / delta)))]
     if mode == "none":

@@ -7,15 +7,16 @@ discounted visitation measures, best responses by policy iteration, exact
 policy gradients under the direct parametrization, Euclidean projection onto
 the product of simplices, and the Lipschitz/smoothness constants of the
 best-response value function.
-Transition contractions read the game's successor lists: a chain is two
-(S, n) row lists of successors and weights taken from them, and a gather
-gives expected next-state values.  No (S, ., S) table is built, nor an
-S x S matrix unless a chain has no level schedule.  Policy iteration, the
-best responses and the gradient all use these two forms, and the gradient
-reuses the chain its best response ended with.  Each team policy is
-evaluated once across the pipeline: its best response (y_star, v_hat) is
-memoized on the TeamPolicy for one GameSpec object, never with its chain,
-and adversary_best_response, policy_gradient and value_rho read it.
+Transition contractions read the game's successor lists: a chain is two (S, n)
+row lists of successors and weights taken from them, and a gather gives
+expected next-state values.  No (S, ., S) table is built, nor an S x S matrix
+unless a chain has no level schedule.  Policy iteration, the best responses and
+the gradient all use these two forms, and the gradient reuses the chain its
+best response ended with.  Chains under a pure adversary policy weigh its
+skeleton, kept on the GameSpec.  Each team policy is evaluated once across the
+pipeline: its best response (y_star, v_hat) is memoized on the TeamPolicy for
+one GameSpec object, never with its chain, and adversary_best_response,
+policy_gradient and value_rho read it.
 
 Policies are stored directly as probability tables.  The team's flattened
 coordinate vector concatenates the per-player blocks in player order, each
@@ -179,11 +180,6 @@ def _chain(spec: GameSpec, w: np.ndarray, acts: np.ndarray, p: np.ndarray):
     return T.succ[states, :, acts].reshape(S, -1), wts.reshape(S, -1)
 
 
-def _pure_adversary_chain(spec: GameSpec, w: np.ndarray, policy: np.ndarray):
-    """_chain for the adversary playing policy[s]."""
-    return _chain(spec, w, policy[:, None], np.ones((spec.state_count, 1)))
-
-
 def _successor_mean(spec: GameSpec, v: np.ndarray) -> np.ndarray:
     """(S, J, B) table sum_{s'} P(s' | s, j, b) v(s'), gathered from the successor lists."""
     T = spec.transition
@@ -213,13 +209,47 @@ def _player_q(spec: GameSpec, others: np.ndarray, k: int, mixed: np.ndarray) -> 
 # Values
 # ---------------------------------------------------------------------------
 
-def _bellman_rows(chain, gamma: float):
+def _bellman_rows(chain, gamma: float, loops=None, levels=None):
     """M = I - gamma P of the row lists (cols, wts) as (cols, off, diag, gamma,
-    levels): P's weights off the diagonal, M's diagonal and their _levels."""
+    levels): P's weights off the diagonal, M's diagonal and levels, by default
+    their _levels.  loops is cols' self-loop mask."""
     cols, wts = chain
-    loops = cols == np.arange(cols.shape[0])[:, None]
+    loops = cols == np.arange(cols.shape[0])[:, None] if loops is None else loops
     off, diag = np.where(loops, 0.0, wts), 1.0 - gamma * np.where(loops, wts, 0.0).sum(axis=1)
-    return cols, off, diag, gamma, _levels(cols, off)
+    return cols, off, diag, gamma, _levels(cols, off) if levels is None else levels
+
+
+_SKELETONS = 4  # kept per game; a short grid_world(3) run and its certificate use 3
+
+
+def _skeleton(spec: GameSpec, policy: np.ndarray) -> list:
+    """[cols, prob, loops, levels, y] of the adversary playing policy[s]: the
+    (S, J K) successors of all joint team actions, their (S, J, K) probabilities,
+    the self-loop mask, that full pattern's _levels from policy's second use on
+    (False before) and the one-hot policy (None until _adversary_iteration sets it)."""
+    cache, key = spec._skeletons, policy.tobytes()
+    if key not in cache:
+        if len(cache) == _SKELETONS:
+            del cache[next(iter(cache))]
+        T, S = spec.transition, spec.state_count
+        cols, prob = T.succ[np.arange(S), :, policy].reshape(S, -1), T.prob[np.arange(S), :, policy]
+        cache[key] = [cols, prob, cols == np.arange(S)[:, None], False, None]
+    elif cache[key][3] is False:  # so a policy used once costs no more than its chain
+        cols, prob, loops = cache[key][:3]
+        cache[key][3] = _levels(cols, prob.reshape(cols.shape) * ~loops)
+    cache[key] = cache.pop(key)
+    return cache[key]
+
+
+def _chain_rows(spec: GameSpec, w: np.ndarray, acts: np.ndarray, p: np.ndarray | None = None):
+    """_bellman_rows of _chain(spec, w, acts, p), p = None meaning all ones.
+    A pure adversary's rows are built on its _skeleton, bit for bit; a sweep
+    of its schedule past the chain's own depth leaves an exact z unchanged."""
+    if p is not None and not (p == 1.0).all():
+        return _bellman_rows(_chain(spec, w, acts, p), spec.discount)
+    cols, prob, loops, levels, _ = _skeleton(spec, acts[:, 0])
+    wts = (w[:, :, None] * prob).reshape(cols.shape)
+    return _bellman_rows((cols, wts), spec.discount, loops, None if levels is False else levels)
 
 
 def _levels(cols: np.ndarray, off: np.ndarray) -> np.ndarray | None:
@@ -277,10 +307,9 @@ def _solve(M, b: np.ndarray, transpose: bool = False) -> np.ndarray:
 
 def value_vector(spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy) -> np.ndarray:
     """Exact policy evaluation: solve (I - gamma P(x,y)) v = r(x,y).  The
-    chain's rows hold only the actions y plays: a pure y's are its
-    _pure_adversary_chain's, bit for bit."""
+    chain's rows hold only the actions y plays, from its _skeleton for a pure y."""
     w = _product(spec, _gathered(spec, x))
-    M = _bellman_rows(_chain(spec, w, *_support(y.probs)), spec.discount)
+    M = _chain_rows(spec, w, *_support(y.probs))
     return _solve(M, ((w[:, None, :] @ spec.reward)[:, 0, :] * y.probs).sum(axis=1))
 
 
@@ -302,26 +331,26 @@ def _greedy(q: np.ndarray):
     return np.argmax(q >= (q.max(axis=1) - slack)[:, None], axis=1), slack
 
 
-def _policy_iteration(spec: GameSpec, r: np.ndarray, q_of, chain_of):
+def _policy_iteration(spec: GameSpec, r: np.ndarray, q_of, rows_of):
     """Maximize one agent's MDP over its deterministic policies.
 
     r is the agent's (S, U) table of one-step payoffs, and q_of(v) is r
     plus gamma times the expected continuation value v;
-    chain_of(policy) is the chain's row lists when the agent plays action
-    policy[s] in state s.  Howard's policy iteration: it starts from the
+    rows_of(policy) is the _bellman_rows of the chain when the agent plays
+    action policy[s] in state s.  Howard's policy iteration starts from the
     greedy policy of one value-iteration step from v = 0, q_of(max_u r),
     which sees a payoff one step ahead where the rewards alone do not.  It
     evaluates the current policy exactly and moves a state to its greedy
     action only where that gains more than the tie tolerance; each move
     raises the value, so no policy repeats and the loop ends once no state
     gains.  Returns (v, policy, M): the exact value of the returned
-    deterministic policy, optimal up to ties, and its chain's _bellman_rows.
+    deterministic policy, optimal up to ties, and M = rows_of(policy).
     The last q_of call is at the returned v.
     """
     states = np.arange(spec.state_count)
     policy = _greedy(q_of(r.max(axis=1)))[0]
     while True:
-        M = _bellman_rows(chain_of(policy), spec.discount)
+        M = rows_of(policy)
         v = _solve(M, r[states, policy])
         q = q_of(v)
         best, slack = _greedy(q)
@@ -340,12 +369,12 @@ def _recall(spec: GameSpec, x: TeamPolicy):
 def _adversary_iteration(spec: GameSpec, x: TeamPolicy, gathered: list[np.ndarray]):
     """(y_star, v_hat, _bellman_rows of the chain (x, y_star), _continuation
     at v_hat) of the adversary's best response, from x's _gathered tables.
-    Fills x's memo; on a memo hit only the last two are rebuilt."""
+    Fills x's memo, y_star from its _skeleton; on a memo hit only the last two are rebuilt."""
     w = _product(spec, gathered)
     memo = _recall(spec, x)
     if memo:
-        chain = _pure_adversary_chain(spec, w, memo[0].probs.argmax(axis=1))
-        return *memo, _bellman_rows(chain, spec.discount), _continuation(spec, memo[1])
+        M = _chain_rows(spec, w, memo[0].probs.argmax(axis=1)[:, None])
+        return *memo, M, _continuation(spec, memo[1])
     q = None
 
     def q_of(v):
@@ -354,11 +383,10 @@ def _adversary_iteration(spec: GameSpec, x: TeamPolicy, gathered: list[np.ndarra
         return (w[:, None, :] @ q)[:, 0, :]
 
     r = (w[:, None, :] @ spec.reward)[:, 0, :]
-    v_hat, greedy, M = _policy_iteration(
-        spec, r, q_of, lambda policy: _pure_adversary_chain(spec, w, policy)
-    )
+    v_hat, greedy, M = _policy_iteration(spec, r, q_of, lambda u: _chain_rows(spec, w, u[:, None]))
     v_hat.setflags(write=False)
-    y_star = AdversaryPolicy(np.eye(spec.adversary_actions)[greedy])
+    skeleton = spec._skeletons[greedy.tobytes()]  # the last sweep's, read as no second use
+    y_star = skeleton[4] = skeleton[4] or AdversaryPolicy(np.eye(spec.adversary_actions)[greedy])
     object.__setattr__(x, "_memo", (spec, y_star, v_hat))
     return y_star, v_hat, M, q
 
@@ -393,7 +421,7 @@ def team_player_best_response(spec: GameSpec, k: int, x_minus_k: TeamPolicy, y: 
         spec,
         -_player_q(spec, others, k, spec.reward @ y.probs[:, :, None]),
         lambda v: -_player_q(spec, others, k, _continuation(spec, -v) @ y.probs[:, :, None]),
-        lambda policy: _chain(spec, others * (digit == policy[:, None]), *support),
+        lambda policy: _chain_rows(spec, others * (digit == policy[:, None]), *support),
     )
     return np.eye(spec.team_sizes[k])[greedy], -float(spec.initial_dist @ v_max)
 
@@ -414,7 +442,7 @@ def policy_gradient(spec: GameSpec, x: TeamPolicy):
     with d the unnormalized visitation of the chain (x, y_star), taken by
     one transposed solve on the rows policy iteration ended with,
     and Qbar_k the table of _player_q at v_hat, all from one gather of the
-    blocks.  On a memo hit only y_star's chain is rebuilt.
+    blocks.  On a memo hit only y_star's chain rows are rebuilt.
     """
     gathered = _gathered(spec, x)
     y_star, v_hat, M, q = _adversary_iteration(spec, x, gathered)

@@ -446,6 +446,21 @@ def test_select_iterate_random_draw_count():
     assert 1 <= len(trace2.prox_gaps) <= 5
 
 
+@pytest.mark.parametrize("delta", [0.0, 1.0, 10.0, float("nan")])
+def test_random_selection_checks_delta_as_the_config_does(delta):
+    # Before the shared check, 10.0 failed with numpy's "negative
+    # dimensions", 0.0 with a bare ZeroDivisionError and NaN in math.ceil.
+    spec = pennies_game()
+    trace = run(spec, None, IpgmaxConfig(eta=0.05, iters=10, iterate_selection="none"))
+    message = "delta must lie in \\(0, 1\\)"
+    with pytest.raises(ValueError, match=message):
+        IpgmaxConfig(eta=0.05, iters=10, iterate_selection="random", delta=delta).validate()
+    with pytest.raises(ValueError, match=message):
+        selection_candidates(50, "random", delta=delta)
+    with pytest.raises(ValueError, match=message):
+        select_iterate(spec, trace, "random", delta=delta)
+
+
 def test_select_iterate_random_is_seeded():
     spec = pennies_game()
     config = IpgmaxConfig(eta=0.05, iters=50, iterate_selection="random", delta=0.25, seed=3)

@@ -12,10 +12,11 @@ from atmg.game import GameSpec, Transitions, grid_world
 from atmg.mdp import (
     AdversaryPolicy,
     TeamPolicy,
+    _SKELETONS,
     _bellman_rows,
     _chain,
+    _chain_rows,
     _project_simplex_rows,
-    _pure_adversary_chain,
     _solve,
     _successor_mean,
     _support,
@@ -246,8 +247,9 @@ def test_deterministic_successor_mean_is_the_reduction_bit_for_bit(gridworld2):
 
 def test_one_sweep_best_response_gathers_the_continuation_twice(gridworld2, monkeypatch):
     # Once for the value-iteration step that starts policy iteration, once
-    # at v_hat; the rewards are not gathered at v = 0.
-    chains = count_calls(monkeypatch, atmg.mdp, "_pure_adversary_chain")
+    # at v_hat; the rewards are not gathered at v = 0.  One sweep builds one
+    # chain.
+    chains = count_calls(monkeypatch, atmg.mdp, "_chain_rows")
     gathers = count_calls(monkeypatch, atmg.mdp, "_continuation")
     _, v_hat = adversary_best_response(gridworld2, uniform_team_policy(gridworld2))
     assert len(chains) == 1
@@ -469,7 +471,7 @@ def unequal_support_games():
 def test_value_vector_on_rows_of_unequal_support(spec):
     # The adversary's table mixes pure, two-action and full rows, so the
     # chain's rows are compacted to each state's support and padded to the
-    # widest; a pure table gives the best-response chain's rows exactly.
+    # widest; a pure table gives the rows built on its skeleton exactly.
     rng = np.random.default_rng(107)
     S, B = spec.state_count, spec.adversary_actions
     x, _ = random_policies(rng, spec)
@@ -487,11 +489,182 @@ def test_value_vector_on_rows_of_unequal_support(spec):
     policy = rng.integers(B, size=S)
     pure = AdversaryPolicy(np.eye(B)[policy])
     w = joint_action_distribution(spec, x)
-    rows, pure_rows = _chain(spec, w, *_support(pure.probs)), _pure_adversary_chain(spec, w, policy)
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(rows, pure_rows))
-    M = _bellman_rows(pure_rows, spec.discount)
+    rows = _bellman_rows(_chain(spec, w, *_support(pure.probs)), spec.discount)
+    M = _chain_rows(spec, w, policy[:, None])
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(rows[:3], M[:3]))
     v = _solve(M, marginal_reward_table(spec, x)[np.arange(S), policy])
     assert value_vector(spec, x, pure).tobytes() == v.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Skeletons of pure adversary policies
+# ---------------------------------------------------------------------------
+
+def layered_game(rng: np.random.Generator, S: int, back_edge: bool = False) -> GameSpec:
+    """Random game, team (2, 2) against 3 adversary actions, where every
+    (s, j, b) row moves to up to 3 of the states s..S-1 (S-1 absorbs), so each
+    pure adversary policy's full pattern is acyclic.  back_edge adds a move
+    from S-1 to 0 under joint team action 0, which makes every pattern cyclic
+    unless that action has weight zero in state S-1."""
+    spec = make_random_game(rng, S, (2, 2), 3, 0.9)
+    dense = np.zeros((S, spec.joint_action_count, 3, S))
+    for s, j, b in np.ndindex(dense.shape[:3]):
+        succ = rng.choice(np.arange(s, S), size=min(3, S - s), replace=False)
+        dense[s, j, b, succ] = rng.dirichlet(np.ones(succ.size))
+    if back_edge:
+        dense[S - 1, 0, :, 0] = 0.5
+        dense[S - 1, 0, :, S - 1] = 0.5
+    return dataclasses.replace(spec, transition=dense)
+
+
+def team_blocks(rng: np.random.Generator, spec: GameSpec, zeros: bool) -> tuple:
+    """A random team policy's blocks; with zeros, about half of each
+    player's entries are exactly zero."""
+    blocks = []
+    for a in spec.team_sizes:
+        block = rng.dirichlet(np.ones(a), size=spec.state_count)
+        if zeros:
+            block = block * (rng.random(block.shape) < 0.5)
+            block[np.arange(spec.state_count), rng.integers(a, size=spec.state_count)] += 0.1
+            block /= block.sum(axis=1, keepdims=True)
+        blocks.append(block)
+    return tuple(blocks)
+
+
+def team_weights(rng: np.random.Generator, spec: GameSpec, zeros: bool) -> np.ndarray:
+    """Joint team weights of a random team_blocks policy."""
+    return joint_action_distribution(spec, TeamPolicy(team_blocks(rng, spec, zeros)))
+
+
+def assert_skeleton_rows_match(rng, spec, w, policy):
+    """Check that the rows built on policy's skeleton, at its first use and
+    at a later one, and both of their solves equal those of the chain built
+    from scratch, byte for byte.  Returns the later use's schedule and the
+    chain's own."""
+    chain = _bellman_rows(_chain(spec, w, *_support(np.eye(3)[policy])), spec.discount)
+    b = rng.uniform(-1.0, 1.0, spec.state_count)
+    for _ in range(2):
+        M = _chain_rows(spec, w, policy[:, None])
+        for got, want in zip(M[:3], chain[:3]):
+            assert got.tobytes() == want.tobytes()
+        assert _solve(M, b).tobytes() == _solve(chain, b).tobytes()
+        assert _solve(M, b, transpose=True).tobytes() == _solve(chain, b, transpose=True).tobytes()
+    return M[-1], chain[-1]
+
+
+def test_skeleton_rows_and_solves_match_the_chain_bit_for_bit():
+    rng = np.random.default_rng(131)
+    for S in range(2, 9):
+        spec = layered_game(rng, S)
+        assert spec.transition.succ.shape[-1] >= 2
+        for _ in range(3):
+            policy = rng.integers(3, size=S)
+            levels, own = assert_skeleton_rows_match(rng, spec, team_weights(rng, spec, False), policy)
+            assert levels is not None and own is not None
+            assert levels.max() >= own.max()
+
+
+def test_skeleton_schedule_deeper_than_the_chains_keeps_the_bits():
+    # Zero team weights drop edges of the full pattern, so the chain's own
+    # schedule can be shallower than the skeleton's, which the solves sweep.
+    rng = np.random.default_rng(137)
+    deeper = 0
+    for S in range(3, 9):
+        spec = layered_game(rng, S)
+        for _ in range(4):
+            policy = rng.integers(3, size=S)
+            levels, own = assert_skeleton_rows_match(rng, spec, team_weights(rng, spec, True), policy)
+            assert levels.max() >= own.max()
+            deeper += levels.max() > own.max()
+    assert deeper >= 5
+
+
+def test_cyclic_full_pattern_falls_back_to_the_chains_own_schedule():
+    rng = np.random.default_rng(139)
+    for S in range(2, 9):
+        spec = layered_game(rng, S, back_edge=True)
+        policy = rng.integers(3, size=S)
+        # With joint action 0 weighted in state S-1 the chain is cyclic too
+        # and is solved densely; without it, it has a schedule of its own.
+        w = team_weights(rng, spec, False)
+        assert assert_skeleton_rows_match(rng, spec, w, policy) == (None, None)
+        assert spec._skeletons[policy.tobytes()][3] is None
+        w[S - 1, 0] = 0.0
+        levels, own = assert_skeleton_rows_match(rng, spec, w, policy)
+        assert own is not None and levels.tobytes() == own.tobytes()
+
+
+def chain_path(spec, w, acts, p=None):
+    """_chain_rows with every chain built from scratch.  A pure adversary's
+    skeleton is still fetched, since the best response reads its one-hot
+    policy from there."""
+    if p is None:
+        atmg.mdp._skeleton(spec, acts[:, 0])
+        p = np.ones(acts.shape)
+    return _bellman_rows(_chain(spec, w, acts, p), spec.discount)
+
+
+@pytest.mark.parametrize("back_edge", [False, True])
+def test_best_responses_on_skeletons_match_the_chain_path(back_edge, monkeypatch):
+    rng = np.random.default_rng(149 + back_edge)
+    cases = []
+    for S in (2, 5, 8):
+        spec = layered_game(rng, S, back_edge)
+        for zeros in (False, True):
+            blocks = team_blocks(rng, spec, zeros)
+            y = AdversaryPolicy(np.eye(3)[rng.integers(3, size=S)])
+            cases.append((spec, blocks, y))
+
+    def outputs():
+        out = []
+        for spec, blocks, y in cases:
+            x = TeamPolicy(blocks)
+            y_star, v_hat, grad = policy_gradient(spec, x)
+            # The memo hit's rows are y_star's skeleton's second use.
+            out += [y_star.probs, v_hat, grad, policy_gradient(spec, x)[2], value_vector(spec, x, y)]
+            for k in range(spec.n_players):
+                table, value = team_player_best_response(spec, k, x, y)
+                out += [table, np.array(value)]
+        return [a.tobytes() for a in out]
+
+    on_skeletons = outputs()
+    monkeypatch.setattr(atmg.mdp, "_chain_rows", chain_path)
+    assert outputs() == on_skeletons
+
+
+def test_a_skeleton_schedules_its_full_pattern_from_its_second_use(monkeypatch):
+    # A policy used once costs its chain's own schedule and no more; the
+    # full pattern's is built at the second use and read from then on.
+    spec = grid_world(2)
+    x = uniform_team_policy(spec)
+    levels = count_calls(monkeypatch, atmg.mdp, "_levels")
+    y, _ = adversary_best_response(spec, x)
+    assert len(levels) == 1
+    [skeleton] = spec._skeletons.values()
+    assert skeleton[3] is False and skeleton[4] is y
+    policy_gradient(spec, x)
+    assert len(levels) == 2 and skeleton[3] is not None
+    policy_gradient(spec, x)
+    assert len(levels) == 2
+    # Another team policy with the same best response shares its one-hot table.
+    assert adversary_best_response(spec, TeamPolicy(x.blocks))[0] is y
+
+
+def test_a_game_keeps_at_most_its_bound_of_skeletons():
+    spec, rng = grid_world(2), np.random.default_rng(151)
+    S, B = spec.state_count, spec.adversary_actions
+    w = np.full((S, spec.joint_action_count), 1.0 / spec.joint_action_count)
+    policies = [np.full(S, b) for b in range(B)] + [rng.integers(B, size=S) for _ in range(_SKELETONS)]
+    for policy in policies:
+        _chain_rows(spec, w, policy[:, None])
+        assert len(spec._skeletons) <= _SKELETONS
+    assert list(spec._skeletons) == [p.tobytes() for p in policies[-_SKELETONS:]]
+    # A hit makes its skeleton the last one evicted.
+    _chain_rows(spec, w, policies[-_SKELETONS][:, None])
+    _chain_rows(spec, w, policies[0][:, None])
+    assert policies[-_SKELETONS].tobytes() in spec._skeletons
+    assert policies[-_SKELETONS + 1].tobytes() not in spec._skeletons
+    assert dataclasses.replace(spec)._skeletons == {}
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +722,7 @@ def test_adversary_best_response_looks_one_step_ahead(monkeypatch):
         initial_dist=np.array([0.5, 0.5]),
     )
     x = uniform_team_policy(spec)
-    chains = count_calls(monkeypatch, atmg.mdp, "_pure_adversary_chain")
+    chains = count_calls(monkeypatch, atmg.mdp, "_chain_rows")
     y, v = adversary_best_response(spec, x)
     assert len(chains) == 1
     np.testing.assert_array_equal(y.probs, [[0.0, 1.0], [1.0, 0.0]])
