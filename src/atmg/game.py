@@ -133,7 +133,7 @@ class GameSpec:
     transition: Transitions
     discount: float
     initial_dist: np.ndarray
-    # Pure adversary policies' chain skeletons, filled by mdp._skeleton.
+    # Chain skeletons of adversary supports, filled by mdp._skeleton.
     _skeletons: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:

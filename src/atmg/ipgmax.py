@@ -26,6 +26,7 @@ import numpy as np
 
 from .game import GameSpec, _count
 from .mdp import (
+    _POLICY_SUM_TOL,
     TeamPolicy,
     adversary_best_response,
     check_policies,
@@ -145,6 +146,15 @@ class RunTrace:
 # Schedules
 # ---------------------------------------------------------------------------
 
+def _squared(epsilon: float) -> float:
+    if epsilon <= 0.0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    try:
+        return epsilon**2
+    except OverflowError:
+        raise ValueError(f"epsilon = {epsilon:g} is too large: epsilon**2 overflows") from None
+
+
 def schedule_theorem(spec: GameSpec, epsilon: float) -> tuple[float, int]:
     """Step size and iteration count with the full worst-case constants.
 
@@ -155,13 +165,11 @@ def schedule_theorem(spec: GameSpec, epsilon: float) -> tuple[float, int]:
     arithmetic (it overflows float range long before it becomes runnable);
     callers must cap it for practical runs.
     """
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
     D = smoothness_constants(spec).D_bar
     S = spec.state_count
     total = spec.sum_team_actions + spec.adversary_actions
     one_minus = 1.0 - spec.discount
-    eta = epsilon**2 * one_minus**9 / (32.0 * S**4 * D**2 * total**3)
+    eta = _squared(epsilon) * one_minus**9 / (32.0 * S**4 * D**2 * total**3)
     T_exact = (
         512
         * Fraction(S) ** 8
@@ -178,11 +186,9 @@ def schedule_proposition(spec: GameSpec, epsilon: float) -> tuple[float, int]:
         eta = 2 eps^2 (1-gamma)
         T   = ceil( (1-gamma)^4 / (8 eps^4 (sum A_k + B)^2) )
     """
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
     total = spec.sum_team_actions + spec.adversary_actions
     one_minus = 1.0 - spec.discount
-    eta = 2.0 * epsilon**2 * one_minus
+    eta = 2.0 * _squared(epsilon) * one_minus
     T_exact = Fraction(one_minus) ** 4 / (
         8 * Fraction(epsilon) ** 4 * Fraction(total) ** 2
     )
@@ -215,8 +221,9 @@ def run(spec: GameSpec, x0: TeamPolicy | None, config: IpgmaxConfig) -> RunTrace
         x_k(t) = proj( x_k(t-1) - eta * grad_k V_rho(x(t-1), y(t)) )
 
     Raises ValueError when the schedule asks for more than MAX_ITERS
-    iterations, before anything is allocated, or when a step leaves a
-    non-finite iterate x(t).
+    iterations, before anything is allocated, or when a step leaves an
+    iterate x(t) that is not finite or whose rows do not sum to 1 within
+    check_policies' tolerance.
 
     phi values for t < T fall out of the loop; the last entry costs one
     extra best-response solve whose policy is not recorded.  When eta = 0
@@ -249,6 +256,7 @@ def run(spec: GameSpec, x0: TeamPolicy | None, config: IpgmaxConfig) -> RunTrace
     frob = np.zeros(T + 1)
 
     x, vec = x0, x0.as_vector()
+    row_starts = np.r_[0, np.repeat(spec.team_sizes, spec.state_count).cumsum()[:-1]]
     prev_joint: np.ndarray | None = None
     for t in range(1, T + 1):
         y, v_hat, grad = policy_gradient(spec, x)
@@ -266,6 +274,9 @@ def run(spec: GameSpec, x0: TeamPolicy | None, config: IpgmaxConfig) -> RunTrace
                     f"iterate {t} is not finite: the step eta = {eta:g} overflows ({exc})"
                 ) from None
         joint = joint_policy_vector(x_next, y)
+        # A huge step rounds x's entries away; the projection may then miss the simplex.
+        if not np.abs(np.add.reduceat(joint[: vec.size], row_starts) - 1.0).max() <= _POLICY_SUM_TOL:
+            raise ValueError(f"iterate {t} is off the simplex: the step eta = {eta:g} is too large")
         if prev_joint is None:
             # No y(0) exists; compare against (x(0), y(1)) so only the team
             # contributes to the first recorded step norm.

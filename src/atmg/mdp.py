@@ -12,8 +12,8 @@ row lists of successors and weights taken from them, and a gather gives
 expected next-state values.  No (S, ., S) table is built, nor an S x S matrix
 unless a chain has no level schedule.  Policy iteration, the best responses and
 the gradient all use these two forms, and the gradient reuses the chain its
-best response ended with.  Chains under a pure adversary policy weigh its
-skeleton, kept on the GameSpec.  Each team policy is evaluated once across the
+best response ended with.  Every chain weighs the skeleton of its adversary
+support, kept on the GameSpec.  Each team policy is evaluated once across the
 pipeline: its best response (y_star, v_hat) is memoized on the TeamPolicy for
 one GameSpec object, never with its chain, and adversary_best_response,
 policy_gradient and value_rho read it.
@@ -170,16 +170,6 @@ def _support(probs: np.ndarray):
     return acts, np.take_along_axis(probs, acts, axis=1)
 
 
-def _chain(spec: GameSpec, w: np.ndarray, acts: np.ndarray, p: np.ndarray):
-    """Row lists (cols, wts) of the chain where the team plays the (S, J)
-    joint-action weights w and the adversary acts[s, i] with probability
-    p[s, i]: two (S, m J K) arrays, each row in (i, j, k) order."""
-    T, S = spec.transition, spec.state_count
-    states = np.arange(S)[:, None]
-    wts = (w[:, None, :] * p[:, :, None])[..., None] * T.prob[states, :, acts]
-    return T.succ[states, :, acts].reshape(S, -1), wts.reshape(S, -1)
-
-
 def _successor_mean(spec: GameSpec, v: np.ndarray) -> np.ndarray:
     """(S, J, B) table sum_{s'} P(s' | s, j, b) v(s'), gathered from the successor lists."""
     T = spec.transition
@@ -209,12 +199,11 @@ def _player_q(spec: GameSpec, others: np.ndarray, k: int, mixed: np.ndarray) -> 
 # Values
 # ---------------------------------------------------------------------------
 
-def _bellman_rows(chain, gamma: float, loops=None, levels=None):
+def _bellman_rows(chain, gamma: float, loops: np.ndarray, levels=None):
     """M = I - gamma P of the row lists (cols, wts) as (cols, off, diag, gamma,
     levels): P's weights off the diagonal, M's diagonal and levels, by default
     their _levels.  loops is cols' self-loop mask."""
     cols, wts = chain
-    loops = cols == np.arange(cols.shape[0])[:, None] if loops is None else loops
     off, diag = np.where(loops, 0.0, wts), 1.0 - gamma * np.where(loops, wts, 0.0).sum(axis=1)
     return cols, off, diag, gamma, _levels(cols, off) if levels is None else levels
 
@@ -222,34 +211,32 @@ def _bellman_rows(chain, gamma: float, loops=None, levels=None):
 _SKELETONS = 4  # kept per game; a short grid_world(3) run and its certificate use 3
 
 
-def _skeleton(spec: GameSpec, policy: np.ndarray) -> list:
-    """[cols, prob, loops, levels, y] of the adversary playing policy[s]: the
-    (S, J K) successors of all joint team actions, their (S, J, K) probabilities,
-    the self-loop mask, that full pattern's _levels from policy's second use on
-    (False before) and the one-hot policy (None until _adversary_iteration sets it)."""
-    cache, key = spec._skeletons, policy.tobytes()
-    if key not in cache:
+def _skeleton(spec: GameSpec, acts: np.ndarray) -> tuple:
+    """(cols, prob, loops, levels, y) of the (S, m) adversary support acts: the
+    (S, m J K) successors and (S, m, J, K) probabilities of each row's (i, j, k),
+    the self-loop mask, that full pattern's _levels and, if m = 1, the one-hot y."""
+    cache, key = spec._skeletons, acts.tobytes()
+    skeleton = cache.pop(key, None)
+    if skeleton is None:
         if len(cache) == _SKELETONS:
             del cache[next(iter(cache))]
-        T, S = spec.transition, spec.state_count
-        cols, prob = T.succ[np.arange(S), :, policy].reshape(S, -1), T.prob[np.arange(S), :, policy]
-        cache[key] = [cols, prob, cols == np.arange(S)[:, None], False, None]
-    elif cache[key][3] is False:  # so a policy used once costs no more than its chain
-        cols, prob, loops = cache[key][:3]
-        cache[key][3] = _levels(cols, prob.reshape(cols.shape) * ~loops)
-    cache[key] = cache.pop(key)
-    return cache[key]
+        T, states = spec.transition, np.arange(spec.state_count)[:, None]
+        cols, prob = T.succ[states, :, acts].reshape(states.size, -1), T.prob[states, :, acts]
+        loops = cols == states
+        y = AdversaryPolicy(np.eye(spec.adversary_actions)[acts[:, 0]]) if acts.shape[1] == 1 else None
+        skeleton = cols, prob, loops, _levels(cols, prob.reshape(cols.shape) * ~loops), y
+    cache[key] = skeleton
+    return skeleton
 
 
 def _chain_rows(spec: GameSpec, w: np.ndarray, acts: np.ndarray, p: np.ndarray | None = None):
-    """_bellman_rows of _chain(spec, w, acts, p), p = None meaning all ones.
-    A pure adversary's rows are built on its _skeleton, bit for bit; a sweep
-    of its schedule past the chain's own depth leaves an exact z unchanged."""
-    if p is not None and not (p == 1.0).all():
-        return _bellman_rows(_chain(spec, w, acts, p), spec.discount)
-    cols, prob, loops, levels, _ = _skeleton(spec, acts[:, 0])
-    wts = (w[:, :, None] * prob).reshape(cols.shape)
-    return _bellman_rows((cols, wts), spec.discount, loops, None if levels is False else levels)
+    """_bellman_rows of the chain of the team's (S, J) joint-action weights w
+    against acts[s, i] played with probability p[s, i] (all ones for None), on
+    acts' _skeleton: with its full pattern's schedule, else the chain's own.
+    Sweeps past the chain's own depth leave an exact z unchanged."""
+    cols, prob, loops, levels, _ = _skeleton(spec, acts)
+    wts = (w[:, None, :] if p is None else w[:, None, :] * p[:, :, None])[..., None] * prob
+    return _bellman_rows((cols, wts.reshape(cols.shape)), spec.discount, loops, levels)
 
 
 def _levels(cols: np.ndarray, off: np.ndarray) -> np.ndarray | None:
@@ -307,7 +294,7 @@ def _solve(M, b: np.ndarray, transpose: bool = False) -> np.ndarray:
 
 def value_vector(spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy) -> np.ndarray:
     """Exact policy evaluation: solve (I - gamma P(x,y)) v = r(x,y).  The
-    chain's rows hold only the actions y plays, from its _skeleton for a pure y."""
+    chain's rows hold only the actions y plays, weighed on their _skeleton."""
     w = _product(spec, _gathered(spec, x))
     M = _chain_rows(spec, w, *_support(y.probs))
     return _solve(M, ((w[:, None, :] @ spec.reward)[:, 0, :] * y.probs).sum(axis=1))
@@ -385,8 +372,7 @@ def _adversary_iteration(spec: GameSpec, x: TeamPolicy, gathered: list[np.ndarra
     r = (w[:, None, :] @ spec.reward)[:, 0, :]
     v_hat, greedy, M = _policy_iteration(spec, r, q_of, lambda u: _chain_rows(spec, w, u[:, None]))
     v_hat.setflags(write=False)
-    skeleton = spec._skeletons[greedy.tobytes()]  # the last sweep's, read as no second use
-    y_star = skeleton[4] = skeleton[4] or AdversaryPolicy(np.eye(spec.adversary_actions)[greedy])
+    y_star = _skeleton(spec, greedy[:, None])[4]
     object.__setattr__(x, "_memo", (spec, y_star, v_hat))
     return y_star, v_hat, M, q
 

@@ -12,9 +12,10 @@ table are the library's gather and product, named for the tests.  The
 adversary LP is written out row by row, the reference for its vectorized
 assembly, and its per-state programs are put back on one block diagonal.
 The transition contractions are einsums over the dense tensor, the
-reference for the library's successor-list forms; the
-induced S x S chain is the library's row lists summed into place, and
-the discounted visitation measure is one dense solve on it.
+reference for the library's successor-list forms.  A chain's row lists
+are built from scratch, the reference for the library's rows on a cached
+skeleton; the induced S x S chain is those row lists summed into place,
+and the discounted visitation measure is one dense solve on it.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from atmg.lp import OPTIMAL, LinearProgram, solve
 from atmg.mdp import (
     AdversaryPolicy,
     TeamPolicy,
-    _chain,
+    _bellman_rows,
     _continuation,
     _gathered,
     _player_q,
@@ -83,10 +84,27 @@ def induced_reward(spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy) -> np.ndar
     return (marginal_reward_table(spec, x) * y.probs).sum(axis=1)
 
 
+def chain(spec: GameSpec, w: np.ndarray, acts: np.ndarray, p: np.ndarray):
+    """Row lists (cols, wts) of the chain where the team plays the (S, J)
+    joint-action weights w and the adversary acts[s, i] with probability
+    p[s, i]: two (S, m J K) arrays, each row in (i, j, k) order."""
+    T, S = spec.transition, spec.state_count
+    states = np.arange(S)[:, None]
+    wts = (w[:, None, :] * p[:, :, None])[..., None] * T.prob[states, :, acts]
+    return T.succ[states, :, acts].reshape(S, -1), wts.reshape(S, -1)
+
+
+def chain_rows(spec: GameSpec, w: np.ndarray, acts: np.ndarray, p: np.ndarray | None = None):
+    """mdp._chain_rows without a skeleton: _bellman_rows of the chain's row
+    lists, with its own self-loop mask and schedule."""
+    cols, wts = chain(spec, w, acts, np.ones(acts.shape) if p is None else p)
+    return _bellman_rows((cols, wts), spec.discount, cols == np.arange(spec.state_count)[:, None])
+
+
 def induced_transition(spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy) -> np.ndarray:
-    """Row-stochastic S x S matrix of the chain induced by (x, y): mdp's
-    row lists of the chain, each entry added into its place."""
-    cols, wts = _chain(spec, joint_action_distribution(spec, x), *_support(y.probs))
+    """Row-stochastic S x S matrix of the chain induced by (x, y): the
+    chain's row lists, each entry added into its place."""
+    cols, wts = chain(spec, joint_action_distribution(spec, x), *_support(y.probs))
     P = np.zeros((spec.state_count, spec.state_count))
     np.add.at(P, (np.arange(spec.state_count)[:, None], cols), wts)
     return P

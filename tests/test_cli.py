@@ -196,13 +196,21 @@ def test_solve_rejects_invalid_game(tmp_path, capsys, pennies_file):
     assert "invalid game" in capsys.readouterr().err
 
 
-def test_solve_rejects_a_step_that_overflows(tmp_path, capsys):
+@pytest.mark.parametrize("args,problem", [
+    (["--eta", "1e308", "--iters", "3"], "is not finite"),
+    # Steps that round the iterate's entries away leave rows that do not
+    # sum to 1: unchecked, phi(1) came out negative, or a later solve failed.
+    (["--eta", "1e14", "--iters", "3"], "is off the simplex"),
+    (["--eta", "1e20", "--iters", "3"], "is off the simplex"),
+    (["--schedule", "proposition", "--epsilon", "1e100"], "is off the simplex"),
+], ids=["eta-1e308", "eta-1e14", "eta-1e20", "proposition-epsilon-1e100"])
+def test_solve_rejects_a_step_that_overflows(tmp_path, capsys, args, problem):
     out = tmp_path / "run"
-    code = main(["solve", "--gridworld", "2", "--eta", "1e308", "--iters", "3",
-                 "--out", str(out)])
+    code = main(["solve", "--gridworld", "2", "--out", str(out)] + args)
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: iterate 1 is not finite") and "Traceback" not in err
+    assert err.startswith(f"error: iterate 1 {problem}") and err.count("\n") == 1
+    assert "Traceback" not in err
     assert not (out / "trace.csv").exists()
 
 
@@ -230,8 +238,11 @@ def test_solve_manual_requires_eta_and_iters(tmp_path, capsys, pennies_file):
     ["--eta", "0.1", "--iters", "5", "--cap-iters", "-4"],
     ["--schedule", "proposition", "--epsilon", "1e-5"],
     ["--eta", "0.1", "--iters", "1000000000000"],
+    ["--schedule", "proposition", "--epsilon", "1e200"],
+    ["--schedule", "theorem", "--epsilon", "1e200", "--cap-iters", "3"],
 ], ids=["eta-nan", "eta-inf", "epsilon-inf", "cap-0", "cap-minus-1", "cap-minus-4",
-        "proposition-huge-T", "iters-huge"])
+        "proposition-huge-T", "iters-huge", "proposition-epsilon-squared-overflows",
+        "theorem-epsilon-squared-overflows"])
 def test_solve_rejects_out_of_range_settings(tmp_path, capsys, pennies_file, args):
     out = tmp_path / "run"
     code = main(["solve", "--game", str(pennies_file), "--out", str(out)] + args)

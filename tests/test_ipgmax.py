@@ -112,6 +112,12 @@ def test_proposition_schedule_shrinks_with_more_actions():
     assert T_large < T_small
 
 
+@pytest.mark.parametrize("schedule", [schedule_theorem, schedule_proposition])
+def test_schedules_reject_an_epsilon_whose_square_overflows(schedule):
+    with pytest.raises(ValueError, match=r"epsilon = 1e\+200 is too large"):
+        schedule(half_game(), 1e200)
+
+
 def test_resolve_schedule_modes_and_cap():
     spec = half_game()
     manual = IpgmaxConfig(eta=0.25, iters=17)

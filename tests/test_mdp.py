@@ -14,7 +14,6 @@ from atmg.mdp import (
     TeamPolicy,
     _SKELETONS,
     _bellman_rows,
-    _chain,
     _chain_rows,
     _project_simplex_rows,
     _solve,
@@ -45,6 +44,7 @@ from conftest import (
 )
 from oracles import (
     adversary_policy_gradient,
+    chain_rows,
     dense_marginal_transition,
     dense_player_transition,
     dense_successor_mean,
@@ -368,7 +368,7 @@ def bellman_rows(P: np.ndarray, gamma: float):
     nonzeros in column order, padded with zero entries to the widest row.
     Its last entry is the level of each state, or None."""
     T = Transitions.from_dense(P)
-    return _bellman_rows((T.succ, T.prob), gamma)
+    return _bellman_rows((T.succ, T.prob), gamma, T.succ == np.arange(P.shape[0])[:, None])
 
 
 def test_acyclic_chains_solve_both_ways_from_one_schedule(monkeypatch):
@@ -467,6 +467,16 @@ def unequal_support_games():
     return games
 
 
+def unequal_support_table(rng: np.random.Generator, S: int, B: int) -> np.ndarray:
+    """A random (S, B) adversary table whose rows play 1, 2 or all B
+    actions, each kind on about a third of the states."""
+    probs = np.zeros((S, B))
+    for s, kind in enumerate(rng.permutation(np.arange(S) % 3)):
+        acts = rng.choice(B, size=(1, 2, B)[kind], replace=False)
+        probs[s, acts] = rng.dirichlet(np.ones(acts.size))
+    return probs
+
+
 @pytest.mark.parametrize("spec", unequal_support_games())
 def test_value_vector_on_rows_of_unequal_support(spec):
     # The adversary's table mixes pure, two-action and full rows, so the
@@ -475,10 +485,7 @@ def test_value_vector_on_rows_of_unequal_support(spec):
     rng = np.random.default_rng(107)
     S, B = spec.state_count, spec.adversary_actions
     x, _ = random_policies(rng, spec)
-    probs = np.zeros((S, B))
-    for s, kind in enumerate(rng.permutation(np.arange(S) % 3)):
-        acts = rng.choice(B, size=(1, 2, B)[kind], replace=False)
-        probs[s, acts] = rng.dirichlet(np.ones(acts.size))
+    probs = unequal_support_table(rng, S, B)
     y = AdversaryPolicy(probs)
     P = np.einsum("sb,sbt->st", probs, dense_marginal_transition(spec, x))
     expect = np.linalg.solve(np.eye(S) - spec.discount * P, induced_reward(spec, x, y))
@@ -489,7 +496,7 @@ def test_value_vector_on_rows_of_unequal_support(spec):
     policy = rng.integers(B, size=S)
     pure = AdversaryPolicy(np.eye(B)[policy])
     w = joint_action_distribution(spec, x)
-    rows = _bellman_rows(_chain(spec, w, *_support(pure.probs)), spec.discount)
+    rows = chain_rows(spec, w, *_support(pure.probs))
     M = _chain_rows(spec, w, policy[:, None])
     assert all(a.tobytes() == b.tobytes() for a, b in zip(rows[:3], M[:3]))
     v = _solve(M, marginal_reward_table(spec, x)[np.arange(S), policy])
@@ -497,13 +504,13 @@ def test_value_vector_on_rows_of_unequal_support(spec):
 
 
 # ---------------------------------------------------------------------------
-# Skeletons of pure adversary policies
+# Skeletons of adversary supports
 # ---------------------------------------------------------------------------
 
 def layered_game(rng: np.random.Generator, S: int, back_edge: bool = False) -> GameSpec:
     """Random game, team (2, 2) against 3 adversary actions, where every
-    (s, j, b) row moves to up to 3 of the states s..S-1 (S-1 absorbs), so each
-    pure adversary policy's full pattern is acyclic.  back_edge adds a move
+    (s, j, b) row moves to up to 3 of the states s..S-1 (S-1 absorbs), so the
+    full pattern of every adversary support is acyclic.  back_edge adds a move
     from S-1 to 0 under joint team action 0, which makes every pattern cyclic
     unless that action has weight zero in state S-1."""
     spec = make_random_game(rng, S, (2, 2), 3, 0.9)
@@ -536,15 +543,15 @@ def team_weights(rng: np.random.Generator, spec: GameSpec, zeros: bool) -> np.nd
     return joint_action_distribution(spec, TeamPolicy(team_blocks(rng, spec, zeros)))
 
 
-def assert_skeleton_rows_match(rng, spec, w, policy):
-    """Check that the rows built on policy's skeleton, at its first use and
-    at a later one, and both of their solves equal those of the chain built
-    from scratch, byte for byte.  Returns the later use's schedule and the
-    chain's own."""
-    chain = _bellman_rows(_chain(spec, w, *_support(np.eye(3)[policy])), spec.discount)
+def assert_skeleton_rows_match(rng, spec, w, acts, p=None):
+    """Check that the rows built on the skeleton of acts, at its first use
+    and at a later one, and both of their solves equal those of the chain
+    built from scratch, byte for byte.  Returns the later use's schedule and
+    the chain's own."""
+    chain = chain_rows(spec, w, acts, p)
     b = rng.uniform(-1.0, 1.0, spec.state_count)
     for _ in range(2):
-        M = _chain_rows(spec, w, policy[:, None])
+        M = _chain_rows(spec, w, acts, p)
         for got, want in zip(M[:3], chain[:3]):
             assert got.tobytes() == want.tobytes()
         assert _solve(M, b).tobytes() == _solve(chain, b).tobytes()
@@ -559,7 +566,8 @@ def test_skeleton_rows_and_solves_match_the_chain_bit_for_bit():
         assert spec.transition.succ.shape[-1] >= 2
         for _ in range(3):
             policy = rng.integers(3, size=S)
-            levels, own = assert_skeleton_rows_match(rng, spec, team_weights(rng, spec, False), policy)
+            w = team_weights(rng, spec, False)
+            levels, own = assert_skeleton_rows_match(rng, spec, w, policy[:, None])
             assert levels is not None and own is not None
             assert levels.max() >= own.max()
 
@@ -573,7 +581,8 @@ def test_skeleton_schedule_deeper_than_the_chains_keeps_the_bits():
         spec = layered_game(rng, S)
         for _ in range(4):
             policy = rng.integers(3, size=S)
-            levels, own = assert_skeleton_rows_match(rng, spec, team_weights(rng, spec, True), policy)
+            w = team_weights(rng, spec, True)
+            levels, own = assert_skeleton_rows_match(rng, spec, w, policy[:, None])
             assert levels.max() >= own.max()
             deeper += levels.max() > own.max()
     assert deeper >= 5
@@ -583,25 +592,40 @@ def test_cyclic_full_pattern_falls_back_to_the_chains_own_schedule():
     rng = np.random.default_rng(139)
     for S in range(2, 9):
         spec = layered_game(rng, S, back_edge=True)
-        policy = rng.integers(3, size=S)
+        acts = rng.integers(3, size=(S, 1))
         # With joint action 0 weighted in state S-1 the chain is cyclic too
         # and is solved densely; without it, it has a schedule of its own.
         w = team_weights(rng, spec, False)
-        assert assert_skeleton_rows_match(rng, spec, w, policy) == (None, None)
-        assert spec._skeletons[policy.tobytes()][3] is None
+        assert assert_skeleton_rows_match(rng, spec, w, acts) == (None, None)
+        assert atmg.mdp._skeleton(spec, acts)[3] is None
         w[S - 1, 0] = 0.0
-        levels, own = assert_skeleton_rows_match(rng, spec, w, policy)
+        levels, own = assert_skeleton_rows_match(rng, spec, w, acts)
         assert own is not None and levels.tobytes() == own.tobytes()
 
 
-def chain_path(spec, w, acts, p=None):
-    """_chain_rows with every chain built from scratch.  A pure adversary's
-    skeleton is still fetched, since the best response reads its one-hot
-    policy from there."""
-    if p is None:
-        atmg.mdp._skeleton(spec, acts[:, 0])
-        p = np.ones(acts.shape)
-    return _bellman_rows(_chain(spec, w, acts, p), spec.discount)
+def test_mixed_support_rows_and_solves_match_the_chain_bit_for_bit():
+    # Rows of unequal support are padded with actions of probability zero,
+    # whose moves are in the skeleton's full pattern but not in the chain.
+    # The pure support of each support's first column is built first, so a
+    # skeleton keyed by less than the whole support would be the wrong one.
+    rng = np.random.default_rng(157)
+    fallbacks = cyclic = 0
+    for S in range(2, 9):
+        games = (layered_game(rng, S), layered_game(rng, S, back_edge=True),
+                 make_mixed_support_game(rng, S, (2, 2), 3, 0.9))
+        for spec in games:
+            for zeros in (False, True):
+                acts, p = _support(unequal_support_table(rng, S, 3))
+                w = team_weights(rng, spec, zeros)
+                w[S - 1, 0] *= not zeros  # with zeros, the chain keeps no back edge
+                assert_skeleton_rows_match(rng, spec, w, acts[:, :1])
+                levels, own = assert_skeleton_rows_match(rng, spec, w, acts, p)
+                assert (levels is None) == (own is None)
+                assert own is None or levels.max() >= own.max()
+                full = atmg.mdp._skeleton(spec, acts)[3]
+                fallbacks += full is None and own is not None
+                cyclic += own is None
+    assert fallbacks >= 5 and cyclic >= 5
 
 
 @pytest.mark.parametrize("back_edge", [False, True])
@@ -612,42 +636,52 @@ def test_best_responses_on_skeletons_match_the_chain_path(back_edge, monkeypatch
         spec = layered_game(rng, S, back_edge)
         for zeros in (False, True):
             blocks = team_blocks(rng, spec, zeros)
-            y = AdversaryPolicy(np.eye(3)[rng.integers(3, size=S)])
-            cases.append((spec, blocks, y))
+            pure = AdversaryPolicy(np.eye(3)[rng.integers(3, size=S)])
+            cases.append((spec, blocks, pure, AdversaryPolicy(unequal_support_table(rng, S, 3))))
 
     def outputs():
         out = []
-        for spec, blocks, y in cases:
+        for spec, blocks, *ys in cases:
             x = TeamPolicy(blocks)
             y_star, v_hat, grad = policy_gradient(spec, x)
-            # The memo hit's rows are y_star's skeleton's second use.
-            out += [y_star.probs, v_hat, grad, policy_gradient(spec, x)[2], value_vector(spec, x, y)]
-            for k in range(spec.n_players):
-                table, value = team_player_best_response(spec, k, x, y)
-                out += [table, np.array(value)]
+            # The memo hit's rows are built on y_star's skeleton again.
+            out += [y_star.probs, v_hat, grad, policy_gradient(spec, x)[2]]
+            for y in ys:
+                out.append(value_vector(spec, x, y))
+                for k in range(spec.n_players):
+                    table, value = team_player_best_response(spec, k, x, y)
+                    out += [table, np.array(value)]
         return [a.tobytes() for a in out]
 
     on_skeletons = outputs()
-    monkeypatch.setattr(atmg.mdp, "_chain_rows", chain_path)
+    monkeypatch.setattr(atmg.mdp, "_chain_rows", chain_rows)
     assert outputs() == on_skeletons
 
 
-def test_a_skeleton_schedules_its_full_pattern_from_its_second_use(monkeypatch):
-    # A policy used once costs its chain's own schedule and no more; the
-    # full pattern's is built at the second use and read from then on.
-    spec = grid_world(2)
-    x = uniform_team_policy(spec)
+def test_a_skeleton_is_built_whole_at_its_first_use(monkeypatch):
+    # The full pattern is scheduled once, when its skeleton is built, and a
+    # hit schedules nothing.  A pure support's one-hot policy is built with
+    # it and shared by every team policy with that best response; a mixed
+    # support has none.
+    rng = np.random.default_rng(163)
+    spec = layered_game(rng, 6)
+    x = TeamPolicy(team_blocks(rng, spec, False))
     levels = count_calls(monkeypatch, atmg.mdp, "_levels")
     y, _ = adversary_best_response(spec, x)
-    assert len(levels) == 1
-    [skeleton] = spec._skeletons.values()
-    assert skeleton[3] is False and skeleton[4] is y
+    built = len(levels)
+    assert built == len(spec._skeletons)
+    policy = y.probs.argmax(axis=1)[:, None]
+    assert atmg.mdp._skeleton(spec, policy)[4] is y
     policy_gradient(spec, x)
-    assert len(levels) == 2 and skeleton[3] is not None
-    policy_gradient(spec, x)
-    assert len(levels) == 2
-    # Another team policy with the same best response shares its one-hot table.
+    value_vector(spec, x, y)
     assert adversary_best_response(spec, TeamPolicy(x.blocks))[0] is y
+    assert len(levels) == built
+    acts, p = _support(unequal_support_table(rng, 6, 3))
+    w = team_weights(rng, spec, False)
+    for _ in range(3):
+        _chain_rows(spec, w, acts, p)
+    assert len(levels) == built + 1
+    assert atmg.mdp._skeleton(spec, acts)[4] is None
 
 
 def test_a_game_keeps_at_most_its_bound_of_skeletons():
@@ -865,8 +899,7 @@ def test_policy_gradient_is_the_gradient_at_the_best_response(spec, K):
     y_ref, v_ref = adversary_best_response(spec, x)
     assert y_star.probs.tobytes() == y_ref.probs.tobytes()
     assert v_hat.tobytes() == v_ref.tobytes()
-    chain = _chain(spec, joint_action_distribution(spec, x), *_support(y_ref.probs))
-    M = _bellman_rows(chain, spec.discount)
+    M = chain_rows(spec, joint_action_distribution(spec, x), *_support(y_ref.probs))
     d = _solve(M, spec.initial_dist, transpose=True)
     assert grad.tobytes() == team_policy_gradient(spec, x, y_ref, d).tobytes()
     np.testing.assert_allclose(grad, team_policy_gradient(spec, x, y_ref), rtol=1e-13, atol=0)
