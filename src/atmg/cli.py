@@ -36,7 +36,7 @@ from .game import (
     save_game,
     validate,
 )
-from .ipgmax import SCHEDULE_MODES, SELECTION_MODES, IpgmaxConfig, resolve_schedule, run
+from .ipgmax import SCHEDULE_MODES, SELECTION_MODES, IpgmaxConfig, run
 from .mdp import AdversaryPolicy, TeamPolicy, check_policies
 
 log = logging.getLogger(__name__)
@@ -194,7 +194,6 @@ def cmd_solve(args) -> int:
         trace = run(normalized, None, config)
     except ValueError as exc:
         return _fail(str(exc))
-    eta_used, T_used = resolve_schedule(normalized, config)
 
     report = {
         "game": {
@@ -206,8 +205,8 @@ def cmd_solve(args) -> int:
         "config": {
             "schedule": args.schedule,
             "epsilon": args.epsilon,
-            "eta": eta_used,
-            "iters": T_used,
+            "eta": trace.eta,
+            "iters": trace.iterations,
             "select": args.select,
             "delta": args.delta,
             "seed": args.seed,

@@ -109,25 +109,28 @@ class IpgmaxConfig:
 class RunTrace:
     """Everything one run produced.
 
-    policies holds x(t) for each trace index t in kept, which lists in
-    ascending order 0, T and the candidates of the run's iterate selection
-    (selection_candidates); no other iterate is kept.  No adversary policy
-    is kept either, since the loop's y(t) is the memoized best response to
-    x(t-1).  phi[t] is the best-response value of x(t) for every t,
-    including t = T, whose entry costs one extra best-response solve after
-    the loop unless the iterate stopped moving.  frob_norms[t] is the
+    candidates holds the trace indices iterate selection scores, fixed by
+    run before its loop (selection_candidates): in scoring order, repeated
+    random draws kept, none for iterate_selection="none".  policies holds
+    x(t) for each t in kept, which lists 0, T and the candidates in
+    ascending order; no other iterate or adversary policy is kept, since
+    the loop's y(t) is the memoized best response to x(t-1).  eta is the
+    step the run took.  phi[t] is the best-response value of x(t) for every
+    t, including t = T, whose entry costs one extra best-response solve
+    after the loop unless the iterate stopped moving.  frob_norms[t] is the
     Frobenius norm of the consecutive joint-policy difference, zero at
     t = 0 by convention; at t = 1 only the team part can move since there
-    is no previous adversary policy.  prox_gaps holds the proximal gap of
-    every trace index that iterate selection scored; indices that hold the
-    same policy object, as the copied fixed tail does, share one
-    evaluation.  Iterate selection sets t_star; x_hat is x(t_star).
+    is no previous adversary policy.  prox_gaps holds each scored
+    candidate's proximal gap; indices that hold the same policy object, as
+    the copied fixed tail does, share one evaluation.  Iterate selection
+    sets t_star; x_hat is x(t_star).
     """
 
     policies: list[TeamPolicy]
-    kept: list[int]
+    candidates: list[int]
     phi: np.ndarray
     frob_norms: np.ndarray
+    eta: float
     prox_gaps: dict[int, float] = field(default_factory=dict)
     t_star: int | None = None
     wall_clock: float = 0.0
@@ -135,6 +138,10 @@ class RunTrace:
     @property
     def iterations(self) -> int:
         return len(self.phi) - 1
+
+    @property
+    def kept(self) -> list[int]:
+        return sorted({0, self.iterations, *self.candidates})
 
     @property
     def x_hat(self) -> TeamPolicy | None:
@@ -152,7 +159,15 @@ def _squared(epsilon: float) -> float:
     try:
         return epsilon**2
     except OverflowError:
-        raise ValueError(f"epsilon = {epsilon:g} is too large: epsilon**2 overflows") from None
+        return math.inf
+
+
+def _derived_step(epsilon: float, eta: float) -> float:
+    """eta as a schedule derived it from epsilon, refused unless finite and positive."""
+    if not 0.0 < eta < math.inf:
+        size = "small" if eta == 0.0 else "large"
+        raise ValueError(f"epsilon = {epsilon:g} is too {size}: it gives the step eta = {eta:g}")
+    return float(eta)
 
 
 def schedule_theorem(spec: GameSpec, epsilon: float) -> tuple[float, int]:
@@ -177,7 +192,7 @@ def schedule_theorem(spec: GameSpec, epsilon: float) -> tuple[float, int]:
         * Fraction(total) ** 4
         / (Fraction(epsilon) ** 4 * Fraction(one_minus) ** 12)
     )
-    return float(eta), int(math.ceil(T_exact))
+    return _derived_step(epsilon, eta), int(math.ceil(T_exact))
 
 
 def schedule_proposition(spec: GameSpec, epsilon: float) -> tuple[float, int]:
@@ -192,7 +207,7 @@ def schedule_proposition(spec: GameSpec, epsilon: float) -> tuple[float, int]:
     T_exact = Fraction(one_minus) ** 4 / (
         8 * Fraction(epsilon) ** 4 * Fraction(total) ** 2
     )
-    return float(eta), max(1, int(math.ceil(T_exact)))
+    return _derived_step(epsilon, eta), max(1, int(math.ceil(T_exact)))
 
 
 def resolve_schedule(spec: GameSpec, config: IpgmaxConfig) -> tuple[float, int]:
@@ -232,8 +247,8 @@ def run(spec: GameSpec, x0: TeamPolicy | None, config: IpgmaxConfig) -> RunTrace
     repeat it bit for bit, so the rest of the trace is filled by copying.
     Of the iterates, only x(0), x(T) and the selection candidates are kept.
 
-    Iterate selection runs at the end per config (see select_iterate) and
-    sets t_star.
+    The selection candidates are fixed before the loop and stored on the
+    trace; select_iterate scores them at the end and sets t_star.
     """
     config.validate()
     eta, T = resolve_schedule(spec, config)
@@ -243,8 +258,9 @@ def run(spec: GameSpec, x0: TeamPolicy | None, config: IpgmaxConfig) -> RunTrace
             f"the {config.schedule_mode} schedule asks for T = {T} iterations; "
             f"set {knob} to at most {MAX_ITERS}"
         )
-    keep = {0, T, *selection_candidates(T, config.iterate_selection,
-                                        delta=config.delta, seed=config.seed)}
+    candidates = selection_candidates(T, config.iterate_selection,
+                                      delta=config.delta, seed=config.seed)
+    keep = {0, T, *candidates}
     if x0 is None:
         x0 = uniform_team_policy(spec)
     check_policies(spec, x0)
@@ -295,9 +311,9 @@ def run(spec: GameSpec, x0: TeamPolicy | None, config: IpgmaxConfig) -> RunTrace
         _, v_final = adversary_best_response(spec, x)
         phi[T] = float(rho @ v_final)
 
-    trace = RunTrace(policies=policies, kept=sorted(keep), phi=phi, frob_norms=frob)
-    if config.iterate_selection != "none":
-        select_iterate(spec, trace, config.iterate_selection, delta=config.delta, seed=config.seed)
+    trace = RunTrace(policies=policies, candidates=candidates, phi=phi, frob_norms=frob, eta=eta)
+    if candidates:
+        select_iterate(spec, trace)
     trace.wall_clock = time.perf_counter() - started
     return trace
 
@@ -319,57 +335,39 @@ def prox_point(spec: GameSpec, x: TeamPolicy) -> ProxResult:
     A subgradient of phi at x' is the team policy gradient evaluated against
     the exact best response y*(x'); adding 2 ell (x' - x) gives one for psi.
     Steps shrink as 2/(ell (t+2)).  psi is evaluated exactly at every
-    iterate (the best-response solve provides phi for free), and the best
-    iterate seen is returned; starting from x' = x makes the method exact at
+    iterate (the best-response solve provides phi for free; the last
+    iterate takes no step, so it needs no gradient), and the best iterate
+    seen is returned; starting from x' = x makes the method exact at
     stationary points.  Stops early once an iterate moves less than
     PROX_TOL; otherwise runs all PROX_MAX_ITER steps and reports
-    converged=False.
+    converged=False.  iterations counts the steps taken.
     """
     ell = smoothness_constants(spec).ell
     rho = spec.initial_dist
     anchor = x.as_vector()
 
-    def psi_and_subgrad(point: TeamPolicy, vec: np.ndarray):
-        _, v_hat, grad = policy_gradient(spec, point)
-        psi_val = float(rho @ v_hat) + ell * float(np.dot(vec - anchor, vec - anchor))
-        return psi_val, grad + 2.0 * ell * (vec - anchor)
-
-    current = x
-    current_vec = anchor.copy()
-    best_vec = current_vec
-    best_psi = np.inf
+    current, current_vec = x, anchor.copy()
+    best_vec, best_psi = current_vec, np.inf
     converged = False
-    used = 0
-
-    for t in range(PROX_MAX_ITER):
-        used = t + 1
-        psi_val, grad = psi_and_subgrad(current, current_vec)
+    for t in range(PROX_MAX_ITER + 1):
+        last = converged or t == PROX_MAX_ITER
+        if last:
+            _, v_hat = adversary_best_response(spec, current)
+        else:
+            _, v_hat, grad = policy_gradient(spec, current)
+        diff = current_vec - anchor
+        psi_val = float(rho @ v_hat) + ell * float(np.dot(diff, diff))
         if psi_val < best_psi:
-            best_psi = psi_val
-            best_vec = current_vec
-        step = 2.0 / (ell * (t + 2))
-        nxt = project_product_simplex(spec, current_vec - step * grad)
-        nxt_vec = nxt.as_vector()
-        move = float(np.linalg.norm(nxt_vec - current_vec))
-        current, current_vec = nxt, nxt_vec
-        if move < PROX_TOL:
-            converged = True
+            best_psi, best_vec = psi_val, current_vec
+        if last:
             break
+        step = 2.0 / (ell * (t + 2))
+        current = project_product_simplex(spec, current_vec - step * (grad + 2.0 * ell * diff))
+        nxt_vec = current.as_vector()
+        converged = float(np.linalg.norm(nxt_vec - current_vec)) < PROX_TOL
+        current_vec = nxt_vec
 
-    # The final iterate never got scored inside the loop.
-    _, v_hat = adversary_best_response(spec, current)
-    psi_val = float(rho @ v_hat) + ell * float(
-        np.dot(current_vec - anchor, current_vec - anchor)
-    )
-    if psi_val < best_psi:
-        best_psi = psi_val
-        best_vec = current_vec
-
-    return ProxResult(
-        x_tilde=team_policy_from_vector(spec, best_vec),
-        converged=converged,
-        iterations=used,
-    )
+    return ProxResult(team_policy_from_vector(spec, best_vec), converged, iterations=t)
 
 
 def prox_gap(spec: GameSpec, x: TeamPolicy) -> float:
@@ -406,35 +404,23 @@ def selection_candidates(T: int, mode: str, *, delta: float = 0.5, seed: int = 0
     raise ValueError(f"unknown selection mode {mode!r}")
 
 
-def select_iterate(
-    spec: GameSpec, trace: RunTrace, mode: str, *, delta: float = 0.5, seed: int = 0
-) -> int:
-    """Pick t_star among selection_candidates and stamp it into the trace.
+def select_iterate(spec: GameSpec, trace: RunTrace) -> int:
+    """Score trace.candidates by proximal gap and stamp the best into the trace.
 
-    "prox" returns the argmin of the proximal gap over its candidates, and
-    "random" the best of its draws; the final policy x(T) is never a
-    candidate.  Every candidate's gap is stored in trace.prox_gaps under its
-    index; a policy object that several candidates hold is scored once.
-    Raises ValueError naming any candidate the trace did not keep.
+    t_star is the first candidate of least gap: the lowest t of the prox
+    scan, the earliest of the random draws; the final policy x(T) is never
+    a candidate.  Every candidate's gap is stored in trace.prox_gaps under
+    its index; a policy object that several candidates hold is scored once.
+    Raises ValueError when the trace has no candidates.
     """
-    T = trace.iterations
-    if T < 1:
-        raise ValueError("trace is empty")
-    candidates = selection_candidates(T, mode, delta=delta, seed=seed)
+    if not trace.candidates:
+        raise ValueError("the trace has no selection candidates")
     kept = dict(zip(trace.kept, trace.policies))
-    missing = sorted(set(candidates) - kept.keys())
-    if missing:
-        raise ValueError(f"selection mode {mode!r} needs iterates the trace did not keep: {missing}")
-    if not candidates:
-        raise ValueError(f"selection mode {mode!r} has no candidates")
-
     scored: dict[int, float] = {}
-    for t in candidates:
+    for t in trace.candidates:
         x = kept[t]
         if id(x) not in scored:
             scored[id(x)] = prox_gap(spec, x)
         trace.prox_gaps[t] = scored[id(x)]
-    # min keeps the first of equal gaps: the lowest t of the scan, the
-    # earliest draw.
-    trace.t_star = min(candidates, key=trace.prox_gaps.__getitem__)
+    trace.t_star = min(trace.candidates, key=trace.prox_gaps.__getitem__)
     return trace.t_star

@@ -240,9 +240,12 @@ def test_solve_manual_requires_eta_and_iters(tmp_path, capsys, pennies_file):
     ["--eta", "0.1", "--iters", "1000000000000"],
     ["--schedule", "proposition", "--epsilon", "1e200"],
     ["--schedule", "theorem", "--epsilon", "1e200", "--cap-iters", "3"],
+    ["--schedule", "proposition", "--epsilon", "1e154"],
+    ["--schedule", "theorem", "--epsilon", "1e-200", "--cap-iters", "3"],
 ], ids=["eta-nan", "eta-inf", "epsilon-inf", "cap-0", "cap-minus-1", "cap-minus-4",
         "proposition-huge-T", "iters-huge", "proposition-epsilon-squared-overflows",
-        "theorem-epsilon-squared-overflows"])
+        "theorem-epsilon-squared-overflows", "proposition-eta-overflows",
+        "theorem-eta-underflows"])
 def test_solve_rejects_out_of_range_settings(tmp_path, capsys, pennies_file, args):
     out = tmp_path / "run"
     code = main(["solve", "--game", str(pennies_file), "--out", str(out)] + args)
@@ -251,6 +254,22 @@ def test_solve_rejects_out_of_range_settings(tmp_path, capsys, pennies_file, arg
     assert "error:" in err
     assert "Traceback" not in err
     assert not (out / "report.json").exists()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args,problem", [
+    (["--schedule", "proposition", "--epsilon", "1e154"], "epsilon = 1e+154 is too large"),
+    (["--schedule", "theorem", "--epsilon", "1e-200", "--cap-iters", "3"],
+     "epsilon = 1e-200 is too small"),
+], ids=["proposition-eta-overflows", "theorem-eta-underflows"])
+def test_solve_blames_epsilon_for_a_derived_step_that_is_not_finite_and_positive(
+    tmp_path, capsys, pennies_file, args, problem
+):
+    out = tmp_path / "run"
+    code = main(["solve", "--game", str(pennies_file), "--out", str(out)] + args)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {problem}") and err.count("\n") == 1
     assert not out.exists()
 
 

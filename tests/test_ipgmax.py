@@ -118,6 +118,19 @@ def test_schedules_reject_an_epsilon_whose_square_overflows(schedule):
         schedule(half_game(), 1e200)
 
 
+@pytest.mark.parametrize("schedule,epsilon,message", [
+    # epsilon**2 = 1e308 is finite, but 2 epsilon**2 (1 - gamma) overflows.
+    (schedule_proposition, 1e154, r"epsilon = 1e\+154 is too large: it gives the step eta = inf"),
+    # epsilon**2 underflows to 0, so the run would never move.
+    (schedule_theorem, 1e-200, r"epsilon = 1e-200 is too small: it gives the step eta = 0"),
+], ids=["proposition-eta-overflows", "theorem-eta-underflows"])
+def test_schedules_reject_an_epsilon_whose_step_is_not_finite_and_positive(
+    schedule, epsilon, message
+):
+    with pytest.raises(ValueError, match=message):
+        schedule(pennies_game(), epsilon)
+
+
 def test_resolve_schedule_modes_and_cap():
     spec = half_game()
     manual = IpgmaxConfig(eta=0.25, iters=17)
@@ -394,6 +407,31 @@ def test_prox_point_matches_grid_search():
     assert gap == prox_gap(spec, x)
 
 
+def test_prox_point_scores_its_last_iterate(monkeypatch):
+    # From x = (0.9, 0.1) psi falls on each of the first three steps, so the
+    # last iterate, which takes no step, is the best one.
+    monkeypatch.setattr(atmg.ipgmax, "PROX_MAX_ITER", 3)
+    spec = pennies_game()
+    x = TeamPolicy(blocks=(np.array([[0.9, 0.1]]),))
+    ell = smoothness_constants(spec).ell
+    iterates = [x]
+    for t in range(3):
+        grad = policy_gradient(spec, iterates[-1])[2]
+        diff = iterates[-1].as_vector() - x.as_vector()
+        step = 2.0 / (ell * (t + 2))
+        iterates.append(project_product_simplex(
+            spec, iterates[-1].as_vector() - step * (grad + 2.0 * ell * diff)))
+    psis = [psi(spec, x, point) for point in iterates]
+    assert psis[-1] < min(psis[:-1])
+
+    gradients = count_calls(monkeypatch, atmg.ipgmax, "policy_gradient")
+    finals = count_calls(monkeypatch, atmg.ipgmax, "adversary_best_response")
+    result = prox_point(spec, x)
+    assert (result.iterations, result.converged) == (3, False)
+    np.testing.assert_array_equal(result.x_tilde.as_vector(), iterates[-1].as_vector())
+    assert len(gradients) == 3 and len(finals) == 1
+
+
 def test_prox_point_reports_iterations(monkeypatch):
     monkeypatch.setattr(atmg.ipgmax, "PROX_MAX_ITER", 50)
     spec = pennies_game()
@@ -408,8 +446,9 @@ def test_prox_point_reports_iterations(monkeypatch):
 
 def test_select_iterate_single_candidate():
     spec = pennies_game()
-    trace = run(spec, None, IpgmaxConfig(eta=0.05, iters=1, iterate_selection="none"))
-    t = select_iterate(spec, trace, "prox")
+    trace = run(spec, None, IpgmaxConfig(eta=0.05, iters=1, iterate_selection="prox"))
+    assert trace.candidates == [0]
+    t = select_iterate(spec, trace)
     assert t == 0
     assert trace.t_star == 0
     assert trace.x_hat is trace.policies[0]
@@ -456,15 +495,11 @@ def test_select_iterate_random_draw_count():
 def test_random_selection_checks_delta_as_the_config_does(delta):
     # Before the shared check, 10.0 failed with numpy's "negative
     # dimensions", 0.0 with a bare ZeroDivisionError and NaN in math.ceil.
-    spec = pennies_game()
-    trace = run(spec, None, IpgmaxConfig(eta=0.05, iters=10, iterate_selection="none"))
     message = "delta must lie in \\(0, 1\\)"
     with pytest.raises(ValueError, match=message):
         IpgmaxConfig(eta=0.05, iters=10, iterate_selection="random", delta=delta).validate()
     with pytest.raises(ValueError, match=message):
         selection_candidates(50, "random", delta=delta)
-    with pytest.raises(ValueError, match=message):
-        select_iterate(spec, trace, "random", delta=delta)
 
 
 def test_select_iterate_random_is_seeded():
@@ -490,11 +525,35 @@ def test_select_iterate_scores_each_policy_object_once(monkeypatch):
     assert set(moving.prox_gaps) == set(range(12))
 
 
-def test_select_iterate_unknown_mode():
+def test_selection_candidates_rejects_an_unknown_mode():
+    with pytest.raises(ValueError, match="unknown selection mode 'oracle'"):
+        selection_candidates(2, "oracle")
+
+
+@pytest.mark.parametrize("mode,T", [("prox", 250), ("random", 3), ("none", 5)])
+def test_run_stores_the_candidates_it_fixed_before_the_loop(monkeypatch, mode, T):
+    monkeypatch.setattr(atmg.ipgmax, "prox_gap", lambda spec, x: float(x.blocks[0][0, 0]))
+    config = IpgmaxConfig(eta=0.05, iters=T, iterate_selection=mode, delta=0.01, seed=2)
+    trace = run(pennies_game(), None, config)
+    expected = selection_candidates(T, mode, delta=0.01, seed=2)
+    assert trace.candidates == expected
+    if mode == "random":  # five draws from {0, 1, 2}, repeats kept in draw order
+        assert len(expected) == 5 and len(set(expected)) < 5
+    assert set(trace.prox_gaps) == set(expected)
+
+
+def test_select_iterate_scores_each_distinct_candidate_once(monkeypatch):
     spec = pennies_game()
-    trace = run(spec, None, IpgmaxConfig(eta=0.05, iters=2, iterate_selection="none"))
-    with pytest.raises(ValueError, match="selection mode"):
-        select_iterate(spec, trace, "oracle")
+    config = IpgmaxConfig(eta=0.05, iters=3, iterate_selection="random", delta=0.01, seed=2)
+    trace = run(spec, TeamPolicy(blocks=(np.array([[0.9, 0.1]]),)), config)
+    calls = count_calls(monkeypatch, atmg.ipgmax, "prox_gap")
+    gaps = dict(trace.prox_gaps)
+    assert select_iterate(spec, trace) == trace.t_star
+    kept = dict(zip(trace.kept, trace.policies))
+    distinct = list({id(kept[t]): kept[t] for t in trace.candidates}.values())
+    assert len(distinct) < len(trace.candidates)
+    assert [x for _, x in calls] == distinct
+    assert trace.prox_gaps == gaps
 
 
 def live_team_policies() -> int:
@@ -541,11 +600,9 @@ def test_selection_matches_scoring_the_full_reference_trace(spec, T, last_move, 
     assert trace.frob_norms.tobytes() == frob.tobytes()
 
 
-def test_select_iterate_names_candidates_the_trace_did_not_keep():
+def test_select_iterate_rejects_a_trace_without_candidates():
     spec = pennies_game()
     trace = run(spec, None, IpgmaxConfig(eta=0.05, iters=4, iterate_selection="none"))
-    assert trace.kept == [0, 4]
-    with pytest.raises(ValueError, match=r"did not keep: \[1, 2, 3\]"):
-        select_iterate(spec, trace, "prox")
-    with pytest.raises(ValueError, match="'none' has no candidates"):
-        select_iterate(spec, trace, "none")
+    assert trace.kept == [0, 4] and trace.candidates == []
+    with pytest.raises(ValueError, match="the trace has no selection candidates"):
+        select_iterate(spec, trace)
