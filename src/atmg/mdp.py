@@ -50,9 +50,9 @@ _MAX_LEVELS = 32
 # Policy containers
 # ---------------------------------------------------------------------------
 
-def _own(arr) -> np.ndarray:
-    """A read-only float64 copy of arr, so no caller's array can change it."""
-    arr = np.array(arr, dtype=np.float64, order="C")
+def _own(arr, dtype=np.float64) -> np.ndarray:
+    """A read-only copy of arr, so no caller's array can change it."""
+    arr = np.array(arr, dtype=dtype, order="C")
     arr.setflags(write=False)
     return arr
 
@@ -78,6 +78,8 @@ class AdversaryPolicy:
     """Adversary probability table of shape (S, B)."""
 
     probs: np.ndarray
+    # (acts, p) of _support, read-only; filled on first use or by _skeleton.
+    _support: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "probs", _own(self.probs))
@@ -163,11 +165,16 @@ def _product(spec: GameSpec, gathered: list[np.ndarray], skip: int | None = None
 # order; einsum with optimize=True would search for a contraction path on
 # every call, which costs more than the arithmetic on small games.
 
-def _support(probs: np.ndarray):
+def _support(y: AdversaryPolicy):
     """(acts, p): each row's actions of positive probability in index order,
-    padded to the widest row with actions of probability zero, and p theirs."""
-    acts = np.argsort(probs == 0.0, axis=1, kind="stable")[:, : np.count_nonzero(probs, 1).max()]
-    return acts, np.take_along_axis(probs, acts, axis=1)
+    padded to the widest row with actions of probability zero, and p theirs.
+    Sorted once per policy and kept, read-only, in y's memo."""
+    if y._support is None:
+        zero = y.probs == 0.0
+        acts = np.argsort(zero, axis=1, kind="stable")[:, : np.count_nonzero(y.probs, 1).max()]
+        p = np.take_along_axis(y.probs, acts, axis=1)
+        object.__setattr__(y, "_support", (_own(acts, np.intp), _own(p)))
+    return y._support
 
 
 def _successor_mean(spec: GameSpec, v: np.ndarray) -> np.ndarray:
@@ -179,8 +186,9 @@ def _successor_mean(spec: GameSpec, v: np.ndarray) -> np.ndarray:
 
 
 def _continuation(spec: GameSpec, v: np.ndarray) -> np.ndarray:
-    """(S, J, B) table r(s, j, b) + gamma sum_{s'} P(s' | s, j, b) v(s')."""
-    return spec.reward + spec.discount * _successor_mean(spec, v)
+    """(S, J, B) table r(s, j, b) + gamma sum_{s'} P(s' | s, j, b) v(s'), built in place."""
+    q = _successor_mean(spec, v)
+    return np.add(spec.reward, np.multiply(spec.discount, q, out=q), out=q)
 
 
 def _player_q(spec: GameSpec, others: np.ndarray, k: int, mixed: np.ndarray) -> np.ndarray:
@@ -214,7 +222,8 @@ _SKELETONS = 4  # kept per game; a short grid_world(3) run and its certificate u
 def _skeleton(spec: GameSpec, acts: np.ndarray) -> tuple:
     """(cols, prob, loops, levels, y) of the (S, m) adversary support acts: the
     (S, m J K) successors and (S, m, J, K) probabilities of each row's (i, j, k),
-    the self-loop mask, that full pattern's _levels and, if m = 1, the one-hot y."""
+    the self-loop mask, that full pattern's _levels and, if m = 1, the one-hot y,
+    its _support memo (a copy of acts, all ones) set so it is never sorted."""
     cache, key = spec._skeletons, acts.tobytes()
     skeleton = cache.pop(key, None)
     if skeleton is None:
@@ -223,7 +232,10 @@ def _skeleton(spec: GameSpec, acts: np.ndarray) -> tuple:
         T, states = spec.transition, np.arange(spec.state_count)[:, None]
         cols, prob = T.succ[states, :, acts].reshape(states.size, -1), T.prob[states, :, acts]
         loops = cols == states
-        y = AdversaryPolicy(np.eye(spec.adversary_actions)[acts[:, 0]]) if acts.shape[1] == 1 else None
+        y = None
+        if acts.shape[1] == 1:
+            y = AdversaryPolicy(np.eye(spec.adversary_actions)[acts[:, 0]])
+            object.__setattr__(y, "_support", (_own(acts, np.intp), _own(np.ones(acts.shape))))
         skeleton = cols, prob, loops, _levels(cols, prob.reshape(cols.shape) * ~loops), y
     cache[key] = skeleton
     return skeleton
@@ -296,7 +308,7 @@ def value_vector(spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy) -> np.ndarra
     """Exact policy evaluation: solve (I - gamma P(x,y)) v = r(x,y).  The
     chain's rows hold only the actions y plays, weighed on their _skeleton."""
     w = _product(spec, _gathered(spec, x))
-    M = _chain_rows(spec, w, *_support(y.probs))
+    M = _chain_rows(spec, w, *_support(y))
     return _solve(M, ((w[:, None, :] @ spec.reward)[:, 0, :] * y.probs).sum(axis=1))
 
 
@@ -313,9 +325,11 @@ def value_rho(spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy) -> float:
 # ---------------------------------------------------------------------------
 
 def _greedy(q: np.ndarray):
-    """(best, slack): per row, the lowest index within slack = _TIE_RTOL * max |q| of the max."""
-    slack = _TIE_RTOL * np.abs(q).max(axis=1)
-    return np.argmax(q >= (q.max(axis=1) - slack)[:, None], axis=1), slack
+    """(best, slack): per row, the lowest index within slack = _TIE_RTOL * max |q| of the max,
+    reduced on an action-major copy (numpy is slow on short rows); max and argmax round nothing."""
+    qt = np.ascontiguousarray(q.T)
+    slack = _TIE_RTOL * np.abs(qt).max(axis=0)
+    return np.argmax(qt >= qt.max(axis=0) - slack, axis=0), slack
 
 
 def _policy_iteration(spec: GameSpec, r: np.ndarray, q_of, rows_of):
@@ -335,7 +349,7 @@ def _policy_iteration(spec: GameSpec, r: np.ndarray, q_of, rows_of):
     The last q_of call is at the returned v.
     """
     states = np.arange(spec.state_count)
-    policy = _greedy(q_of(r.max(axis=1)))[0]
+    policy = _greedy(q_of(np.ascontiguousarray(r.T).max(axis=0)))[0]
     while True:
         M = rows_of(policy)
         v = _solve(M, r[states, policy])
@@ -360,7 +374,7 @@ def _adversary_iteration(spec: GameSpec, x: TeamPolicy, gathered: list[np.ndarra
     w = _product(spec, gathered)
     memo = _recall(spec, x)
     if memo:
-        M = _chain_rows(spec, w, memo[0].probs.argmax(axis=1)[:, None])
+        M = _chain_rows(spec, w, _support(memo[0])[0])
         return *memo, M, _continuation(spec, memo[1])
     q = None
 
@@ -402,7 +416,7 @@ def team_player_best_response(spec: GameSpec, k: int, x_minus_k: TeamPolicy, y: 
     support are built once; each chain masks the weights with k's policy.
     """
     others = _product(spec, _gathered(spec, x_minus_k), k)
-    digit, support = spec.action_digits[:, k], _support(y.probs)
+    digit, support = spec.action_digits[:, k], _support(y)
     v_max, greedy, _ = _policy_iteration(
         spec,
         -_player_q(spec, others, k, spec.reward @ y.probs[:, :, None]),

@@ -15,7 +15,9 @@ The transition contractions are einsums over the dense tensor, the
 reference for the library's successor-list forms.  A chain's row lists
 are built from scratch, the reference for the library's rows on a cached
 skeleton; the induced S x S chain is those row lists summed into place,
-and the discounted visitation measure is one dense solve on it.
+and the discounted visitation measure is one dense solve on it.  The
+greedy rule of the best responses is reduced row by row, the reference for
+the library's action-major reductions.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from atmg.lp import OPTIMAL, LinearProgram, solve
 from atmg.mdp import (
     AdversaryPolicy,
     TeamPolicy,
+    _TIE_RTOL,
     _bellman_rows,
     _continuation,
     _gathered,
@@ -79,6 +82,12 @@ def dense_successor_mean(spec: GameSpec, v: np.ndarray) -> np.ndarray:
     return np.einsum("sjbt,t->sjb", dense_transition(spec.transition), v)
 
 
+def greedy_rows(q: np.ndarray):
+    """mdp._greedy's (best, slack), reduced along each row of the (S, U) table q."""
+    slack = _TIE_RTOL * np.abs(q).max(axis=1)
+    return np.argmax(q >= (q.max(axis=1) - slack)[:, None], axis=1), slack
+
+
 def induced_reward(spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy) -> np.ndarray:
     """Per-state expected adversary reward under (x, y)."""
     return (marginal_reward_table(spec, x) * y.probs).sum(axis=1)
@@ -104,7 +113,7 @@ def chain_rows(spec: GameSpec, w: np.ndarray, acts: np.ndarray, p: np.ndarray | 
 def induced_transition(spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy) -> np.ndarray:
     """Row-stochastic S x S matrix of the chain induced by (x, y): the
     chain's row lists, each entry added into its place."""
-    cols, wts = chain(spec, joint_action_distribution(spec, x), *_support(y.probs))
+    cols, wts = chain(spec, joint_action_distribution(spec, x), *_support(y))
     P = np.zeros((spec.state_count, spec.state_count))
     np.add.at(P, (np.arange(spec.state_count)[:, None], cols), wts)
     return P

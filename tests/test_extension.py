@@ -373,7 +373,9 @@ def test_grid3_certify_takes_one_evaluation_per_best_response(monkeypatch):
     # adversary's pure best response each chain here is acyclic apart from
     # self-loops, so every solve, transposed ones included, sweeps its
     # levels on the chain's row lists: none reaches LAPACK, and the whole
-    # pattern peaks below one S x S float64 matrix.
+    # pattern peaks below one S x S float64 matrix.  Every adversary policy
+    # here is a best response, whose skeleton hands it its support, so no
+    # support is sorted.
     spec = grid_world(3)
     chains = []
     real = atmg.mdp._policy_iteration
@@ -390,6 +392,7 @@ def test_grid3_certify_takes_one_evaluation_per_best_response(monkeypatch):
     monkeypatch.setattr(atmg.mdp, "_policy_iteration", counted)
     solves = count_calls(monkeypatch, atmg.mdp, "_solve")
     lapack = count_calls(monkeypatch, np.linalg, "solve")
+    sorts = count_calls(monkeypatch, np, "argsort")
     tracemalloc.start()
     try:
         trace = run(spec, None, IpgmaxConfig(eta=0.1, iters=3, iterate_selection="none"))
@@ -402,6 +405,7 @@ def test_grid3_certify_takes_one_evaluation_per_best_response(monkeypatch):
     assert len(solves) == 9
     assert chains == [1] * 6
     assert lapack == []
+    assert sorts == []
     assert peak < spec.state_count**2 * 8
 
 

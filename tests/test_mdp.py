@@ -15,7 +15,9 @@ from atmg.mdp import (
     _SKELETONS,
     _bellman_rows,
     _chain_rows,
+    _continuation,
     _project_simplex_rows,
+    _skeleton,
     _solve,
     _successor_mean,
     _support,
@@ -243,6 +245,29 @@ def test_deterministic_successor_mean_is_the_reduction_bit_for_bit(gridworld2):
     assert T.succ.shape[-1] == 1
     v = np.random.default_rng(33).normal(size=gridworld2.state_count)
     assert _successor_mean(gridworld2, v).tobytes() == (T.prob * v[T.succ]).sum(-1).tobytes()
+
+
+@pytest.mark.parametrize("spec,K", [
+    pytest.param(grid_world(2), 1, id="grid2"),
+    pytest.param(make_random_game(np.random.default_rng(41), 5, (2, 2), 3, 0.9), 5, id="stochastic"),
+])
+def test_continuation_fills_one_fresh_table(spec, K):
+    # r + gamma E[v(next)] is built in place in the successor mean's table,
+    # with the bits of the out-of-place sum; it shares no memory with the
+    # game.  On the deterministic grid the dense oracle has those bits too;
+    # on K > 1 successors it sums in another order, so it agrees to round-off.
+    assert spec.transition.succ.shape[-1] == K
+    v = np.random.default_rng(43).normal(size=spec.state_count)
+    reward = spec.reward.tobytes()
+    q = _continuation(spec, v)
+    assert q.tobytes() == (spec.reward + spec.discount * _successor_mean(spec, v)).tobytes()
+    dense = spec.reward + spec.discount * dense_successor_mean(spec, v)
+    if K == 1:
+        assert q.tobytes() == dense.tobytes()
+    np.testing.assert_allclose(q, dense, rtol=0, atol=1e-15)
+    assert spec.reward.tobytes() == reward
+    for table in (spec.reward, spec.transition.prob, spec.transition.succ, _continuation(spec, v)):
+        assert not np.shares_memory(q, table)
 
 
 def test_one_sweep_best_response_gathers_the_continuation_twice(gridworld2, monkeypatch):
@@ -490,13 +515,13 @@ def test_value_vector_on_rows_of_unequal_support(spec):
     P = np.einsum("sb,sbt->st", probs, dense_marginal_transition(spec, x))
     expect = np.linalg.solve(np.eye(S) - spec.discount * P, induced_reward(spec, x, y))
     np.testing.assert_allclose(value_vector(spec, x, y), expect, rtol=1e-12)
-    acts, p = _support(y.probs)
+    acts, p = _support(y)
     assert acts.shape == (S, B)
     assert (np.count_nonzero(p, axis=1) == np.count_nonzero(probs, axis=1)).all()
     policy = rng.integers(B, size=S)
     pure = AdversaryPolicy(np.eye(B)[policy])
     w = joint_action_distribution(spec, x)
-    rows = chain_rows(spec, w, *_support(pure.probs))
+    rows = chain_rows(spec, w, *_support(pure))
     M = _chain_rows(spec, w, policy[:, None])
     assert all(a.tobytes() == b.tobytes() for a, b in zip(rows[:3], M[:3]))
     v = _solve(M, marginal_reward_table(spec, x)[np.arange(S), policy])
@@ -615,7 +640,7 @@ def test_mixed_support_rows_and_solves_match_the_chain_bit_for_bit():
                  make_mixed_support_game(rng, S, (2, 2), 3, 0.9))
         for spec in games:
             for zeros in (False, True):
-                acts, p = _support(unequal_support_table(rng, S, 3))
+                acts, p = _support(AdversaryPolicy(unequal_support_table(rng, S, 3)))
                 w = team_weights(rng, spec, zeros)
                 w[S - 1, 0] *= not zeros  # with zeros, the chain keeps no back edge
                 assert_skeleton_rows_match(rng, spec, w, acts[:, :1])
@@ -676,12 +701,39 @@ def test_a_skeleton_is_built_whole_at_its_first_use(monkeypatch):
     value_vector(spec, x, y)
     assert adversary_best_response(spec, TeamPolicy(x.blocks))[0] is y
     assert len(levels) == built
-    acts, p = _support(unequal_support_table(rng, 6, 3))
+    acts, p = _support(AdversaryPolicy(unequal_support_table(rng, 6, 3)))
     w = team_weights(rng, spec, False)
     for _ in range(3):
         _chain_rows(spec, w, acts, p)
     assert len(levels) == built + 1
     assert atmg.mdp._skeleton(spec, acts)[4] is None
+
+
+def test_a_pure_skeleton_hands_its_policy_the_support_unsorted(monkeypatch):
+    # The one-hot y of a pure skeleton carries its support: _support returns
+    # a read-only copy of the skeleton's acts and all-ones weights without a
+    # sort.  A fresh policy with the same table sorts once to the same bytes.
+    rng = np.random.default_rng(167)
+    spec = layered_game(rng, 6)
+    acts = rng.integers(3, size=(6, 1))
+    sorts = count_calls(monkeypatch, np, "argsort")
+    y = _skeleton(spec, acts)[4]
+    got = _support(y)
+    assert sorts == []
+    assert got[0].tobytes() == acts.tobytes() and got[0].dtype == acts.dtype
+    assert got[1].tobytes() == np.ones((6, 1)).tobytes()
+    acts[0, 0] = (acts[0, 0] + 1) % 3  # the memo holds its own copy
+    assert _support(y)[0].tobytes() != acts.tobytes()
+    fresh = AdversaryPolicy(y.probs)
+    sorted_support = _support(fresh)
+    assert len(sorts) == 1
+    assert _support(fresh) is sorted_support and len(sorts) == 1
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(sorted_support, got))
+    mixed = _support(AdversaryPolicy(unequal_support_table(rng, 6, 3)))
+    for arr in (*got, *sorted_support, *mixed):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0
 
 
 def test_a_game_keeps_at_most_its_bound_of_skeletons():
@@ -899,7 +951,7 @@ def test_policy_gradient_is_the_gradient_at_the_best_response(spec, K):
     y_ref, v_ref = adversary_best_response(spec, x)
     assert y_star.probs.tobytes() == y_ref.probs.tobytes()
     assert v_hat.tobytes() == v_ref.tobytes()
-    M = chain_rows(spec, joint_action_distribution(spec, x), *_support(y_ref.probs))
+    M = chain_rows(spec, joint_action_distribution(spec, x), *_support(y_ref))
     d = _solve(M, spec.initial_dist, transpose=True)
     assert grad.tobytes() == team_policy_gradient(spec, x, y_ref, d).tobytes()
     np.testing.assert_allclose(grad, team_policy_gradient(spec, x, y_ref), rtol=1e-13, atol=0)
