@@ -12,8 +12,10 @@ row lists of successors and weights taken from them, and a gather gives
 expected next-state values.  No (S, ., S) table is built, nor an S x S matrix
 unless a chain has no level schedule.  Policy iteration, the best responses and
 the gradient all use these two forms, and the gradient reuses the chain its
-best response ended with.  Every chain weighs the skeleton of its adversary
-support, kept on the GameSpec.  Each team policy is evaluated once across the
+best response ended with.  Every chain, and every table taken against an
+adversary policy, reads the skeleton of its support, kept on the GameSpec; here
+only the adversary's own policy iteration, which maximizes over all B actions,
+builds (S, J, B) tables.  Each team policy is evaluated once across the
 pipeline: its best response (y_star, v_hat) is memoized on the TeamPolicy for
 one GameSpec object, never with its chain, and adversary_best_response,
 policy_gradient and value_rho read it.
@@ -177,18 +179,27 @@ def _support(y: AdversaryPolicy):
     return y._support
 
 
-def _successor_mean(spec: GameSpec, v: np.ndarray) -> np.ndarray:
-    """(S, J, B) table sum_{s'} P(s' | s, j, b) v(s'), gathered from the successor lists."""
-    T = spec.transition
-    if T.succ.shape[-1] == 1:  # deterministic moves: no length-1 reduction
-        return T.prob[..., 0] * v[T.succ[..., 0]]
-    return (T.prob * v[T.succ]).sum(axis=-1)
+def _successor_mean(succ: np.ndarray, prob: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum_k prob[..., k] v(succ[..., k]) over successor lists; the game's own give (S, J, B)."""
+    if succ.shape[-1] == 1:  # deterministic moves: no length-1 reduction
+        return prob[..., 0] * v[succ[..., 0]]
+    return (prob * v[succ]).sum(axis=-1)
 
 
 def _continuation(spec: GameSpec, v: np.ndarray) -> np.ndarray:
     """(S, J, B) table r(s, j, b) + gamma sum_{s'} P(s' | s, j, b) v(s'), built in place."""
-    q = _successor_mean(spec, v)
+    q = _successor_mean(spec.transition.succ, spec.transition.prob, v)
     return np.add(spec.reward, np.multiply(spec.discount, q, out=q), out=q)
+
+
+def _on_support(spec: GameSpec, acts: np.ndarray, p: np.ndarray, v: np.ndarray | None = None):
+    """(S, J) table sum_i p[s, i] q(s, j, acts[s, i]), q the _continuation at v (spec.reward
+    for None), from the (S, m, J) slice on acts' _skeleton: a pure y's column bit for bit; a
+    mixed y's may differ in the last bits from q @ y.probs[:, :, None], summed over all B."""
+    cols, prob, *_, q = _skeleton(spec, acts)
+    if v is not None:
+        q = q + spec.discount * _successor_mean(cols.reshape(prob.shape), prob, v)
+    return np.einsum("si,sij->sj", p, q)
 
 
 def _player_q(spec: GameSpec, others: np.ndarray, k: int, mixed: np.ndarray) -> np.ndarray:
@@ -197,10 +208,10 @@ def _player_q(spec: GameSpec, others: np.ndarray, k: int, mixed: np.ndarray) -> 
 
         Qbar_k(s,a) = E[ r(s,(a;a_{-k}),b) + gamma sum_{s'} P(s'|...) v(s') ]
 
-    others is _product(spec, _gathered(spec, x), k) and mixed is
-    q @ y.probs[:, :, None] at q = _continuation(spec, v) (spec.reward at v = 0).
+    others is _product(spec, _gathered(spec, x), k) and mixed is y's (S, J)
+    _on_support table at v.
     """
-    return (others * mixed[:, :, 0]) @ spec.action_masks[k]
+    return (others * mixed) @ spec.action_masks[k]
 
 
 # ---------------------------------------------------------------------------
@@ -220,10 +231,11 @@ _SKELETONS = 4  # kept per game; a short grid_world(3) run and its certificate u
 
 
 def _skeleton(spec: GameSpec, acts: np.ndarray) -> tuple:
-    """(cols, prob, loops, levels, y) of the (S, m) adversary support acts: the
-    (S, m J K) successors and (S, m, J, K) probabilities of each row's (i, j, k),
-    the self-loop mask, that full pattern's _levels and, if m = 1, the one-hot y,
-    its _support memo (a copy of acts, all ones) set so it is never sorted."""
+    """(cols, prob, loops, levels, y, reward) of the (S, m) adversary support
+    acts: the (S, m J K) successors and (S, m, J, K) probabilities of each row's
+    (i, j, k), the self-loop mask, that full pattern's _levels, if m = 1 the
+    one-hot y, its _support memo (a copy of acts, all ones) set so it is never
+    sorted, and the (S, m, J) rewards r(s, j, acts[s, i])."""
     cache, key = spec._skeletons, acts.tobytes()
     skeleton = cache.pop(key, None)
     if skeleton is None:
@@ -236,7 +248,8 @@ def _skeleton(spec: GameSpec, acts: np.ndarray) -> tuple:
         if acts.shape[1] == 1:
             y = AdversaryPolicy(np.eye(spec.adversary_actions)[acts[:, 0]])
             object.__setattr__(y, "_support", (_own(acts, np.intp), _own(np.ones(acts.shape))))
-        skeleton = cols, prob, loops, _levels(cols, prob.reshape(cols.shape) * ~loops), y
+        skeleton = (cols, prob, loops, _levels(cols, prob.reshape(cols.shape) * ~loops), y,
+                    spec.reward[states, :, acts])
     cache[key] = skeleton
     return skeleton
 
@@ -246,7 +259,7 @@ def _chain_rows(spec: GameSpec, w: np.ndarray, acts: np.ndarray, p: np.ndarray |
     against acts[s, i] played with probability p[s, i] (all ones for None), on
     acts' _skeleton: with its full pattern's schedule, else the chain's own.
     Sweeps past the chain's own depth leave an exact z unchanged."""
-    cols, prob, loops, levels, _ = _skeleton(spec, acts)
+    cols, prob, loops, levels, *_ = _skeleton(spec, acts)
     wts = (w[:, None, :] if p is None else w[:, None, :] * p[:, :, None])[..., None] * prob
     return _bellman_rows((cols, wts.reshape(cols.shape)), spec.discount, loops, levels)
 
@@ -306,7 +319,8 @@ def _solve(M, b: np.ndarray, transpose: bool = False) -> np.ndarray:
 
 def value_vector(spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy) -> np.ndarray:
     """Exact policy evaluation: solve (I - gamma P(x,y)) v = r(x,y).  The
-    chain's rows hold only the actions y plays, weighed on their _skeleton."""
+    chain's rows hold only the actions y plays, weighed on their _skeleton; r sums
+    over all B, since a sum over the support alone could move a mixed y's bits."""
     w = _product(spec, _gathered(spec, x))
     M = _chain_rows(spec, w, *_support(y))
     return _solve(M, ((w[:, None, :] @ spec.reward)[:, 0, :] * y.probs).sum(axis=1))
@@ -368,14 +382,15 @@ def _recall(spec: GameSpec, x: TeamPolicy):
 
 
 def _adversary_iteration(spec: GameSpec, x: TeamPolicy, gathered: list[np.ndarray]):
-    """(y_star, v_hat, _bellman_rows of the chain (x, y_star), _continuation
-    at v_hat) of the adversary's best response, from x's _gathered tables.
-    Fills x's memo, y_star from its _skeleton; on a memo hit only the last two are rebuilt."""
+    """(y_star, v_hat, _bellman_rows of the chain (x, y_star), y_star's (S, J)
+    _on_support table at v_hat) of the adversary's best response, from x's
+    _gathered tables.  Fills x's memo, y_star from its _skeleton; on a memo hit
+    only the last two are rebuilt, the table as y_star's slice alone."""
     w = _product(spec, gathered)
     memo = _recall(spec, x)
     if memo:
-        M = _chain_rows(spec, w, _support(memo[0])[0])
-        return *memo, M, _continuation(spec, memo[1])
+        support = _support(memo[0])
+        return *memo, _chain_rows(spec, w, support[0]), _on_support(spec, *support, memo[1])
     q = None
 
     def q_of(v):
@@ -388,7 +403,7 @@ def _adversary_iteration(spec: GameSpec, x: TeamPolicy, gathered: list[np.ndarra
     v_hat.setflags(write=False)
     y_star = _skeleton(spec, greedy[:, None])[4]
     object.__setattr__(x, "_memo", (spec, y_star, v_hat))
-    return y_star, v_hat, M, q
+    return y_star, v_hat, M, q[np.arange(spec.state_count), :, greedy]
 
 
 def adversary_best_response(spec: GameSpec, x: TeamPolicy):
@@ -413,14 +428,15 @@ def team_player_best_response(spec: GameSpec, k: int, x_minus_k: TeamPolicy, y: 
     iteration maximizes its negation.  x_minus_k supplies the frozen
     teammates; its block k is ignored.  Returns the deterministic table
     (S, A_k) and the minimized value rho' v.  The teammates' weights and y's
-    support are built once; each chain masks the weights with k's policy.
+    support are built once; each chain masks the weights with k's policy, and
+    each payoff or continuation is y's _on_support table: no (S, J, B) table.
     """
     others = _product(spec, _gathered(spec, x_minus_k), k)
     digit, support = spec.action_digits[:, k], _support(y)
     v_max, greedy, _ = _policy_iteration(
         spec,
-        -_player_q(spec, others, k, spec.reward @ y.probs[:, :, None]),
-        lambda v: -_player_q(spec, others, k, _continuation(spec, -v) @ y.probs[:, :, None]),
+        -_player_q(spec, others, k, _on_support(spec, *support)),
+        lambda v: -_player_q(spec, others, k, _on_support(spec, *support, -v)),
         lambda policy: _chain_rows(spec, others * (digit == policy[:, None]), *support),
     )
     return np.eye(spec.team_sizes[k])[greedy], -float(spec.initial_dist @ v_max)
@@ -442,12 +458,11 @@ def policy_gradient(spec: GameSpec, x: TeamPolicy):
     with d the unnormalized visitation of the chain (x, y_star), taken by
     one transposed solve on the rows policy iteration ended with,
     and Qbar_k the table of _player_q at v_hat, all from one gather of the
-    blocks.  On a memo hit only y_star's chain rows are rebuilt.
+    blocks.  On a memo hit only y_star's chain rows and _on_support table are built.
     """
     gathered = _gathered(spec, x)
-    y_star, v_hat, M, q = _adversary_iteration(spec, x, gathered)
+    y_star, v_hat, M, mixed = _adversary_iteration(spec, x, gathered)
     d = _solve(M, spec.initial_dist, transpose=True)
-    mixed = q @ y_star.probs[:, :, None]
     grad = np.concatenate([
         d[:, None] * _player_q(spec, _product(spec, gathered, k), k, mixed)
         for k in range(spec.n_players)
@@ -465,16 +480,21 @@ def _project_simplex_rows(mat: np.ndarray) -> np.ndarray:
     Sort-and-threshold: with u the row sorted in descending order and
     css its cumulative sum, the threshold is tau = (css_rho - 1) / rho at
     the largest rho with u_rho > (css_rho - 1) / rho; the projection is
-    max(row - tau, 0).
+    max(row - tau, 0).  It runs on an action-major copy (numpy is slow on short rows)
+    sorted by an odd-even transposition network, with the bits of the row-wise formula.
     """
     m, d = mat.shape
-    u = np.sort(mat, axis=1)[:, ::-1]
-    css = np.cumsum(u, axis=1)
-    idx = np.arange(1, d + 1)
-    cond = u > (css - 1.0) / idx
-    rho = d - np.argmax(cond[:, ::-1], axis=1)  # last column where cond holds
-    tau = (css[np.arange(m), rho - 1] - 1.0) / rho
-    return np.maximum(mat - tau[:, None], 0.0)
+    u = mat.T.copy()
+    for r in range(d):
+        for i in range(r % 2, d - 1, 2):
+            hi, lo = u[i], u[i + 1]
+            top = np.maximum(hi, lo)
+            np.minimum(hi, lo, out=lo)
+            hi[...] = top
+    css = u.cumsum(axis=0) - 1.0
+    rho = d - (u > css / np.arange(1.0, d + 1)[:, None])[::-1].argmax(axis=0)  # the last rho
+    out = mat - (css[rho - 1, np.arange(m)] / rho)[:, None]
+    return np.maximum(out, 0.0, out=out)
 
 
 def project_product_simplex(spec: GameSpec, z: np.ndarray) -> TeamPolicy:

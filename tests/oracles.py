@@ -16,8 +16,10 @@ reference for the library's successor-list forms.  A chain's row lists
 are built from scratch, the reference for the library's rows on a cached
 skeleton; the induced S x S chain is those row lists summed into place,
 and the discounted visitation measure is one dense solve on it.  The
-greedy rule of the best responses is reduced row by row, the reference for
-the library's action-major reductions.
+greedy rule of the best responses and the simplex projection are reduced row
+by row, the references for the library's action-major reductions.  A team
+player's best response contracts the full (S, J, B) tables with y over all
+B actions, the reference for the library's contraction over y's support.
 """
 
 from __future__ import annotations
@@ -32,9 +34,11 @@ from atmg.mdp import (
     TeamPolicy,
     _TIE_RTOL,
     _bellman_rows,
+    _chain_rows,
     _continuation,
     _gathered,
     _player_q,
+    _policy_iteration,
     _product,
     _support,
     smoothness_constants,
@@ -86,6 +90,37 @@ def greedy_rows(q: np.ndarray):
     """mdp._greedy's (best, slack), reduced along each row of the (S, U) table q."""
     slack = _TIE_RTOL * np.abs(q).max(axis=1)
     return np.argmax(q >= (q.max(axis=1) - slack)[:, None], axis=1), slack
+
+
+def project_simplex_rows(mat: np.ndarray) -> np.ndarray:
+    """mdp._project_simplex_rows, sorted, summed and thresholded along each row."""
+    m, d = mat.shape
+    u = np.sort(mat, axis=1)[:, ::-1]
+    css = np.cumsum(u, axis=1)
+    cond = u > (css - 1.0) / np.arange(1, d + 1)
+    rho = d - np.argmax(cond[:, ::-1], axis=1)  # last column where cond holds
+    tau = (css[np.arange(m), rho - 1] - 1.0) / rho
+    return np.maximum(mat - tau[:, None], 0.0)
+
+
+def full_table_player_best_response(
+    spec: GameSpec, k: int, x_minus_k: TeamPolicy, y: AdversaryPolicy
+):
+    """mdp.team_player_best_response with its payoff and continuation taken
+    from the full (S, J, B) tables, q @ y.probs[:, :, None]."""
+    others = _product(spec, _gathered(spec, x_minus_k), k)
+    digit, support = spec.action_digits[:, k], _support(y)
+
+    def mixed(q):
+        return (q @ y.probs[:, :, None])[:, :, 0]
+
+    v_max, greedy, _ = _policy_iteration(
+        spec,
+        -_player_q(spec, others, k, mixed(spec.reward)),
+        lambda v: -_player_q(spec, others, k, mixed(_continuation(spec, -v))),
+        lambda policy: _chain_rows(spec, others * (digit == policy[:, None]), *support),
+    )
+    return np.eye(spec.team_sizes[k])[greedy], -float(spec.initial_dist @ v_max)
 
 
 def induced_reward(spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy) -> np.ndarray:
@@ -194,11 +229,11 @@ def team_policy_gradient(
     At y = y_star(x), given d from atmg.mdp's own solver, it is the
     gradient atmg.mdp.policy_gradient returns, bit for bit.
     """
-    q = _continuation(spec, value_vector(spec, x, y))
+    mixed = (_continuation(spec, value_vector(spec, x, y)) @ y.probs[:, :, None])[:, :, 0]
     d = visitation(spec, x, y) if d is None else d
     return np.concatenate([
         d[:, None]
-        * _player_q(spec, joint_action_distribution(spec, x, skip=k), k, q @ y.probs[:, :, None])
+        * _player_q(spec, joint_action_distribution(spec, x, skip=k), k, mixed)
         for k in range(spec.n_players)
     ], axis=None)
 

@@ -375,10 +375,13 @@ def test_grid3_certify_takes_one_evaluation_per_best_response(monkeypatch):
     # levels on the chain's row lists: none reaches LAPACK, and the whole
     # pattern peaks below one S x S float64 matrix.  Every adversary policy
     # here is a best response, whose skeleton hands it its support, so no
-    # support is sorted.
+    # support is sorted.  Only the adversary's policy iterations build full
+    # (S, J, B) continuation tables, two each (the start and v_hat); the
+    # team players contract y's support slice alone.
     spec = grid_world(3)
-    chains = []
+    chains, tables = [], []
     real = atmg.mdp._policy_iteration
+    real_mean = atmg.mdp._successor_mean
 
     def counted(spec, r, q_of, chain_of):
         chains.append(0)
@@ -389,7 +392,13 @@ def test_grid3_certify_takes_one_evaluation_per_best_response(monkeypatch):
 
         return real(spec, r, q_of, chain)
 
+    def mean(succ, prob, v):
+        table = real_mean(succ, prob, v)
+        tables.append(table.shape == spec.transition.succ.shape[:3])
+        return table
+
     monkeypatch.setattr(atmg.mdp, "_policy_iteration", counted)
+    monkeypatch.setattr(atmg.mdp, "_successor_mean", mean)
     solves = count_calls(monkeypatch, atmg.mdp, "_solve")
     lapack = count_calls(monkeypatch, np.linalg, "solve")
     sorts = count_calls(monkeypatch, np, "argsort")
@@ -404,6 +413,7 @@ def test_grid3_certify_takes_one_evaluation_per_best_response(monkeypatch):
         tracemalloc.stop()
     assert len(solves) == 9
     assert chains == [1] * 6
+    assert sum(tables) == 8
     assert lapack == []
     assert sorts == []
     assert peak < spec.state_count**2 * 8

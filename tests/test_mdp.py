@@ -50,6 +50,7 @@ from oracles import (
     dense_marginal_transition,
     dense_player_transition,
     dense_successor_mean,
+    full_table_player_best_response,
     induced_reward,
     induced_transition,
     joint_action_distribution,
@@ -198,7 +199,8 @@ def test_successor_list_contractions_match_dense_oracles(spec, K):
                 induced_transition(spec, pinned, y), P_k[:, a], rtol=0, atol=1e-15
             )
     np.testing.assert_allclose(
-        _successor_mean(spec, v), dense_successor_mean(spec, v), rtol=0, atol=1e-15
+        _successor_mean(spec.transition.succ, spec.transition.prob, v),
+        dense_successor_mean(spec, v), rtol=0, atol=1e-15,
     )
 
 
@@ -244,7 +246,7 @@ def test_deterministic_successor_mean_is_the_reduction_bit_for_bit(gridworld2):
     T = gridworld2.transition
     assert T.succ.shape[-1] == 1
     v = np.random.default_rng(33).normal(size=gridworld2.state_count)
-    assert _successor_mean(gridworld2, v).tobytes() == (T.prob * v[T.succ]).sum(-1).tobytes()
+    assert _successor_mean(T.succ, T.prob, v).tobytes() == (T.prob * v[T.succ]).sum(-1).tobytes()
 
 
 @pytest.mark.parametrize("spec,K", [
@@ -260,7 +262,8 @@ def test_continuation_fills_one_fresh_table(spec, K):
     v = np.random.default_rng(43).normal(size=spec.state_count)
     reward = spec.reward.tobytes()
     q = _continuation(spec, v)
-    assert q.tobytes() == (spec.reward + spec.discount * _successor_mean(spec, v)).tobytes()
+    mean = _successor_mean(spec.transition.succ, spec.transition.prob, v)
+    assert q.tobytes() == (spec.reward + spec.discount * mean).tobytes()
     dense = spec.reward + spec.discount * dense_successor_mean(spec, v)
     if K == 1:
         assert q.tobytes() == dense.tobytes()
@@ -955,6 +958,50 @@ def test_policy_gradient_is_the_gradient_at_the_best_response(spec, K):
     d = _solve(M, spec.initial_dist, transpose=True)
     assert grad.tobytes() == team_policy_gradient(spec, x, y_ref, d).tobytes()
     np.testing.assert_allclose(grad, team_policy_gradient(spec, x, y_ref), rtol=1e-13, atol=0)
+
+
+
+def support_contraction_games():
+    rng = np.random.default_rng(181)
+    return [
+        pytest.param(grid_world(2), id="grid2"),
+        pytest.param(grid_world(3), id="grid3"),
+        pytest.param(make_random_game(rng, 5, (2, 3), 3, 0.9), id="stochastic"),
+        pytest.param(make_mixed_support_game(rng, 7, (2, 2), 3, 0.9), id="mixed-support"),
+    ]
+
+
+@pytest.mark.parametrize("spec", support_contraction_games())
+def test_contraction_over_the_support_matches_the_full_tables(spec, monkeypatch):
+    # Against a pure y the library reads only y's slice of each table, and
+    # weighs it by ones: the bits of q @ y.probs[:, :, None] over the full
+    # (S, J, B) table, for the gradient (gathered on a memo miss, built as
+    # y_star's slice alone on a hit) and for each team player's best
+    # response, neither of which builds a full table.  Against a mixed y the
+    # support sum runs in another order than the matmul over all B, so the
+    # policies agree and the values to round-off.
+    rng = np.random.default_rng(183)
+    S, B = spec.state_count, spec.adversary_actions
+    x, mixed = random_policies(rng, spec)
+    y_star, _, grad = policy_gradient(spec, x)
+    d = _solve(chain_rows(spec, joint_action_distribution(spec, x), *_support(y_star)),
+               spec.initial_dist, transpose=True)
+    want = team_policy_gradient(spec, x, y_star, d).tobytes()
+    assert grad.tobytes() == want
+    tables = count_calls(monkeypatch, atmg.mdp, "_continuation")
+    assert policy_gradient(spec, x)[2].tobytes() == want
+    pure = AdversaryPolicy(np.eye(B)[rng.integers(B, size=S)])
+    for y, exact in ((y_star, True), (pure, True), (mixed, False),
+                     (AdversaryPolicy(unequal_support_table(rng, S, B)), False)):
+        for k in range(spec.n_players):
+            table, value = team_player_best_response(spec, k, x, y)
+            want_table, want_value = full_table_player_best_response(spec, k, x, y)
+            assert table.tobytes() == want_table.tobytes()
+            if exact:
+                assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
+            else:
+                assert value == pytest.approx(want_value, rel=1e-13, abs=0)
+            assert tables == []
 
 
 def finite_difference_gradient(spec, x, y, h):
