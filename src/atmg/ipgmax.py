@@ -246,6 +246,8 @@ def run(spec: GameSpec, x0: TeamPolicy | None, config: IpgmaxConfig) -> RunTrace
     an update leaves x bitwise unchanged, every later iteration would
     repeat it bit for bit, so the rest of the trace is filled by copying.
     Of the iterates, only x(0), x(T) and the selection candidates are kept.
+    Once y(t) is the same policy as y(t-1), the next best response starts
+    from it, and one sweep mostly confirms it; while y moves, it starts cold.
 
     The selection candidates are fixed before the loop and stored on the
     trace; select_iterate scores them at the end and sets t_star.
@@ -274,8 +276,11 @@ def run(spec: GameSpec, x0: TeamPolicy | None, config: IpgmaxConfig) -> RunTrace
     x, vec = x0, x0.as_vector()
     row_starts = np.r_[0, np.repeat(spec.team_sizes, spec.state_count).cumsum()[:-1]]
     prev_joint: np.ndarray | None = None
+    y = start = None
     for t in range(1, T + 1):
-        y, v_hat, grad = policy_gradient(spec, x)
+        y_last = y
+        y, v_hat, grad = policy_gradient(spec, x, start)
+        start = y if y is y_last else None
         phi[t - 1] = float(rho @ v_hat)
         if eta == 0.0:
             x_next = x
@@ -308,7 +313,7 @@ def run(spec: GameSpec, x0: TeamPolicy | None, config: IpgmaxConfig) -> RunTrace
             break
         x, vec = x_next, joint[: vec.size]
     else:
-        _, v_final = adversary_best_response(spec, x)
+        _, v_final = adversary_best_response(spec, x, start)
         phi[T] = float(rho @ v_final)
 
     trace = RunTrace(policies=policies, candidates=candidates, phi=phi, frob_norms=frob, eta=eta)
@@ -340,7 +345,8 @@ def prox_point(spec: GameSpec, x: TeamPolicy) -> ProxResult:
     seen is returned; starting from x' = x makes the method exact at
     stationary points.  Stops early once an iterate moves less than
     PROX_TOL; otherwise runs all PROX_MAX_ITER steps and reports
-    converged=False.  iterations counts the steps taken.
+    converged=False.  iterations counts the steps taken.  As in run, a best
+    response starts from the last one once that one has repeated.
     """
     ell = smoothness_constants(spec).ell
     rho = spec.initial_dist
@@ -349,12 +355,15 @@ def prox_point(spec: GameSpec, x: TeamPolicy) -> ProxResult:
     current, current_vec = x, anchor.copy()
     best_vec, best_psi = current_vec, np.inf
     converged = False
+    y = start = None
     for t in range(PROX_MAX_ITER + 1):
         last = converged or t == PROX_MAX_ITER
+        y_last = y
         if last:
-            _, v_hat = adversary_best_response(spec, current)
+            y, v_hat = adversary_best_response(spec, current, start)
         else:
-            _, v_hat, grad = policy_gradient(spec, current)
+            y, v_hat, grad = policy_gradient(spec, current, start)
+        start = y if y is y_last else None
         diff = current_vec - anchor
         psi_val = float(rho @ v_hat) + ell * float(np.dot(diff, diff))
         if psi_val < best_psi:

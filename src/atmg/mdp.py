@@ -346,24 +346,25 @@ def _greedy(q: np.ndarray):
     return np.argmax(qt >= qt.max(axis=0) - slack, axis=0), slack
 
 
-def _policy_iteration(spec: GameSpec, r: np.ndarray, q_of, rows_of):
+def _policy_iteration(spec: GameSpec, r: np.ndarray, q_of, rows_of, start=None):
     """Maximize one agent's MDP over its deterministic policies.
 
     r is the agent's (S, U) table of one-step payoffs, and q_of(v) is r
     plus gamma times the expected continuation value v;
     rows_of(policy) is the _bellman_rows of the chain when the agent plays
-    action policy[s] in state s.  Howard's policy iteration starts from the
-    greedy policy of one value-iteration step from v = 0, q_of(max_u r),
-    which sees a payoff one step ahead where the rewards alone do not.  It
-    evaluates the current policy exactly and moves a state to its greedy
-    action only where that gains more than the tie tolerance; each move
-    raises the value, so no policy repeats and the loop ends once no state
-    gains.  Returns (v, policy, M): the exact value of the returned
-    deterministic policy, optimal up to ties, and M = rows_of(policy).
-    The last q_of call is at the returned v.
+    action policy[s] in state s.  Howard's policy iteration starts from
+    start, an (S,) action array, when given; else from the greedy policy
+    of one value-iteration step from v = 0, q_of(max_u r), which sees a
+    payoff one step ahead where the rewards alone do not.  It evaluates the
+    current policy exactly and moves a state to its greedy action only
+    where that gains more than the tie tolerance, so a tie keeps the
+    current action; each move raises the value, so no policy repeats and
+    the loop ends once no state gains.  Returns (v, policy, M): the exact
+    value of the returned deterministic policy, optimal up to ties from any
+    start, and M = rows_of(policy).  The last q_of call is at the returned v.
     """
     states = np.arange(spec.state_count)
-    policy = _greedy(q_of(np.ascontiguousarray(r.T).max(axis=0)))[0]
+    policy = start if start is not None else _greedy(q_of(np.ascontiguousarray(r.T).max(axis=0)))[0]
     while True:
         M = rows_of(policy)
         v = _solve(M, r[states, policy])
@@ -381,10 +382,11 @@ def _recall(spec: GameSpec, x: TeamPolicy):
     return memo[1:] if memo is not None and memo[0] is spec else None
 
 
-def _adversary_iteration(spec: GameSpec, x: TeamPolicy, gathered: list[np.ndarray]):
+def _adversary_iteration(spec: GameSpec, x: TeamPolicy, gathered: list[np.ndarray], start=None):
     """(y_star, v_hat, _bellman_rows of the chain (x, y_star), y_star's (S, J)
     _on_support table at v_hat) of the adversary's best response, from x's
-    _gathered tables.  Fills x's memo, y_star from its _skeleton; on a memo hit
+    _gathered tables, policy iteration starting at pure start's _support if given.
+    Fills x's memo, y_star from its _skeleton; on a memo hit start is unread and
     only the last two are rebuilt, the table as y_star's slice alone."""
     w = _product(spec, gathered)
     memo = _recall(spec, x)
@@ -399,25 +401,28 @@ def _adversary_iteration(spec: GameSpec, x: TeamPolicy, gathered: list[np.ndarra
         return (w[:, None, :] @ q)[:, 0, :]
 
     r = (w[:, None, :] @ spec.reward)[:, 0, :]
-    v_hat, greedy, M = _policy_iteration(spec, r, q_of, lambda u: _chain_rows(spec, w, u[:, None]))
+    v_hat, greedy, M = _policy_iteration(spec, r, q_of, lambda u: _chain_rows(spec, w, u[:, None]),
+                                         None if start is None else _support(start)[0][:, 0])
     v_hat.setflags(write=False)
     y_star = _skeleton(spec, greedy[:, None])[4]
     object.__setattr__(x, "_memo", (spec, y_star, v_hat))
     return y_star, v_hat, M, q[np.arange(spec.state_count), :, greedy]
 
 
-def adversary_best_response(spec: GameSpec, x: TeamPolicy):
+def adversary_best_response(spec: GameSpec, x: TeamPolicy, start: AdversaryPolicy | None = None):
     """Best adversary policy against a fixed team policy x.
 
     The adversary faces the single-agent MDP with rewards r(s, x, b) and
     transitions P(s' | s, x, b); policy iteration gives a deterministic
     optimal policy y_star and its exact value vector v_hat, so
-    rho' v_hat = phi(x) = max_y V_rho(x, y).
+    rho' v_hat = phi(x) = max_y V_rho(x, y).  start, a pure adversary
+    policy such as an earlier y_star, is where policy iteration begins; the
+    answer is exact from any start, and on a tie keeps start's action.
 
     Returns (y_star, v_hat), kept in x's memo: the same objects (v_hat
-    read-only) on every call with this spec.
+    read-only) on every call with this spec, whatever start.
     """
-    return _recall(spec, x) or _adversary_iteration(spec, x, _gathered(spec, x))[:2]
+    return _recall(spec, x) or _adversary_iteration(spec, x, _gathered(spec, x), start)[:2]
 
 
 def team_player_best_response(spec: GameSpec, k: int, x_minus_k: TeamPolicy, y: AdversaryPolicy):
@@ -446,12 +451,12 @@ def team_player_best_response(spec: GameSpec, k: int, x_minus_k: TeamPolicy, y: 
 # Gradients
 # ---------------------------------------------------------------------------
 
-def policy_gradient(spec: GameSpec, x: TeamPolicy):
+def policy_gradient(spec: GameSpec, x: TeamPolicy, start: AdversaryPolicy | None = None):
     """The adversary's best response to x and the team gradient against it.
 
     Returns (y_star, v_hat, grad): y_star and v_hat as from
-    adversary_best_response, and the exact gradient of V_rho(x, y_star) in
-    all team coordinates,
+    adversary_best_response(spec, x, start), and the exact gradient of
+    V_rho(x, y_star) in all team coordinates,
 
         dV/dx_{k,s,a} = d(s) * Qbar_k(s, a)
 
@@ -461,7 +466,7 @@ def policy_gradient(spec: GameSpec, x: TeamPolicy):
     blocks.  On a memo hit only y_star's chain rows and _on_support table are built.
     """
     gathered = _gathered(spec, x)
-    y_star, v_hat, M, mixed = _adversary_iteration(spec, x, gathered)
+    y_star, v_hat, M, mixed = _adversary_iteration(spec, x, gathered, start)
     d = _solve(M, spec.initial_dist, transpose=True)
     grad = np.concatenate([
         d[:, None] * _player_q(spec, _product(spec, gathered, k), k, mixed)

@@ -377,20 +377,22 @@ def test_grid3_certify_takes_one_evaluation_per_best_response(monkeypatch):
     # here is a best response, whose skeleton hands it its support, so no
     # support is sorted.  Only the adversary's policy iterations build full
     # (S, J, B) continuation tables, two each (the start and v_hat); the
-    # team players contract y's support slice alone.
+    # team players contract y's support slice alone.  The response moves at
+    # every step here, so run never starts policy iteration from the last
+    # one: from y(1), step 2 would take a second sweep.
     spec = grid_world(3)
     chains, tables = [], []
     real = atmg.mdp._policy_iteration
     real_mean = atmg.mdp._successor_mean
 
-    def counted(spec, r, q_of, chain_of):
+    def counted(spec, r, q_of, chain_of, start=None):
         chains.append(0)
 
         def chain(policy):
             chains[-1] += 1
             return chain_of(policy)
 
-        return real(spec, r, q_of, chain)
+        return real(spec, r, q_of, chain, start)
 
     def mean(succ, prob, v):
         table = real_mean(succ, prob, v)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import atmg.ipgmax
-from atmg.game import GameSpec, validate
+from atmg.game import GameSpec, grid_world, normalize_rewards, validate
 from atmg.ipgmax import (
     SELECTION_MODES,
     IpgmaxConfig,
@@ -279,6 +279,29 @@ def test_run_copies_the_tail_once_the_iterate_is_fixed(monkeypatch):
     np.testing.assert_array_equal(trace.phi, phi)
     np.testing.assert_array_equal(trace.frob_norms, frob)
     np.testing.assert_array_equal(trace.policies[-1].blocks[0], [[1.0, 0.0]])
+
+
+def test_run_warm_starts_the_adversary_once_its_response_repeats(monkeypatch):
+    # On grid_world(2) from the uniform start the adversary's best response
+    # is one policy at every step.  A cold policy iteration builds the full
+    # continuation table twice, at its one-step start and at v_hat; steps 1
+    # and 2 start cold, since no response has repeated yet.  From step 3 on,
+    # and for the final best response, policy iteration starts from the
+    # repeated response, and one table at its value confirms it: 33 tables,
+    # against 62 with every start cold.
+    spec = normalize_rewards(grid_world(2))[0]
+    tables, seen = count_calls(monkeypatch, atmg.mdp, "_continuation"), []
+
+    def counted(real):
+        def call(*args):
+            seen.append(len(tables))
+            return real(*args)
+        return call
+
+    for name in ("policy_gradient", "adversary_best_response"):
+        monkeypatch.setattr(atmg.ipgmax, name, counted(getattr(atmg.ipgmax, name)))
+    run(spec, None, IpgmaxConfig(eta=0.1, iters=30, iterate_selection="none"))
+    assert np.diff(seen + [len(tables)]).tolist() == [2, 2] + [1] * 29
 
 
 def test_run_trace_shapes():

@@ -13,6 +13,7 @@ from atmg.mdp import (
     AdversaryPolicy,
     TeamPolicy,
     _SKELETONS,
+    _TIE_RTOL,
     _bellman_rows,
     _chain_rows,
     _continuation,
@@ -227,9 +228,9 @@ def test_policy_iteration_rewards_are_q_at_zero(spec, K, monkeypatch):
     seen = []
     real = atmg.mdp._policy_iteration
 
-    def spy(spec, r, q_of, chain_of):
+    def spy(spec, r, q_of, chain_of, start=None):
         seen.append((r, q_of(np.zeros(spec.state_count))))
-        return real(spec, r, q_of, chain_of)
+        return real(spec, r, q_of, chain_of, start)
 
     monkeypatch.setattr(atmg.mdp, "_policy_iteration", spy)
     adversary_best_response(spec, x)
@@ -821,6 +822,73 @@ def test_adversary_best_response_looks_one_step_ahead(monkeypatch):
     )
     assert float(spec.initial_dist @ v) == pytest.approx(best, abs=1e-12)
     np.testing.assert_allclose(v, [18.0, 20.0], rtol=1e-12)
+
+
+def warm_start_games():
+    rng = np.random.default_rng(191)
+    return [
+        pytest.param(grid_world(2), id="grid2"),
+        pytest.param(grid_world(3), id="grid3"),
+        pytest.param(make_random_game(rng, 6, (2, 3), 3, 0.9), id="stochastic"),
+        pytest.param(make_random_game(rng, 5, (2, 2, 2), 3, 0.9), id="three-players"),
+    ]
+
+
+@pytest.mark.parametrize("spec", warm_start_games())
+def test_best_response_from_a_given_start_is_exact(spec):
+    # Policy iteration is exact from any start: from the cold best response,
+    # a random pure policy and the best response at a nearby x, no state of
+    # the response gains more than the tie slack on a Q table the oracle
+    # builds afresh.  Where the cold optimum is strict in every state it is
+    # the only optimum, so each start must land on its bits.  A memo hit
+    # ignores the start.
+    rng = np.random.default_rng(193)
+    S, B = spec.state_count, spec.adversary_actions
+    states = np.arange(S)
+    x, _ = random_policies(rng, spec)
+    y_cold, v_cold = adversary_best_response(spec, fresh(x))
+    step = 0.05 * rng.normal(size=S * spec.sum_team_actions)
+    nearby = project_product_simplex(spec, x.as_vector() + step)
+    pure = AdversaryPolicy(np.eye(B)[rng.integers(B, size=S)])
+    q = np.sort(oracle_q_table(spec, x, v_cold), axis=1)
+    unique = (q[:, -1] - q[:, -2] > _TIE_RTOL * np.abs(q).max(axis=1)).all()
+    for start in (y_cold, pure, adversary_best_response(spec, nearby)[0]):
+        y, v = adversary_best_response(spec, fresh(x), start)
+        q = oracle_q_table(spec, x, v)
+        gain = q.max(axis=1) - q[states, y.probs.argmax(axis=1)]
+        assert (gain <= _TIE_RTOL * np.abs(q).max(axis=1)).all()
+        assert policy_gradient(spec, fresh(x), start)[1].tobytes() == v.tobytes()
+        if unique:
+            assert y.probs.tobytes() == y_cold.probs.tobytes()
+            assert v.tobytes() == v_cold.tobytes()
+    memo = adversary_best_response(spec, x)
+    assert adversary_best_response(spec, x, pure)[0] is memo[0]
+
+
+def test_a_warm_start_keeps_its_action_on_a_tie():
+    # Adversary actions 1 and 2 are one action under two indices.  The cold
+    # start takes the lower index wherever they are best; a start on the
+    # higher one keeps it there, since leaving it gains nothing, and moves
+    # to action 0 where that is better.  Both chains have the same rows, so
+    # the values agree bit for bit.
+    rng = np.random.default_rng(197)
+    base = make_random_game(rng, 5, (2,), 2, 0.9)
+    spec = GameSpec(
+        state_count=5,
+        team_sizes=(2,),
+        adversary_actions=3,
+        reward=base.reward[:, :, [0, 1, 1]],
+        transition=dense_transition(base.transition)[:, :, [0, 1, 1]],
+        discount=0.9,
+        initial_dist=base.initial_dist,
+    )
+    x, _ = random_policies(rng, spec)
+    y_cold, v_cold = adversary_best_response(spec, x)
+    y_warm, v_warm = adversary_best_response(spec, fresh(x), AdversaryPolicy(np.eye(3)[[2] * 5]))
+    cold, warm = y_cold.probs.argmax(axis=1), y_warm.probs.argmax(axis=1)
+    assert set(cold) == {0, 1}
+    np.testing.assert_array_equal(warm, np.where(cold == 1, 2, cold))
+    assert v_warm.tobytes() == v_cold.tobytes()
 
 
 def test_team_player_best_response_tie_break_lowest_index():
