@@ -36,7 +36,7 @@ from .game import (
     save_game,
     validate,
 )
-from .ipgmax import SCHEDULE_MODES, SELECTION_MODES, IpgmaxConfig, run
+from .ipgmax import SELECTION_MODES, IpgmaxConfig, run, schedule_proposition, schedule_theorem
 from .mdp import AdversaryPolicy, TeamPolicy, check_policies
 
 log = logging.getLogger(__name__)
@@ -177,19 +177,17 @@ def cmd_solve(args) -> int:
         return _fail(f"cannot write {out}: {base} is not a directory")
     if args.game is None and args.gridworld < 2:
         return _fail(f"--gridworld needs a side of at least 2, got {args.gridworld}")
-    config = IpgmaxConfig(
-        epsilon=args.epsilon,
-        eta=args.eta,
-        iters=args.iters,
-        schedule_mode=args.schedule,
-        iterate_selection=args.select,
-        delta=args.delta,
-        seed=args.seed,
-        cap_iters=args.cap_iters,
-    )
+    config = IpgmaxConfig(eta=args.eta, iters=args.iters, iterate_selection=args.select,
+                          delta=args.delta, seed=args.seed)
     try:
         spec = _valid(grid_world(args.gridworld)) if args.game is None else _load(args.game)
         normalized, shift, scale = normalize_rewards(spec)
+        # An epsilon that a formula refuses fails the solve before the loop.
+        schedules = None if args.epsilon is None else {
+            name: dict(zip(("eta", "iters"), schedule(normalized, args.epsilon)))
+            for name, schedule in (("theorem", schedule_theorem),
+                                   ("proposition", schedule_proposition))
+        }
         started = time.perf_counter()
         trace = run(normalized, None, config)
     except ValueError as exc:
@@ -203,15 +201,14 @@ def cmd_solve(args) -> int:
             "discount": spec.discount,
         },
         "config": {
-            "schedule": args.schedule,
             "epsilon": args.epsilon,
             "eta": trace.eta,
             "iters": trace.iterations,
             "select": args.select,
             "delta": args.delta,
             "seed": args.seed,
-            "cap_iters": args.cap_iters,
         },
+        "paper_schedules": schedules,
         "normalization": {"shift": shift, "scale": scale},
     }
     return _certify(normalized, trace, report, out, started)
@@ -306,17 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="generate an N x N grid world instead of loading a file",
     )
-    solve.add_argument("--epsilon", type=float, help="target accuracy for schedules")
-    solve.add_argument("--eta", type=float, help="step size (manual schedule)")
-    solve.add_argument("--iters", type=int, help="iteration count (manual schedule)")
-    solve.add_argument(
-        "--cap-iters", type=int, help="hard cap on scheduled iteration counts"
-    )
-    solve.add_argument(
-        "--schedule",
-        choices=SCHEDULE_MODES,
-        default="manual",
-    )
+    solve.add_argument("--epsilon", type=float,
+                       help="target accuracy; report.json gets the paper's (eta, T) for it")
+    solve.add_argument("--eta", type=float, help="step size (required)")
+    solve.add_argument("--iters", type=int, help="iteration count (required)")
     solve.add_argument(
         "--select",
         choices=[mode for mode in SELECTION_MODES if mode != "none"],

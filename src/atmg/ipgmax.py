@@ -40,7 +40,6 @@ from .mdp import (
 
 log = logging.getLogger(__name__)
 
-SCHEDULE_MODES = ("manual", "proposition", "theorem")
 SELECTION_MODES = ("prox", "random", "none")
 
 # prox_point stops once an iterate moves less than PROX_TOL, or after
@@ -48,7 +47,7 @@ SELECTION_MODES = ("prox", "random", "none")
 PROX_TOL = 1e-7
 PROX_MAX_ITER = 400
 
-# run refuses a schedule longer than this, before allocating its trace.
+# run refuses more iterations than this, before allocating its trace.
 MAX_ITERS = 10**7
 
 
@@ -59,49 +58,34 @@ def _check_delta(delta: float) -> None:
 
 @dataclass
 class IpgmaxConfig:
-    """Knobs for one run.
+    """Knobs for one run: eta and iters must be set.
 
-    With schedule_mode="manual", eta and iters must be set explicitly.  The
-    other modes derive (eta, iters) from epsilon; cap_iters, when given,
-    clamps the derived iteration count.  iterate_selection="none" skips
-    selection, and the trace then keeps only x(0) and x(T).
+    iterate_selection="none" skips selection, and the trace then keeps
+    only x(0) and x(T).
     """
 
-    epsilon: float | None = None
     eta: float | None = None
     iters: int | None = None
-    schedule_mode: str = "manual"
     iterate_selection: str = "prox"
     delta: float = 0.5
     seed: int = 0
-    cap_iters: int | None = None
 
     def validate(self) -> None:
-        if self.schedule_mode not in SCHEDULE_MODES:
-            raise ValueError(f"unknown schedule_mode {self.schedule_mode!r}")
         if self.iterate_selection not in SELECTION_MODES:
             raise ValueError(f"unknown iterate_selection {self.iterate_selection!r}")
-        if self.schedule_mode == "manual":
-            if self.eta is None or self.iters is None:
-                raise ValueError("manual schedule requires eta and iters")
-        elif self.epsilon is None:
-            raise ValueError("schedule modes require epsilon > 0")
-        # Values a mode ignores still reach report.json, so they are checked
-        # too; `not 0 <= v < inf` also catches NaN.  Counts must be whole
-        # numbers, and no setting may be a boolean: neither is truncated.
-        for name in ("iters", "cap_iters"):
-            value = getattr(self, name)
-            if value is not None and _count(name, value) < 1:
-                raise ValueError(f"{name} must be at least 1, got {value}")
+        if self.eta is None or self.iters is None:
+            raise ValueError("a run requires eta and iters (--eta, --iters)")
+        # Counts must be whole numbers, and no setting may be a boolean:
+        # neither is truncated.  `not 0 <= v < inf` also catches NaN.
+        if _count("iters", self.iters) < 1:
+            raise ValueError(f"iters must be at least 1, got {self.iters}")
         if _count("seed", self.seed) < 0:
             raise ValueError(f"seed must be at least 0, got {self.seed}")
-        for name in ("eta", "epsilon", "delta"):
+        for name in ("eta", "delta"):
             if isinstance(getattr(self, name), (bool, np.bool_)):
                 raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
-        if self.eta is not None and not 0.0 <= self.eta < math.inf:
+        if not 0.0 <= self.eta < math.inf:
             raise ValueError(f"eta must be finite and nonnegative, got {self.eta}")
-        if self.epsilon is not None and not 0.0 < self.epsilon < math.inf:
-            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
         _check_delta(self.delta)
 
 
@@ -150,12 +134,12 @@ class RunTrace:
 
 
 # ---------------------------------------------------------------------------
-# Schedules
+# Schedules: the paper's (eta, T) for a target epsilon, reported, not run
 # ---------------------------------------------------------------------------
 
 def _squared(epsilon: float) -> float:
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if isinstance(epsilon, (bool, np.bool_)) or not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
     try:
         return epsilon**2
     except OverflowError:
@@ -177,8 +161,7 @@ def schedule_theorem(spec: GameSpec, epsilon: float) -> tuple[float, int]:
         T   = ceil( 512 S^8 D^4 (sum A_k + B)^4 / (eps^4 (1-gamma)^12) )
 
     with D = D_bar from smoothness_constants.  T is exact big-integer
-    arithmetic (it overflows float range long before it becomes runnable);
-    callers must cap it for practical runs.
+    arithmetic: it overflows float range long before it becomes runnable.
     """
     D = smoothness_constants(spec).D_bar
     S = spec.state_count
@@ -210,32 +193,20 @@ def schedule_proposition(spec: GameSpec, epsilon: float) -> tuple[float, int]:
     return _derived_step(epsilon, eta), max(1, int(math.ceil(T_exact)))
 
 
-def resolve_schedule(spec: GameSpec, config: IpgmaxConfig) -> tuple[float, int]:
-    """The (eta, T) a run with this config will actually use."""
-    if config.schedule_mode == "manual":
-        eta, T = float(config.eta), int(config.iters)
-    elif config.schedule_mode == "proposition":
-        eta, T = schedule_proposition(spec, config.epsilon)
-    else:
-        eta, T = schedule_theorem(spec, config.epsilon)
-    if config.cap_iters is not None:
-        T = min(T, int(config.cap_iters))
-    return eta, T
-
-
 # ---------------------------------------------------------------------------
 # The main loop
 # ---------------------------------------------------------------------------
 
 def run(spec: GameSpec, x0: TeamPolicy | None, config: IpgmaxConfig) -> RunTrace:
-    """Run T projected-gradient iterations from x0 (uniform when None).
+    """Run T = config.iters projected-gradient steps of size eta = config.eta
+    from x0 (uniform when None).
 
     Iteration t computes y(t), the best response to x(t-1), then moves all
     players at once:
 
         x_k(t) = proj( x_k(t-1) - eta * grad_k V_rho(x(t-1), y(t)) )
 
-    Raises ValueError when the schedule asks for more than MAX_ITERS
+    Raises ValueError when config asks for more than MAX_ITERS
     iterations, before anything is allocated, or when a step leaves an
     iterate x(t) that is not finite or whose rows do not sum to 1 within
     check_policies' tolerance.
@@ -253,13 +224,9 @@ def run(spec: GameSpec, x0: TeamPolicy | None, config: IpgmaxConfig) -> RunTrace
     trace; select_iterate scores them at the end and sets t_star.
     """
     config.validate()
-    eta, T = resolve_schedule(spec, config)
+    eta, T = float(config.eta), int(config.iters)
     if T > MAX_ITERS:
-        knob = "iters (--iters)" if config.schedule_mode == "manual" else "cap_iters (--cap-iters)"
-        raise ValueError(
-            f"the {config.schedule_mode} schedule asks for T = {T} iterations; "
-            f"set {knob} to at most {MAX_ITERS}"
-        )
+        raise ValueError(f"the run asks for T = {T} iterations; set --iters to at most {MAX_ITERS}")
     candidates = selection_candidates(T, config.iterate_selection,
                                       delta=config.delta, seed=config.seed)
     keep = {0, T, *candidates}

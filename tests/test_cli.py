@@ -12,7 +12,8 @@ import pytest
 import atmg.cli
 from atmg.cli import main
 from atmg.extension import LpAdvInfeasibleError
-from atmg.game import load_game, save_game
+from atmg.game import grid_world, load_game, normalize_rewards, save_game
+from atmg.ipgmax import schedule_proposition, schedule_theorem
 from conftest import count_calls, make_random_game, pennies_game
 
 
@@ -91,6 +92,7 @@ def test_solve_pennies_manual(tmp_path, pennies_file):
     assert report["lp_status"] == "feasible"
     assert report["config"]["iters"] == 40
     assert report["config"]["eta"] == 0.05
+    assert report["paper_schedules"] is None  # no --epsilon
     assert report["t_star"] == 0  # the uniform start is already stationary
     assert report["prox_gap_measured"] <= 1e-12
     assert report["nash_gap"]["epsilon_certified"] <= 1e-9
@@ -202,7 +204,8 @@ def test_solve_rejects_invalid_game(tmp_path, capsys, pennies_file):
     # sum to 1: unchecked, phi(1) came out negative, or a later solve failed.
     (["--eta", "1e14", "--iters", "3"], "is off the simplex"),
     (["--eta", "1e20", "--iters", "3"], "is off the simplex"),
-    (["--schedule", "proposition", "--epsilon", "1e100"], "is off the simplex"),
+    # The proposition's (eta, T) at epsilon = 1e100, eta rounded.
+    (["--eta", "2e199", "--iters", "1", "--epsilon", "1e100"], "is off the simplex"),
 ], ids=["eta-1e308", "eta-1e14", "eta-1e20", "proposition-epsilon-1e100"])
 def test_solve_rejects_a_step_that_overflows(tmp_path, capsys, args, problem):
     out = tmp_path / "run"
@@ -225,26 +228,28 @@ def test_solve_manual_requires_eta_and_iters(tmp_path, capsys, pennies_file):
     out = tmp_path / "run"
     code = main(["solve", "--game", str(pennies_file), "--out", str(out)])
     assert code == 1
-    assert "manual schedule requires" in capsys.readouterr().err
+    assert "requires eta and iters" in capsys.readouterr().err
     assert not out.exists()
 
 
 @pytest.mark.parametrize("args", [
     ["--eta", "nan", "--iters", "5"],
     ["--eta", "inf", "--iters", "5"],
-    ["--schedule", "proposition", "--epsilon", "inf"],
-    ["--eta", "0.1", "--iters", "5", "--cap-iters", "0"],
-    ["--eta", "0.1", "--iters", "5", "--cap-iters", "-1"],
-    ["--eta", "0.1", "--iters", "5", "--cap-iters", "-4"],
-    ["--schedule", "proposition", "--epsilon", "1e-5"],
+    ["--eta", "0.1", "--iters", "5", "--epsilon", "inf"],
+    ["--eta", "0.1", "--iters", "5", "--epsilon", "nan"],
+    ["--eta", "0.1", "--iters", "0"],
+    ["--eta", "0.1", "--iters", "-1"],
+    ["--eta", "0.1", "--iters", "-4"],
+    # The proposition's (eta, T) at epsilon = 1e-5, eta rounded.
+    ["--eta", "2e-10", "--iters", "781249999999999745", "--epsilon", "1e-5"],
     ["--eta", "0.1", "--iters", "1000000000000"],
-    ["--schedule", "proposition", "--epsilon", "1e200"],
-    ["--schedule", "theorem", "--epsilon", "1e200", "--cap-iters", "3"],
-    ["--schedule", "proposition", "--epsilon", "1e154"],
-    ["--schedule", "theorem", "--epsilon", "1e-200", "--cap-iters", "3"],
-], ids=["eta-nan", "eta-inf", "epsilon-inf", "cap-0", "cap-minus-1", "cap-minus-4",
-        "proposition-huge-T", "iters-huge", "proposition-epsilon-squared-overflows",
-        "theorem-epsilon-squared-overflows", "proposition-eta-overflows",
+    # Every formula refuses these, and a refusal fails the solve.
+    ["--eta", "0.1", "--iters", "5", "--epsilon", "1e200"],
+    ["--eta", "0.1", "--iters", "5", "--epsilon", "1e154"],
+    ["--eta", "0.1", "--iters", "5", "--epsilon", "1e-200"],
+], ids=["eta-nan", "eta-inf", "epsilon-inf", "epsilon-nan", "iters-0", "iters-minus-1",
+        "iters-minus-4", "proposition-huge-T", "iters-huge",
+        "proposition-epsilon-squared-overflows", "proposition-eta-overflows",
         "theorem-eta-underflows"])
 def test_solve_rejects_out_of_range_settings(tmp_path, capsys, pennies_file, args):
     out = tmp_path / "run"
@@ -258,9 +263,8 @@ def test_solve_rejects_out_of_range_settings(tmp_path, capsys, pennies_file, arg
 
 
 @pytest.mark.parametrize("args,problem", [
-    (["--schedule", "proposition", "--epsilon", "1e154"], "epsilon = 1e+154 is too large"),
-    (["--schedule", "theorem", "--epsilon", "1e-200", "--cap-iters", "3"],
-     "epsilon = 1e-200 is too small"),
+    (["--epsilon", "1e154"], "epsilon = 1e+154 is too large"),
+    (["--epsilon", "1e-200"], "epsilon = 1e-200 is too small"),
 ], ids=["proposition-eta-overflows", "theorem-eta-underflows"])
 def test_solve_blames_epsilon_for_a_derived_step_that_is_not_finite_and_positive(
     tmp_path, capsys, pennies_file, args, problem
@@ -273,37 +277,60 @@ def test_solve_blames_epsilon_for_a_derived_step_that_is_not_finite_and_positive
     assert not out.exists()
 
 
+def paper_schedules(out, argv):
+    """report.json's paper_schedules of a short solve with these flags."""
+    assert main(["solve", "--eta", "0.1", "--iters", "20", "--out", str(out)] + argv) == 0
+    return read_report(out)["paper_schedules"]
+
+
+def test_solve_reports_the_paper_schedules_of_the_game_it_ran(tmp_path):
+    schedules = paper_schedules(tmp_path / "run", ["--gridworld", "2", "--epsilon", "0.1"])
+    normalized = normalize_rewards(grid_world(2))[0]
+    assert schedules == {
+        name: dict(zip(("eta", "iters"), schedule(normalized, 0.1)))
+        for name, schedule in (("theorem", schedule_theorem),
+                               ("proposition", schedule_proposition))
+    }
+    assert schedules["theorem"]["eta"] == pytest.approx(2.3978728128819782e-29, rel=1e-12)
+    assert schedules["theorem"]["iters"] == 6038863663747094174725373546741110992930633064466
+    assert schedules["proposition"] == {"eta": pytest.approx(0.002, rel=1e-12), "iters": 1}
+
+
 def test_solve_theorem_refuses_huge_iteration_counts(tmp_path, capsys, pennies_file):
+    # The theorem's pair at epsilon = 0.1, passed by hand: T = 1.3e9.
+    theorem = paper_schedules(tmp_path / "pair", ["--game", str(pennies_file),
+                                                  "--epsilon", "0.1"])["theorem"]
+    assert theorem["iters"] == 1310720000
+    eta = repr(theorem["eta"])
     out = tmp_path / "run"
-    code = main([
-        "solve", "--game", str(pennies_file),
-        "--schedule", "theorem", "--epsilon", "0.1", "--out", str(out),
-    ])
+    code = main(["solve", "--game", str(pennies_file), "--eta", eta,
+                 "--iters", str(theorem["iters"]), "--out", str(out)])
     assert code == 1
     err = capsys.readouterr().err
-    assert "cap-iters" in err
+    assert "--iters" in err
     assert not out.exists()
 
-    code = main([
-        "solve", "--game", str(pennies_file),
-        "--schedule", "theorem", "--epsilon", "0.1",
-        "--cap-iters", "20", "--out", str(out),
-    ])
+    code = main(["solve", "--game", str(pennies_file), "--eta", eta,
+                 "--iters", "20", "--out", str(out)])
     assert code == 0
-    assert read_report(out)["config"]["iters"] == 20
+    assert read_report(out)["config"] == {
+        "epsilon": None, "eta": theorem["eta"], "iters": 20,
+        "select": "prox", "delta": 0.5, "seed": 0,
+    }
 
 
 def test_solve_gridworld_proposition(tmp_path):
+    # The proposition's pair at epsilon = 0.2 is one step of 0.008.
+    proposition = paper_schedules(tmp_path / "pair", ["--gridworld", "2",
+                                                      "--epsilon", "0.2"])["proposition"]
+    assert proposition == {"eta": pytest.approx(0.008), "iters": 1}
     out = tmp_path / "run"
-    code = main([
-        "solve", "--gridworld", "2",
-        "--schedule", "proposition", "--epsilon", "0.2",
-        "--cap-iters", "2000", "--out", str(out),
-    ])
+    code = main(["solve", "--gridworld", "2", "--eta", repr(proposition["eta"]),
+                 "--iters", str(proposition["iters"]), "--out", str(out)])
     assert code == 0
     report = read_report(out)
-    assert report["config"]["iters"] == 1  # the cap never binds at this epsilon
-    assert report["config"]["eta"] == pytest.approx(0.008)
+    assert report["config"]["iters"] == 1
+    assert report["config"]["eta"] == proposition["eta"]
     assert report["lp_status"] == "feasible"
     assert len((out / "trace.csv").read_text().splitlines()) == 4
 
@@ -473,11 +500,13 @@ SOLVE = ["solve", "--gridworld", "2", "--eta", "0.1", "--iters", "5"]
     SOLVE,
     ["solve", "--gridworld", "2", "--eta", "0.1", "--iters", "abc", "--out", "x"],
     SOLVE + ["--out", "x", "--schedule", "foo"],
+    SOLVE + ["--out", "x", "--schedule", "proposition"],
+    SOLVE + ["--out", "x", "--cap-iters", "5"],
     SOLVE + ["--out", "x", "--select", "none"],
     SOLVE + ["--out", "x", "--jobs", "2"],
     [],
 ], ids=["unknown-flag", "missing-value", "missing-out", "iters-abc", "schedule-foo",
-        "select-none", "jobs", "no-subcommand"])
+        "schedule-proposition", "cap-iters", "select-none", "jobs", "no-subcommand"])
 def test_usage_errors_exit_1(tmp_path, monkeypatch, capsys, argv):
     # Exit code 2 is reserved for an infeasible adversary LP.
     monkeypatch.chdir(tmp_path)

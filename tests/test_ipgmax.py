@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import math
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from atmg.ipgmax import (
     IpgmaxConfig,
     prox_gap,
     prox_point,
-    resolve_schedule,
     run,
     schedule_proposition,
     schedule_theorem,
@@ -88,9 +88,8 @@ def test_theorem_schedule_takes_a_valid_game_whose_d_bar_rounds_below_one():
     )
     assert validate(spec) == []
     assert smoothness_constants(spec).D_bar < 1.0
-    config = IpgmaxConfig(epsilon=0.5, schedule_mode="theorem", cap_iters=10)
-    eta, T = resolve_schedule(spec, config)
-    assert eta > 0.0 and T == 10
+    eta, T = schedule_theorem(spec, 0.5)
+    assert 0.0 < eta < math.inf and T >= 1
 
 
 def test_proposition_schedule_frozen_values():
@@ -118,6 +117,14 @@ def test_schedules_reject_an_epsilon_whose_square_overflows(schedule):
         schedule(half_game(), 1e200)
 
 
+@pytest.mark.parametrize("schedule", [schedule_theorem, schedule_proposition])
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, True, np.True_],
+                         ids=["nan", "inf", "true", "numpy-true"])
+def test_schedules_refuse_an_epsilon_that_is_not_a_finite_positive_number(schedule, epsilon):
+    with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+        schedule(half_game(), epsilon)
+
+
 @pytest.mark.parametrize("schedule,epsilon,message", [
     # epsilon**2 = 1e308 is finite, but 2 epsilon**2 (1 - gamma) overflows.
     (schedule_proposition, 1e154, r"epsilon = 1e\+154 is too large: it gives the step eta = inf"),
@@ -131,29 +138,9 @@ def test_schedules_reject_an_epsilon_whose_step_is_not_finite_and_positive(
         schedule(pennies_game(), epsilon)
 
 
-def test_resolve_schedule_modes_and_cap():
-    spec = half_game()
-    manual = IpgmaxConfig(eta=0.25, iters=17)
-    assert resolve_schedule(spec, manual) == (0.25, 17)
-
-    theorem = IpgmaxConfig(epsilon=0.1, schedule_mode="theorem", cap_iters=1000)
-    eta, T = resolve_schedule(spec, theorem)
-    assert T == 1000
-    assert eta == pytest.approx(3.725290298461915e-11, rel=1e-12)
-
-    # the theorem schedule takes D = D_bar, which is 4 for this fixture
-    assert smoothness_constants(spec).D_bar == pytest.approx(4.0)
-    implicit = IpgmaxConfig(epsilon=0.1, schedule_mode="theorem")
-    assert resolve_schedule(spec, implicit) == schedule_theorem(spec, 0.1)
-
-    prop = IpgmaxConfig(epsilon=0.1, schedule_mode="proposition", cap_iters=1000)
-    assert resolve_schedule(spec, prop) == (pytest.approx(0.01), 5)
-
-
 @pytest.mark.parametrize("field,value", [
-    ("iters", 2.5), ("iters", True), ("cap_iters", 2.5), ("cap_iters", True),
-    ("cap_iters", float("nan")),
-], ids=["iters-fraction", "iters-bool", "cap-fraction", "cap-bool", "cap-nan"])
+    ("iters", 2.5), ("iters", True), ("iters", float("nan")),
+], ids=["iters-fraction", "iters-bool", "iters-nan"])
 def test_config_rejects_counts_that_are_not_whole_numbers(field, value):
     config = IpgmaxConfig(eta=0.05, iters=2)
     setattr(config, field, value)
@@ -164,32 +151,27 @@ def test_config_rejects_counts_that_are_not_whole_numbers(field, value):
 
 
 def test_config_accepts_whole_counts_of_any_numeric_type():
-    config = IpgmaxConfig(eta=0.05, iters=2.0, cap_iters=np.int64(3), iterate_selection="none")
+    config = IpgmaxConfig(eta=0.05, iters=2.0, seed=np.int64(3), iterate_selection="none")
     config.validate()
     assert run(pennies_game(), None, config).iterations == 2
 
 
 def test_config_validation():
     IpgmaxConfig(eta=0.1, iters=10).validate()
-    IpgmaxConfig(epsilon=0.1, schedule_mode="proposition").validate()
 
-    with pytest.raises(ValueError, match="manual schedule requires"):
+    with pytest.raises(ValueError, match="requires eta and iters"):
         IpgmaxConfig(iters=10).validate()
-    with pytest.raises(ValueError, match="manual schedule requires"):
+    with pytest.raises(ValueError, match="requires eta and iters"):
         IpgmaxConfig(eta=0.1).validate()
     with pytest.raises(ValueError, match="nonnegative"):
         IpgmaxConfig(eta=-0.1, iters=10).validate()
     with pytest.raises(ValueError, match="at least 1"):
         IpgmaxConfig(eta=0.1, iters=0).validate()
-    with pytest.raises(ValueError, match="epsilon"):
-        IpgmaxConfig(schedule_mode="theorem").validate()
-    with pytest.raises(ValueError, match="schedule_mode"):
-        IpgmaxConfig(eta=0.1, iters=1, schedule_mode="magic").validate()
     with pytest.raises(ValueError, match="iterate_selection"):
         IpgmaxConfig(eta=0.1, iters=1, iterate_selection="best").validate()
     with pytest.raises(ValueError, match="delta"):
         IpgmaxConfig(eta=0.1, iters=1, iterate_selection="random", delta=1.0).validate()
-    for field in ("eta", "epsilon", "delta"):
+    for field in ("eta", "delta"):
         with pytest.raises(ValueError, match=f"{field} must be a number"):
             IpgmaxConfig(**{"eta": 0.1, "iters": 1, field: True}).validate()
     with pytest.raises(ValueError, match="eta must be a number"):
@@ -362,18 +344,20 @@ def test_run_rejects_a_non_finite_iterate(gridworld2):
         run(gridworld2, None, IpgmaxConfig(eta=1e308, iters=3, iterate_selection="none"))
 
 
-@pytest.mark.parametrize("config,knob", [
-    (IpgmaxConfig(eta=0.1, iters=10**12), "--iters"),
-    (IpgmaxConfig(schedule_mode="proposition", epsilon=1e-5), "--cap-iters"),
-    (IpgmaxConfig(schedule_mode="theorem", epsilon=0.1, cap_iters=10**8), "--cap-iters"),
+@pytest.mark.parametrize("eta,iters", [
+    (0.1, 10**12),
+    # The paper's pairs are runs too: the proposition's at epsilon = 1e-5,
+    # and the theorem's step for 10^8 of its T = 1.3e9 at epsilon = 0.1.
+    schedule_proposition(pennies_game(), 1e-5),
+    (schedule_theorem(pennies_game(), 0.1)[0], 10**8),
 ], ids=["manual", "proposition", "theorem-capped-too-high"])
-def test_run_refuses_more_than_max_iters(monkeypatch, config, knob):
+def test_run_refuses_more_than_max_iters(monkeypatch, eta, iters):
     # The refusal comes before the trace arrays (8 bytes per iteration each)
     # are allocated and before the first best response.
     calls = count_calls(monkeypatch, atmg.ipgmax, "policy_gradient")
     final = count_calls(monkeypatch, atmg.ipgmax, "adversary_best_response")
-    with pytest.raises(ValueError, match=f"iterations; set .*{knob}.* to at most 10000000"):
-        run(pennies_game(), None, config)
+    with pytest.raises(ValueError, match="iterations; set .*--iters.* to at most 10000000"):
+        run(pennies_game(), None, IpgmaxConfig(eta=eta, iters=iters))
     assert calls == []
     assert final == []
 
