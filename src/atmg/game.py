@@ -109,6 +109,11 @@ class Transitions:
     def nbytes(self) -> int:
         return self.succ.nbytes + self.prob.nbytes
 
+    @cached_property
+    def certain(self) -> bool:
+        """True when every move has one successor (K = 1) of probability exactly 1.0."""
+        return self.prob.shape[-1] == 1 and bool((self.prob == 1.0).all())
+
 
 @dataclass(frozen=True)
 class GameSpec:

@@ -28,6 +28,7 @@ from .game import GameSpec, _count
 from .mdp import (
     _POLICY_SUM_TOL,
     TeamPolicy,
+    _recall,
     adversary_best_response,
     check_policies,
     joint_policy_vector,
@@ -140,8 +141,8 @@ class RunTrace:
 def _squared(epsilon: float) -> float:
     if isinstance(epsilon, (bool, np.bool_)) or not 0.0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
-    try:
-        return epsilon**2
+    try:  # a Python float raises on overflow where numpy's power only warns
+        return float(epsilon) ** 2
     except OverflowError:
         return math.inf
 
@@ -313,7 +314,8 @@ def prox_point(spec: GameSpec, x: TeamPolicy) -> ProxResult:
     stationary points.  Stops early once an iterate moves less than
     PROX_TOL; otherwise runs all PROX_MAX_ITER steps and reports
     converged=False.  iterations counts the steps taken.  As in run, a best
-    response starts from the last one once that one has repeated.
+    response starts from the last one once that one has repeated; x's
+    memoized response, if it has one, counts as the one before x' = x's.
     """
     ell = smoothness_constants(spec).ell
     rho = spec.initial_dist
@@ -322,7 +324,7 @@ def prox_point(spec: GameSpec, x: TeamPolicy) -> ProxResult:
     current, current_vec = x, anchor.copy()
     best_vec, best_psi = current_vec, np.inf
     converged = False
-    y = start = None
+    y, start = (_recall(spec, x) or (None,))[0], None
     for t in range(PROX_MAX_ITER + 1):
         last = converged or t == PROX_MAX_ITER
         y_last = y

@@ -9,16 +9,17 @@ the product of simplices, and the Lipschitz/smoothness constants of the
 best-response value function.
 Transition contractions read the game's successor lists: a chain is two (S, n)
 row lists of successors and weights taken from them, and a gather gives
-expected next-state values.  No (S, ., S) table is built, nor an S x S matrix
-unless a chain has no level schedule.  Policy iteration, the best responses and
-the gradient all use these two forms, and the gradient reuses the chain its
-best response ended with.  Every chain, and every table taken against an
-adversary policy, reads the skeleton of its support, kept on the GameSpec; here
-only the adversary's own policy iteration, which maximizes over all B actions,
-builds (S, J, B) tables.  Each team policy is evaluated once across the
-pipeline: its best response (y_star, v_hat) is memoized on the TeamPolicy for
-one GameSpec object, never with its chain, and adversary_best_response,
-policy_gradient and value_rho read it.
+expected next-state values; neither multiplies by a weight of exactly 1.0 (a
+certain game's moves, a pure skeleton's support).  No (S, ., S) table is built,
+nor an S x S matrix unless a chain has no level schedule.  Every chain, and
+every table taken against an adversary policy, reads the skeleton of its
+support, kept on the GameSpec.  Only the adversary's backup, which maximizes
+over all B actions, gathers an (S, J, B) table, of next values, which the team
+weights contract before gamma and the rewards are added; the gradient reuses
+its chain and reads y_star's slice of its skeleton.  Each team policy is
+evaluated once across the pipeline: its best response (y_star, v_hat) is
+memoized on the TeamPolicy for one GameSpec object, never with its chain, and
+adversary_best_response, policy_gradient and value_rho read it.
 
 Policies are stored directly as probability tables.  The team's flattened
 coordinate vector concatenates the per-player blocks in player order, each
@@ -179,27 +180,43 @@ def _support(y: AdversaryPolicy):
     return y._support
 
 
-def _successor_mean(succ: np.ndarray, prob: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """sum_k prob[..., k] v(succ[..., k]) over successor lists; the game's own give (S, J, B)."""
+def _successor_mean(succ: np.ndarray, prob: np.ndarray | None, v: np.ndarray) -> np.ndarray:
+    """sum_k prob[..., k] v(succ[..., k]) over successor lists; the game's own give (S, J, B).
+    A certain game's prob, all exactly 1.0, is passed as None and not multiplied in."""
+    if prob is None:
+        return v[succ[..., 0]]
     if succ.shape[-1] == 1:  # deterministic moves: no length-1 reduction
         return prob[..., 0] * v[succ[..., 0]]
     return (prob * v[succ]).sum(axis=-1)
 
 
+def _next_mean(spec: GameSpec, v: np.ndarray) -> np.ndarray:
+    """(S, J, B) table sum_{s'} P(s' | s, j, b) v(s'), a fresh array."""
+    T = spec.transition
+    return _successor_mean(T.succ, None if T.certain else T.prob, v)
+
+
 def _continuation(spec: GameSpec, v: np.ndarray) -> np.ndarray:
     """(S, J, B) table r(s, j, b) + gamma sum_{s'} P(s' | s, j, b) v(s'), built in place."""
-    q = _successor_mean(spec.transition.succ, spec.transition.prob, v)
+    q = _next_mean(spec, v)
     return np.add(spec.reward, np.multiply(spec.discount, q, out=q), out=q)
+
+
+def _adversary_q(spec: GameSpec, w: np.ndarray, r: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(S, B) backup r + gamma w @ E[v(next)] of the adversary against the team's (S, J)
+    weights w, r = w @ spec.reward: w contracts the expected next values alone, which
+    differs from w @ _continuation(spec, v) in the last bits at most."""
+    return r + spec.discount * (w[:, None, :] @ _next_mean(spec, v))[:, 0, :]
 
 
 def _on_support(spec: GameSpec, acts: np.ndarray, p: np.ndarray, v: np.ndarray | None = None):
     """(S, J) table sum_i p[s, i] q(s, j, acts[s, i]), q the _continuation at v (spec.reward
-    for None), from the (S, m, J) slice on acts' _skeleton: a pure y's column bit for bit; a
-    mixed y's may differ in the last bits from q @ y.probs[:, :, None], summed over all B."""
-    cols, prob, *_, q = _skeleton(spec, acts)
+    for None), from the (S, m, J) slice on acts' _skeleton, for its own p the slice: a pure
+    y's column bit for bit; a mixed y's may differ in the last bits from q @ y.probs[:, :, None]."""
+    cols, prob, *_, y, q = _skeleton(spec, acts)
     if v is not None:
-        q = q + spec.discount * _successor_mean(cols.reshape(prob.shape), prob, v)
-    return np.einsum("si,sij->sj", p, q)
+        q = q + spec.discount * _successor_mean(cols.reshape(*q.shape, -1), prob, v)
+    return q[:, 0] if y and p is y._support[1] else np.einsum("si,sij->sj", p, q)
 
 
 def _player_q(spec: GameSpec, others: np.ndarray, k: int, mixed: np.ndarray) -> np.ndarray:
@@ -232,10 +249,10 @@ _SKELETONS = 4  # kept per game; a short grid_world(3) run and its certificate u
 
 def _skeleton(spec: GameSpec, acts: np.ndarray) -> tuple:
     """(cols, prob, loops, levels, y, reward) of the (S, m) adversary support
-    acts: the (S, m J K) successors and (S, m, J, K) probabilities of each row's
-    (i, j, k), the self-loop mask, that full pattern's _levels, if m = 1 the
-    one-hot y, its _support memo (a copy of acts, all ones) set so it is never
-    sorted, and the (S, m, J) rewards r(s, j, acts[s, i])."""
+    acts: the (S, m J K) successors and (S, m, J, K) probabilities (None on a
+    certain game) of each row's (i, j, k), the self-loop mask, that full
+    pattern's _levels, if m = 1 the one-hot y, its _support memo (a copy of
+    acts, all ones) set so it is never sorted, and the read-only (S, m, J) rewards."""
     cache, key = spec._skeletons, acts.tobytes()
     skeleton = cache.pop(key, None)
     if skeleton is None:
@@ -248,19 +265,22 @@ def _skeleton(spec: GameSpec, acts: np.ndarray) -> tuple:
         if acts.shape[1] == 1:
             y = AdversaryPolicy(np.eye(spec.adversary_actions)[acts[:, 0]])
             object.__setattr__(y, "_support", (_own(acts, np.intp), _own(np.ones(acts.shape))))
-        skeleton = (cols, prob, loops, _levels(cols, prob.reshape(cols.shape) * ~loops), y,
-                    spec.reward[states, :, acts])
+        skeleton = (cols, None if T.certain else prob, loops,
+                    _levels(cols, prob.reshape(cols.shape) * ~loops), y,
+                    _own(spec.reward[states, :, acts]))
     cache[key] = skeleton
     return skeleton
 
 
 def _chain_rows(spec: GameSpec, w: np.ndarray, acts: np.ndarray, p: np.ndarray | None = None):
     """_bellman_rows of the chain of the team's (S, J) joint-action weights w
-    against acts[s, i] played with probability p[s, i] (all ones for None), on
-    acts' _skeleton: with its full pattern's schedule, else the chain's own.
-    Sweeps past the chain's own depth leave an exact z unchanged."""
-    cols, prob, loops, levels, *_ = _skeleton(spec, acts)
-    wts = (w[:, None, :] if p is None else w[:, None, :] * p[:, :, None])[..., None] * prob
+    against acts[s, i] played with probability p[s, i], on acts' _skeleton:
+    with its full pattern's schedule, else the chain's own.  Sweeps past the
+    chain's own depth leave an exact z unchanged.  A None p (pure acts only),
+    the skeleton's own p and a certain game's probabilities, all ones, are not multiplied in."""
+    cols, prob, loops, levels, y, _ = _skeleton(spec, acts)
+    wts = w[:, None, :] if p is None or y and p is y._support[1] else w[:, None, :] * p[:, :, None]
+    wts = wts if prob is None else wts[..., None] * prob
     return _bellman_rows((cols, wts.reshape(cols.shape)), spec.discount, loops, levels)
 
 
@@ -385,28 +405,20 @@ def _recall(spec: GameSpec, x: TeamPolicy):
 def _adversary_iteration(spec: GameSpec, x: TeamPolicy, gathered: list[np.ndarray], start=None):
     """(y_star, v_hat, _bellman_rows of the chain (x, y_star), y_star's (S, J)
     _on_support table at v_hat) of the adversary's best response, from x's
-    _gathered tables, policy iteration starting at pure start's _support if given.
-    Fills x's memo, y_star from its _skeleton; on a memo hit start is unread and
-    only the last two are rebuilt, the table as y_star's slice alone."""
-    w = _product(spec, gathered)
-    memo = _recall(spec, x)
-    if memo:
-        support = _support(memo[0])
-        return *memo, _chain_rows(spec, w, support[0]), _on_support(spec, *support, memo[1])
-    q = None
-
-    def q_of(v):
-        nonlocal q
-        q = _continuation(spec, v)
-        return (w[:, None, :] @ q)[:, 0, :]
-
-    r = (w[:, None, :] @ spec.reward)[:, 0, :]
-    v_hat, greedy, M = _policy_iteration(spec, r, q_of, lambda u: _chain_rows(spec, w, u[:, None]),
-                                         None if start is None else _support(start)[0][:, 0])
-    v_hat.setflags(write=False)
-    y_star = _skeleton(spec, greedy[:, None])[4]
-    object.__setattr__(x, "_memo", (spec, y_star, v_hat))
-    return y_star, v_hat, M, q[np.arange(spec.state_count), :, greedy]
+    _gathered tables, policy iteration on the _adversary_q backup starting at
+    pure start's _support if given.  Fills x's memo, y_star from its _skeleton;
+    on a memo hit start is unread and only the last two are rebuilt."""
+    w, memo, M = _product(spec, gathered), _recall(spec, x), None
+    if not memo:
+        r = (w[:, None, :] @ spec.reward)[:, 0, :]
+        v_hat, greedy, M = _policy_iteration(spec, r, lambda v: _adversary_q(spec, w, r, v),
+                                             lambda u: _chain_rows(spec, w, u[:, None]),
+                                             None if start is None else _support(start)[0][:, 0])
+        v_hat.setflags(write=False)
+        memo = _skeleton(spec, greedy[:, None])[4], v_hat
+        object.__setattr__(x, "_memo", (spec, *memo))
+    acts, p = _support(memo[0])
+    return *memo, M or _chain_rows(spec, w, acts), _on_support(spec, acts, p, memo[1])
 
 
 def adversary_best_response(spec: GameSpec, x: TeamPolicy, start: AdversaryPolicy | None = None):

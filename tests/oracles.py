@@ -20,6 +20,9 @@ greedy rule of the best responses and the simplex projection are reduced row
 by row, the references for the library's action-major reductions.  A team
 player's best response contracts the full (S, J, B) tables with y over all
 B actions, the reference for the library's contraction over y's support.
+The adversary's best response and the gradient at it contract the full
+(S, J, B) table r + gamma E[v] with the team weights, the reference for the
+library's backup, which folds the weights into the expected next values.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from atmg.mdp import (
     _player_q,
     _policy_iteration,
     _product,
+    _solve,
     _support,
     smoothness_constants,
     value_vector,
@@ -121,6 +125,29 @@ def full_table_player_best_response(
         lambda policy: _chain_rows(spec, others * (digit == policy[:, None]), *support),
     )
     return np.eye(spec.team_sizes[k])[greedy], -float(spec.initial_dist @ v_max)
+
+
+def full_table_adversary_best_response(spec: GameSpec, x: TeamPolicy):
+    """mdp.policy_gradient from a cold start with the adversary's backup taken
+    from the full (S, J, B) table, w @ _continuation(spec, v), and y_star's
+    column for the gradient read from that table at v_hat: (y_star, v_hat, grad)."""
+    gathered = _gathered(spec, x)
+    w = _product(spec, gathered)
+    tables = []
+
+    def q_of(v):
+        tables.append(_continuation(spec, v))
+        return (w[:, None, :] @ tables[-1])[:, 0, :]
+
+    r = (w[:, None, :] @ spec.reward)[:, 0, :]
+    v_hat, greedy, M = _policy_iteration(spec, r, q_of, lambda u: _chain_rows(spec, w, u[:, None]))
+    d = _solve(M, spec.initial_dist, transpose=True)
+    column = tables[-1][np.arange(spec.state_count), :, greedy]
+    grad = np.concatenate([
+        d[:, None] * _player_q(spec, _product(spec, gathered, k), k, column)
+        for k in range(spec.n_players)
+    ], axis=None)
+    return AdversaryPolicy(np.eye(spec.adversary_actions)[greedy]), v_hat, grad
 
 
 def induced_reward(spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy) -> np.ndarray:

@@ -221,6 +221,15 @@ def test_grid_world_transitions_deterministic(gridworld2):
     assert np.all((t == 0.0) | (t == 1.0))
 
 
+def test_transitions_are_certain_with_one_successor_of_probability_exactly_one(gridworld2):
+    assert gridworld2.transition.certain and pennies_game().transition.certain
+    assert grid_world(3).transition.certain
+    assert not make_random_game(np.random.default_rng(8), 3, (2,), 2, 0.9).transition.certain
+    # A padded second successor makes K = 2; a probability off 1.0 by round-off is not 1.0.
+    assert not Transitions(np.zeros((1, 1, 1, 2), dtype=int), [[[[1.0, 0.0]]]], 1).certain
+    assert not Transitions(np.zeros((1, 1, 1, 1), dtype=int), [[[[1.0 - 1e-13]]]], 1).certain
+
+
 def test_grid_world_3_successor_lists_are_small():
     big = grid_world(3).transition
     assert big.succ.shape == (730, 16, 4, 1)

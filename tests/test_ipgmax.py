@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -115,6 +116,16 @@ def test_proposition_schedule_shrinks_with_more_actions():
 def test_schedules_reject_an_epsilon_whose_square_overflows(schedule):
     with pytest.raises(ValueError, match=r"epsilon = 1e\+200 is too large"):
         schedule(half_game(), 1e200)
+
+
+@pytest.mark.parametrize("schedule", [schedule_theorem, schedule_proposition])
+def test_schedules_refuse_a_numpy_epsilon_whose_square_overflows_without_a_warning(schedule):
+    # numpy's power only warns on overflow; with warnings as errors that
+    # warning would escape in place of the ValueError that names epsilon.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"epsilon = 1e\+200 is too large"):
+            schedule(grid_world(2), np.float64(1e200))
 
 
 @pytest.mark.parametrize("schedule", [schedule_theorem, schedule_proposition])
@@ -265,14 +276,14 @@ def test_run_copies_the_tail_once_the_iterate_is_fixed(monkeypatch):
 
 def test_run_warm_starts_the_adversary_once_its_response_repeats(monkeypatch):
     # On grid_world(2) from the uniform start the adversary's best response
-    # is one policy at every step.  A cold policy iteration builds the full
-    # continuation table twice, at its one-step start and at v_hat; steps 1
+    # is one policy at every step.  A cold policy iteration takes the
+    # adversary's backup twice, at its one-step start and at v_hat; steps 1
     # and 2 start cold, since no response has repeated yet.  From step 3 on,
     # and for the final best response, policy iteration starts from the
-    # repeated response, and one table at its value confirms it: 33 tables,
-    # against 62 with every start cold.
+    # repeated response, and one backup at its value confirms it: 33
+    # backups, against 62 with every start cold.
     spec = normalize_rewards(grid_world(2))[0]
-    tables, seen = count_calls(monkeypatch, atmg.mdp, "_continuation"), []
+    tables, seen = count_calls(monkeypatch, atmg.mdp, "_adversary_q"), []
 
     def counted(real):
         def call(*args):
@@ -437,6 +448,24 @@ def test_prox_point_scores_its_last_iterate(monkeypatch):
     assert (result.iterations, result.converged) == (3, False)
     np.testing.assert_array_equal(result.x_tilde.as_vector(), iterates[-1].as_vector())
     assert len(gradients) == 3 and len(finals) == 1
+
+
+def test_prox_point_starts_warm_from_the_anchors_memoized_response(monkeypatch):
+    # x's memoized best response counts as the one before prox_point's
+    # first, which is that memo again, so the second starts from it; a copy
+    # of x without the memo starts the second cold.  The result is the same.
+    spec = normalize_rewards(grid_world(2))[0]
+    solved = run(spec, None, IpgmaxConfig(eta=0.1, iters=3, iterate_selection="none")).policies[-1]
+    y, _ = adversary_best_response(spec, solved)
+    fresh = TeamPolicy(solved.blocks)
+    results = []
+    for x, second_start in ((solved, y), (fresh, None)):
+        calls = count_calls(monkeypatch, atmg.mdp, "_adversary_iteration")
+        results.append(prox_point(spec, x))
+        assert calls[0][1] is x and calls[1][3] is second_start
+        monkeypatch.undo()
+    assert results[0].x_tilde.as_vector().tobytes() == results[1].x_tilde.as_vector().tobytes()
+    assert results[0].iterations == results[1].iterations
 
 
 def test_prox_point_reports_iterations(monkeypatch):

@@ -8,13 +8,14 @@ import pytest
 
 import atmg.mdp
 from atmg.extension import build_lp_adv
-from atmg.game import GameSpec, Transitions, grid_world
+from atmg.game import GameSpec, Transitions, grid_world, validate
 from atmg.mdp import (
     AdversaryPolicy,
     TeamPolicy,
     _SKELETONS,
     _TIE_RTOL,
     _bellman_rows,
+    _adversary_q,
     _chain_rows,
     _continuation,
     _project_simplex_rows,
@@ -51,6 +52,7 @@ from oracles import (
     dense_marginal_transition,
     dense_player_transition,
     dense_successor_mean,
+    full_table_adversary_best_response,
     full_table_player_best_response,
     induced_reward,
     induced_transition,
@@ -275,15 +277,17 @@ def test_continuation_fills_one_fresh_table(spec, K):
 
 
 def test_one_sweep_best_response_gathers_the_continuation_twice(gridworld2, monkeypatch):
-    # Once for the value-iteration step that starts policy iteration, once
-    # at v_hat; the rewards are not gathered at v = 0.  One sweep builds one
-    # chain.
+    # The adversary's backup, once for the value-iteration step that starts
+    # policy iteration, once at v_hat; the rewards are not gathered at v = 0,
+    # and no full r + gamma E[v] table is built.  One sweep builds one chain.
     chains = count_calls(monkeypatch, atmg.mdp, "_chain_rows")
-    gathers = count_calls(monkeypatch, atmg.mdp, "_continuation")
+    tables = count_calls(monkeypatch, atmg.mdp, "_continuation")
+    gathers = count_calls(monkeypatch, atmg.mdp, "_adversary_q")
     _, v_hat = adversary_best_response(gridworld2, uniform_team_policy(gridworld2))
     assert len(chains) == 1
     assert len(gathers) == 2
-    assert gathers[1][1] is v_hat
+    assert gathers[1][3] is v_hat
+    assert tables == []
 
 
 # ---------------------------------------------------------------------------
@@ -1043,9 +1047,9 @@ def support_contraction_games():
 def test_contraction_over_the_support_matches_the_full_tables(spec, monkeypatch):
     # Against a pure y the library reads only y's slice of each table, and
     # weighs it by ones: the bits of q @ y.probs[:, :, None] over the full
-    # (S, J, B) table, for the gradient (gathered on a memo miss, built as
-    # y_star's slice alone on a hit) and for each team player's best
-    # response, neither of which builds a full table.  Against a mixed y the
+    # (S, J, B) table, for the gradient (y_star's slice, on a memo miss and
+    # on a hit) and for each team player's best response, neither of which
+    # builds a full table.  Against a mixed y the
     # support sum runs in another order than the matmul over all B, so the
     # policies agree and the values to round-off.
     rng = np.random.default_rng(183)
@@ -1070,6 +1074,100 @@ def test_contraction_over_the_support_matches_the_full_tables(spec, monkeypatch)
             else:
                 assert value == pytest.approx(want_value, rel=1e-13, abs=0)
             assert tables == []
+
+
+def tied_game(rng: np.random.Generator, K: int) -> GameSpec:
+    """Random game, team (2, 2) against 3 adversary actions, whose action 1
+    copies action 0's rewards and moves, so the two tie exactly everywhere;
+    every move has K successors, each of probability 1.0 for K = 1."""
+    spec = make_random_game(rng, 6, (2, 2), 3, 0.9)
+    succ = rng.integers(6, size=(6, 4, 3, K))
+    prob = rng.dirichlet(np.ones(K), size=(6, 4, 3)) if K > 1 else np.ones((6, 4, 3, 1))
+    reward = spec.reward.copy()
+    for table in (succ, prob, reward):
+        table[:, :, 1] = table[:, :, 0]
+    return dataclasses.replace(spec, reward=reward, transition=Transitions(succ, prob, 6))
+
+
+def folded_backup_games():
+    rng = np.random.default_rng(191)
+    return [
+        pytest.param(grid_world(2), id="grid2"),
+        pytest.param(grid_world(3), id="grid3"),
+        *(pytest.param(make_random_game(rng, S, sizes, B, 0.9), id=f"stochastic-{i}")
+          for i, (S, sizes, B) in enumerate([(5, (2, 2), 3), (7, (3,), 4), (4, (2, 3), 2)])),
+        pytest.param(make_mixed_support_game(rng, 7, (2, 2), 3, 0.9), id="mixed-support"),
+        pytest.param(tied_game(rng, 1), id="tied-certain"),
+        pytest.param(tied_game(rng, 3), id="tied-stochastic"),
+    ]
+
+
+@pytest.mark.parametrize("spec", folded_backup_games())
+def test_folded_backup_matches_the_full_table_best_response(spec):
+    # The adversary's backup contracts the expected next values with the
+    # team weights before gamma and the rewards are added; the full-table
+    # path adds first.  The two differ in the last bits of Q at most, far
+    # below the tie slack, so the best response, its exact value and the
+    # gradient, whose y_star column comes from the skeleton, keep their bits.
+    rng = np.random.default_rng(193)
+    policies = [uniform_team_policy(spec), *(random_policies(rng, spec)[0] for _ in range(3))]
+    played = np.zeros(spec.adversary_actions)
+    for x in policies:
+        y_star, v_hat, grad = policy_gradient(spec, x)
+        want_y, want_v, want_grad = full_table_adversary_best_response(spec, x)
+        assert y_star.probs.tobytes() == want_y.probs.tobytes()
+        assert v_hat.tobytes() == want_v.tobytes()
+        assert grad.tobytes() == want_grad.tobytes()
+        played += y_star.probs.sum(axis=0)
+    T = spec.transition
+    if all(np.array_equal(t[:, :, 0], t[:, :, 1]) for t in (spec.reward, T.succ, T.prob)):
+        # Action 1 ties action 0 wherever either is best; the tie goes to 0.
+        assert played[0] > 0 and played[1] == 0
+
+
+def test_a_certain_game_multiplies_no_probability_but_a_near_certain_one_does(monkeypatch):
+    # Every grid move has one successor of probability exactly 1.0, so the
+    # gathers read v(succ) alone.  Probabilities of 1 - 1e-13 are within
+    # validate's tolerance but not 1.0: there each table is still
+    # prob * v(succ), bit for bit, and differs from the certain game's.
+    grid = grid_world(2)
+    T, S = grid.transition, grid.state_count
+    prob = T.prob.copy()
+    prob[np.random.default_rng(197).random(prob.shape) < 0.5] = 1.0 - 1e-13
+    near = dataclasses.replace(grid, transition=Transitions(T.succ, prob, S))
+    assert validate(near) == [] and T.certain and not near.transition.certain
+    rng = np.random.default_rng(199)
+    v = rng.normal(size=S)
+    w = team_weights(rng, grid, False)
+    r = (w[:, None, :] @ grid.reward)[:, 0, :]
+    acts = rng.integers(grid.adversary_actions, size=(S, 1))
+    passed = []
+    real_mean = atmg.mdp._successor_mean
+
+    def mean(succ, prob, v):
+        passed.append(prob is not None)
+        return real_mean(succ, prob, v)
+
+    monkeypatch.setattr(atmg.mdp, "_successor_mean", mean)
+    tables = {}
+    for spec in (grid, near):
+        passed.clear()
+        P = spec.transition.prob
+        expected = (P * v[T.succ]).sum(axis=-1)
+        q = _continuation(spec, v)
+        assert q.tobytes() == (spec.reward + spec.discount * expected).tobytes()
+        backup = _adversary_q(spec, w, r, v)
+        folded = (w[:, None, :] @ expected)[:, 0, :]
+        assert backup.tobytes() == (r + spec.discount * folded).tobytes()
+        M = _chain_rows(spec, w, acts)
+        for got, want in zip(M[:3], chain_rows(spec, w, acts)[:3]):
+            assert got.tobytes() == want.tobytes()
+        mixed = atmg.mdp._on_support(spec, acts, np.ones((S, 1)), v)
+        assert mixed.tobytes() == q[np.arange(S), :, acts[:, 0]].tobytes()
+        assert passed == [spec is near] * len(passed) and len(passed) == 3
+        tables[spec is near] = (q, backup, M[1])
+    for certain, near_certain in zip(tables[False], tables[True]):
+        assert certain.tobytes() != near_certain.tobytes()
 
 
 def finite_difference_gradient(spec, x, y, h):
