@@ -9,17 +9,17 @@ the product of simplices, and the Lipschitz/smoothness constants of the
 best-response value function.
 Transition contractions read the game's successor lists: a chain is two (S, n)
 row lists of successors and weights taken from them, and a gather gives
-expected next-state values; neither multiplies by a weight of exactly 1.0 (a
-certain game's moves, a pure skeleton's support).  No (S, ., S) table is built,
-nor an S x S matrix unless a chain has no level schedule.  Every chain, and
-every table taken against an adversary policy, reads the skeleton of its
-support, kept on the GameSpec.  Only the adversary's backup, which maximizes
-over all B actions, gathers an (S, J, B) table, of next values, which the team
-weights contract before gamma and the rewards are added; the gradient reuses
-its chain and reads y_star's slice of its skeleton.  Each team policy is
-evaluated once across the pipeline: its best response (y_star, v_hat) is
-memoized on the TeamPolicy for one GameSpec object, never with its chain, and
-adversary_best_response, policy_gradient and value_rho read it.
+expected next-state values; neither multiplies by weights of exactly 1.0,
+passed as None (a certain game's moves, a pure y's support).  No (S, ., S)
+table is built, nor an S x S matrix unless a chain has no level schedule.
+Every chain, and every table taken against an adversary policy, reads the
+skeleton of its support, kept on the GameSpec.  Only the adversary's backup,
+which maximizes over all B actions, gathers an (S, J, B) table, of next values,
+which the team weights contract before gamma and the rewards are added; the
+gradient reuses its chain and reads y_star's slice of its skeleton.  Each team
+policy is evaluated once across the pipeline: its best response (y_star, v_hat)
+is memoized on the TeamPolicy for one GameSpec object, never with its chain,
+and adversary_best_response, policy_gradient and value_rho read it.
 
 Policies are stored directly as probability tables.  The team's flattened
 coordinate vector concatenates the per-player blocks in player order, each
@@ -170,13 +170,14 @@ def _product(spec: GameSpec, gathered: list[np.ndarray], skip: int | None = None
 
 def _support(y: AdversaryPolicy):
     """(acts, p): each row's actions of positive probability in index order,
-    padded to the widest row with actions of probability zero, and p theirs.
-    Sorted once per policy and kept, read-only, in y's memo."""
+    padded to the widest row with actions of probability zero, and p theirs,
+    None if all are 1.0 (a pure y).  Sorted once and kept, read-only, in y's memo."""
     if y._support is None:
         zero = y.probs == 0.0
         acts = np.argsort(zero, axis=1, kind="stable")[:, : np.count_nonzero(y.probs, 1).max()]
         p = np.take_along_axis(y.probs, acts, axis=1)
-        object.__setattr__(y, "_support", (_own(acts, np.intp), _own(p)))
+        pure = acts.shape[1] == 1 and (p == 1.0).all()
+        object.__setattr__(y, "_support", (_own(acts, np.intp), None if pure else _own(p)))
     return y._support
 
 
@@ -209,14 +210,14 @@ def _adversary_q(spec: GameSpec, w: np.ndarray, r: np.ndarray, v: np.ndarray) ->
     return r + spec.discount * (w[:, None, :] @ _next_mean(spec, v))[:, 0, :]
 
 
-def _on_support(spec: GameSpec, acts: np.ndarray, p: np.ndarray, v: np.ndarray | None = None):
+def _on_support(spec: GameSpec, acts: np.ndarray, p, v: np.ndarray | None = None):
     """(S, J) table sum_i p[s, i] q(s, j, acts[s, i]), q the _continuation at v (spec.reward
-    for None), from the (S, m, J) slice on acts' _skeleton, for its own p the slice: a pure
-    y's column bit for bit; a mixed y's may differ in the last bits from q @ y.probs[:, :, None]."""
-    cols, prob, *_, y, q = _skeleton(spec, acts)
+    for None), from the (S, m, J) slice on acts' _skeleton, for a None p the slice itself:
+    a pure y's column bit for bit; a mixed y's may differ in the last bits from q @ y.probs."""
+    cols, prob, *_, q = _skeleton(spec, acts)
     if v is not None:
         q = q + spec.discount * _successor_mean(cols.reshape(*q.shape, -1), prob, v)
-    return q[:, 0] if y and p is y._support[1] else np.einsum("si,sij->sj", p, q)
+    return q[:, 0] if p is None else np.einsum("si,sij->sj", p, q)
 
 
 def _player_q(spec: GameSpec, others: np.ndarray, k: int, mixed: np.ndarray) -> np.ndarray:
@@ -250,23 +251,23 @@ _SKELETONS = 4  # kept per game; a short grid_world(3) run and its certificate u
 def _skeleton(spec: GameSpec, acts: np.ndarray) -> tuple:
     """(cols, prob, loops, levels, y, reward) of the (S, m) adversary support
     acts: the (S, m J K) successors and (S, m, J, K) probabilities (None on a
-    certain game) of each row's (i, j, k), the self-loop mask, that full
-    pattern's _levels, if m = 1 the one-hot y, its _support memo (a copy of
-    acts, all ones) set so it is never sorted, and the read-only (S, m, J) rewards."""
+    certain game, not gathered) of each row's (i, j, k), the self-loop mask, that
+    full pattern's _levels, if m = 1 the one-hot y, its _support memo (a copy of
+    acts, None) set so it is never sorted, and the read-only (S, m, J) rewards."""
     cache, key = spec._skeletons, acts.tobytes()
     skeleton = cache.pop(key, None)
     if skeleton is None:
         if len(cache) == _SKELETONS:
             del cache[next(iter(cache))]
         T, states = spec.transition, np.arange(spec.state_count)[:, None]
-        cols, prob = T.succ[states, :, acts].reshape(states.size, -1), T.prob[states, :, acts]
-        loops = cols == states
+        cols = T.succ[states, :, acts].reshape(states.size, -1)
+        prob, loops = None if T.certain else T.prob[states, :, acts], cols == states
         y = None
         if acts.shape[1] == 1:
             y = AdversaryPolicy(np.eye(spec.adversary_actions)[acts[:, 0]])
-            object.__setattr__(y, "_support", (_own(acts, np.intp), _own(np.ones(acts.shape))))
-        skeleton = (cols, None if T.certain else prob, loops,
-                    _levels(cols, prob.reshape(cols.shape) * ~loops), y,
+            object.__setattr__(y, "_support", (_own(acts, np.intp), None))
+        skeleton = (cols, prob, loops,
+                    _levels(cols, ~loops if prob is None else prob.reshape(cols.shape) * ~loops), y,
                     _own(spec.reward[states, :, acts]))
     cache[key] = skeleton
     return skeleton
@@ -276,10 +277,9 @@ def _chain_rows(spec: GameSpec, w: np.ndarray, acts: np.ndarray, p: np.ndarray |
     """_bellman_rows of the chain of the team's (S, J) joint-action weights w
     against acts[s, i] played with probability p[s, i], on acts' _skeleton:
     with its full pattern's schedule, else the chain's own.  Sweeps past the
-    chain's own depth leave an exact z unchanged.  A None p (pure acts only),
-    the skeleton's own p and a certain game's probabilities, all ones, are not multiplied in."""
-    cols, prob, loops, levels, y, _ = _skeleton(spec, acts)
-    wts = w[:, None, :] if p is None or y and p is y._support[1] else w[:, None, :] * p[:, :, None]
+    chain's own depth leave an exact z unchanged; a None p is not multiplied in."""
+    cols, prob, loops, levels, *_ = _skeleton(spec, acts)
+    wts = w[:, None, :] if p is None else w[:, None, :] * p[:, :, None]
     wts = wts if prob is None else wts[..., None] * prob
     return _bellman_rows((cols, wts.reshape(cols.shape)), spec.discount, loops, levels)
 
@@ -306,13 +306,13 @@ def _solve(M, b: np.ndarray, transpose: bool = False) -> np.ndarray:
     M = I - gamma P from _bellman_rows.
 
     With levels, z = b / diag is exact on level 0, and each sweep of
-    z = (b + gamma off z) / diag, off z gathered along the rows (scattered
-    for M'), makes one more level exact.  With None, M built densely by
-    one bincount goes to np.linalg.solve.  Either matrix is strictly
-    diagonally dominant (by rows or by columns) for gamma < 1, so neither
-    solve can fail; the residual is checked against 1e-10 * S anyway, in
-    units of max |b| once that exceeds 1, since round-off grows with the
-    magnitude of the rewards.
+    z = (b + gamma off z) / diag, off z gathered along the rows (scattered for M'),
+    makes one more level exact.  With None, M built densely by one bincount goes
+    to np.linalg.solve.  Either matrix is strictly diagonally dominant (by rows or
+    by columns) for gamma < 1, so neither solve can fail; the residual is checked
+    against 1e-10 * S anyway, in units of max |b| once that exceeds 1, since
+    round-off grows with the rewards' magnitude.  It takes a fresh carry at the
+    returned z: the last sweep's carry makes diag z - carry - b round-off by construction.
     """
     cols, off, diag, gamma, levels = M
     S = b.size

@@ -155,12 +155,14 @@ def induced_reward(spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy) -> np.ndar
     return (marginal_reward_table(spec, x) * y.probs).sum(axis=1)
 
 
-def chain(spec: GameSpec, w: np.ndarray, acts: np.ndarray, p: np.ndarray):
+def chain(spec: GameSpec, w: np.ndarray, acts: np.ndarray, p: np.ndarray | None):
     """Row lists (cols, wts) of the chain where the team plays the (S, J)
     joint-action weights w and the adversary acts[s, i] with probability
-    p[s, i]: two (S, m J K) arrays, each row in (i, j, k) order."""
+    p[s, i], all ones for None: two (S, m J K) arrays, each row in (i, j, k)
+    order.  Every weight is multiplied in, ones and a certain game's too."""
     T, S = spec.transition, spec.state_count
     states = np.arange(S)[:, None]
+    p = np.ones(acts.shape) if p is None else p
     wts = (w[:, None, :] * p[:, :, None])[..., None] * T.prob[states, :, acts]
     return T.succ[states, :, acts].reshape(S, -1), wts.reshape(S, -1)
 
@@ -168,7 +170,7 @@ def chain(spec: GameSpec, w: np.ndarray, acts: np.ndarray, p: np.ndarray):
 def chain_rows(spec: GameSpec, w: np.ndarray, acts: np.ndarray, p: np.ndarray | None = None):
     """mdp._chain_rows without a skeleton: _bellman_rows of the chain's row
     lists, with its own self-loop mask and schedule."""
-    cols, wts = chain(spec, w, acts, np.ones(acts.shape) if p is None else p)
+    cols, wts = chain(spec, w, acts, p)
     return _bellman_rows((cols, wts), spec.discount, cols == np.arange(spec.state_count)[:, None])
 
 

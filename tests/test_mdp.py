@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import atmg.mdp
-from atmg.extension import build_lp_adv
+from atmg import cli
+from atmg.extension import build_lp_adv, nash_gap
 from atmg.game import GameSpec, Transitions, grid_world, validate
 from atmg.mdp import (
     AdversaryPolicy,
@@ -48,6 +49,7 @@ from conftest import (
 )
 from oracles import (
     adversary_policy_gradient,
+    chain,
     chain_rows,
     dense_marginal_transition,
     dense_player_transition,
@@ -422,6 +424,24 @@ def test_acyclic_chains_solve_both_ways_from_one_schedule(monkeypatch):
         lapack.clear()
 
 
+def test_a_schedule_one_level_short_fails_the_residual_check():
+    # The residual is taken with a fresh carry, so a solve whose schedule stops
+    # one level short of the chain's depth (1 to 4) is caught in both
+    # directions, and the true schedule passes.
+    rng = np.random.default_rng(211)
+    for depth in range(1, 5):
+        for S in range(depth + 1, depth + 40):
+            P, _ = layered_chain(rng, S, depth + 1)
+            M = bellman_rows(P, rng.uniform(0.05, 0.99))
+            assert M[-1].max() == depth
+            short = (*M[:-1], np.minimum(M[-1], depth - 1))
+            b = rng.uniform(0.05, 0.95, S)
+            for transpose in (False, True):
+                _solve(M, b, transpose)
+                with pytest.raises(RuntimeError, match="out of tolerance"):
+                    _solve(short, b, transpose)
+
+
 def test_cyclic_chains_solve_densely_bit_for_bit():
     # A full-support chain, a ring with self-loops, and a layered chain with
     # one edge back up a downward path, which peels part way and then stalls.
@@ -719,8 +739,8 @@ def test_a_skeleton_is_built_whole_at_its_first_use(monkeypatch):
 
 def test_a_pure_skeleton_hands_its_policy_the_support_unsorted(monkeypatch):
     # The one-hot y of a pure skeleton carries its support: _support returns
-    # a read-only copy of the skeleton's acts and all-ones weights without a
-    # sort.  A fresh policy with the same table sorts once to the same bytes.
+    # a read-only copy of the skeleton's acts and None weights without a
+    # sort.  A fresh policy with the same table sorts once to the same support.
     rng = np.random.default_rng(167)
     spec = layered_game(rng, 6)
     acts = rng.integers(3, size=(6, 1))
@@ -729,19 +749,76 @@ def test_a_pure_skeleton_hands_its_policy_the_support_unsorted(monkeypatch):
     got = _support(y)
     assert sorts == []
     assert got[0].tobytes() == acts.tobytes() and got[0].dtype == acts.dtype
-    assert got[1].tobytes() == np.ones((6, 1)).tobytes()
+    assert got[1] is None
     acts[0, 0] = (acts[0, 0] + 1) % 3  # the memo holds its own copy
     assert _support(y)[0].tobytes() != acts.tobytes()
     fresh = AdversaryPolicy(y.probs)
     sorted_support = _support(fresh)
     assert len(sorts) == 1
     assert _support(fresh) is sorted_support and len(sorts) == 1
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(sorted_support, got))
+    assert sorted_support[0].tobytes() == got[0].tobytes() and sorted_support[1] is None
     mixed = _support(AdversaryPolicy(unequal_support_table(rng, 6, 3)))
-    for arr in (*got, *sorted_support, *mixed):
+    for arr in (got[0], sorted_support[0], *mixed):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0, 0] = 0
+
+
+def pure_policy_games():
+    rng = np.random.default_rng(193)
+    return [
+        pytest.param(grid_world(2), id="certain"),
+        pytest.param(layered_game(rng, 6), id="layered"),
+        pytest.param(make_random_game(rng, 5, (2, 3), 3, 0.9), id="random"),
+    ]
+
+
+@pytest.mark.parametrize("spec", pure_policy_games())
+def test_every_pure_policy_carries_none_weights(spec):
+    # None is the one spelling of weights all exactly 1.0: a skeleton's y, a
+    # copy of it, its np.eye table and the same table read back from a
+    # policies file all skip the multiply, so all give the same bytes.
+    rng = np.random.default_rng(197)
+    x = TeamPolicy(team_blocks(rng, spec, False))
+    y, _ = adversary_best_response(spec, x)
+    acts, p = _support(y)
+    assert p is None
+    eye = AdversaryPolicy(np.eye(spec.adversary_actions)[acts[:, 0]])
+    _, loaded = cli._policies_from_json(cli._policies_payload(x, y, None))
+    for other in (eye, dataclasses.replace(y), loaded):
+        assert _support(other)[1] is None and _support(other)[0].tobytes() == acts.tobytes()
+    v = value_vector(spec, x, y).tobytes()
+    gaps = [(k, *team_player_best_response(spec, k, x, y)) for k in range(spec.n_players)]
+    report = nash_gap(spec, x, y)
+    for other in (eye, loaded):
+        assert value_vector(spec, x, other).tobytes() == v
+        for k, policy, value in gaps:
+            got, got_value = team_player_best_response(spec, k, x, other)
+            assert got.tobytes() == policy.tobytes() and got_value == value
+        got = nash_gap(spec, x, other)
+        assert got.team_gaps.tobytes() == report.team_gaps.tobytes()
+        assert (got.adversary_gap, got.epsilon_certified) == (
+            report.adversary_gap, report.epsilon_certified)
+
+
+@pytest.mark.parametrize("spec", pure_policy_games())
+def test_a_weight_just_below_one_keeps_its_weights(spec):
+    # Only weights of exactly 1.0 are skipped: a pure row weighted 1 - 1e-13
+    # keeps its table, and its chain rows hold w * p, not w.
+    rng = np.random.default_rng(199)
+    S = spec.state_count
+    probs = np.eye(spec.adversary_actions)[rng.integers(spec.adversary_actions, size=S)]
+    probs[0] *= 1.0 - 1e-13
+    acts, p = _support(AdversaryPolicy(probs))
+    assert p is not None and p[0, 0] == 1.0 - 1e-13 and (p[1:] == 1.0).all()
+    w = team_weights(rng, spec, False)
+    cols, off, diag, *_ = _chain_rows(spec, w, acts, p)
+    wts = chain(spec, w, acts, p)[1]
+    if spec.transition.certain:
+        assert wts.tobytes() == (w * p).tobytes()
+    loops = cols == np.arange(S)[:, None]
+    assert off.tobytes() == np.where(loops, 0.0, wts).tobytes()
+    assert diag.tobytes() == (1.0 - spec.discount * np.where(loops, wts, 0.0).sum(axis=1)).tobytes()
 
 
 def test_a_game_keeps_at_most_its_bound_of_skeletons():
@@ -1168,6 +1245,20 @@ def test_a_certain_game_multiplies_no_probability_but_a_near_certain_one_does(mo
         tables[spec is near] = (q, backup, M[1])
     for certain, near_certain in zip(tables[False], tables[True]):
         assert certain.tobytes() != near_certain.tobytes()
+
+
+def test_a_certain_game_reads_no_probability_once_it_is_flagged():
+    # After Transitions.certain is known, best responses, the gradient and the
+    # certificate against a pure and a mixed y gather successors alone: the
+    # skeletons take no probabilities either.
+    spec = grid_world(2)
+    assert spec.transition.certain
+    object.__setattr__(spec.transition, "prob", None)
+    x = uniform_team_policy(spec)
+    y_star = policy_gradient(spec, x)[0]
+    for y in (y_star, uniform_adversary_policy(spec)):
+        value_vector(spec, x, y)
+        nash_gap(spec, x, y)
 
 
 def finite_difference_gradient(spec, x, y, h):
