@@ -305,8 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     solve.add_argument("--epsilon", type=float,
                        help="target accuracy; report.json gets the paper's (eta, T) for it")
-    solve.add_argument("--eta", type=float, help="step size (required)")
-    solve.add_argument("--iters", type=int, help="iteration count (required)")
+    solve.add_argument("--eta", type=float, required=True, help="step size")
+    solve.add_argument("--iters", type=int, required=True, help="iteration count")
     solve.add_argument(
         "--select",
         choices=[mode for mode in SELECTION_MODES if mode != "none"],

@@ -22,8 +22,9 @@ from .lp import FEASIBLE, LinearProgram, find_feasible
 from .mdp import (
     AdversaryPolicy,
     TeamPolicy,
-    _continuation,
+    _adversary_q,
     _gathered,
+    _next_mean,
     _product,
     adversary_best_response,
     check_policies,
@@ -121,15 +122,14 @@ def build_lp_adv(spec: GameSpec, x_hat: TeamPolicy, epsilon: float) -> StateProg
     A = spec.sum_team_actions
     cons = extension_constants(spec)
 
-    # One gather of x_hat and one continuation table serve every row, with
-    # one matmul per weight table (batching could reorder the sums).  A pure
-    # block's factors are exactly 0 or 1, so each deviation's masked weights
-    # equal x_hat's with k's block pinned, bit for bit.
-    gathered = _gathered(spec, x_hat)
-    q = _continuation(spec, v_hat)
+    # One gather of x_hat and one table of expected next values serve every
+    # row, each weight table backed up as in the adversary's policy iteration.
+    # A pure block's factors are exactly 0 or 1, so each deviation's masked
+    # weights equal x_hat's with k's block pinned, bit for bit.
+    gathered, nxt = _gathered(spec, x_hat), _next_mean(spec, v_hat)
 
     def bellman_slack(w):  # r(s, w, b) + gamma E[v_hat(t)] - v_hat(s)
-        return (w[:, None, :] @ q)[:, 0, :] - v_hat[:, None]
+        return _adversary_q(spec, w, (w[:, None, :] @ spec.reward)[:, 0, :], nxt) - v_hat[:, None]
 
     deviation = np.stack([
         bellman_slack(_product(spec, gathered, k) * (spec.action_digits[:, k] == a))

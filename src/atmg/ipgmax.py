@@ -28,7 +28,6 @@ from .game import GameSpec, _count
 from .mdp import (
     _POLICY_SUM_TOL,
     TeamPolicy,
-    _recall,
     adversary_best_response,
     check_policies,
     joint_policy_vector,
@@ -314,8 +313,8 @@ def prox_point(spec: GameSpec, x: TeamPolicy) -> ProxResult:
     stationary points.  Stops early once an iterate moves less than
     PROX_TOL; otherwise runs all PROX_MAX_ITER steps and reports
     converged=False.  iterations counts the steps taken.  As in run, a best
-    response starts from the last one once that one has repeated; x's
-    memoized response, if it has one, counts as the one before x' = x's.
+    response starts from the last one once that one has repeated; x's own
+    response (its memo, filled here if empty) counts as the one before x' = x's.
     """
     ell = smoothness_constants(spec).ell
     rho = spec.initial_dist
@@ -324,7 +323,7 @@ def prox_point(spec: GameSpec, x: TeamPolicy) -> ProxResult:
     current, current_vec = x, anchor.copy()
     best_vec, best_psi = current_vec, np.inf
     converged = False
-    y, start = (_recall(spec, x) or (None,))[0], None
+    y, start = adversary_best_response(spec, x)[0], None
     for t in range(PROX_MAX_ITER + 1):
         last = converged or t == PROX_MAX_ITER
         y_last = y

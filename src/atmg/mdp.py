@@ -15,11 +15,11 @@ table is built, nor an S x S matrix unless a chain has no level schedule.
 Every chain, and every table taken against an adversary policy, reads the
 skeleton of its support, kept on the GameSpec.  Only the adversary's backup,
 which maximizes over all B actions, gathers an (S, J, B) table, of next values,
-which the team weights contract before gamma and the rewards are added; the
-gradient reuses its chain and reads y_star's slice of its skeleton.  Each team
-policy is evaluated once across the pipeline: its best response (y_star, v_hat)
-is memoized on the TeamPolicy for one GameSpec object, never with its chain,
-and adversary_best_response, policy_gradient and value_rho read it.
+which the team weights contract; the gradient reuses its chain and reads
+y_star's slice of its skeleton.  Each team policy is evaluated once across the
+pipeline: its best response (y_star, v_hat) is memoized on the TeamPolicy for
+one GameSpec object, never with its chain, and adversary_best_response,
+policy_gradient and value_rho read it.
 
 Policies are stored directly as probability tables.  The team's flattened
 coordinate vector concatenates the per-player blocks in player order, each
@@ -197,21 +197,14 @@ def _next_mean(spec: GameSpec, v: np.ndarray) -> np.ndarray:
     return _successor_mean(T.succ, None if T.certain else T.prob, v)
 
 
-def _continuation(spec: GameSpec, v: np.ndarray) -> np.ndarray:
-    """(S, J, B) table r(s, j, b) + gamma sum_{s'} P(s' | s, j, b) v(s'), built in place."""
-    q = _next_mean(spec, v)
-    return np.add(spec.reward, np.multiply(spec.discount, q, out=q), out=q)
-
-
-def _adversary_q(spec: GameSpec, w: np.ndarray, r: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """(S, B) backup r + gamma w @ E[v(next)] of the adversary against the team's (S, J)
-    weights w, r = w @ spec.reward: w contracts the expected next values alone, which
-    differs from w @ _continuation(spec, v) in the last bits at most."""
-    return r + spec.discount * (w[:, None, :] @ _next_mean(spec, v))[:, 0, :]
+def _adversary_q(spec: GameSpec, w: np.ndarray, r: np.ndarray, nxt: np.ndarray) -> np.ndarray:
+    """(S, B) backup r + gamma w @ nxt of the adversary against the team's (S, J)
+    weights w, r = w @ spec.reward and nxt = _next_mean(spec, v)."""
+    return r + spec.discount * (w[:, None, :] @ nxt)[:, 0, :]
 
 
 def _on_support(spec: GameSpec, acts: np.ndarray, p, v: np.ndarray | None = None):
-    """(S, J) table sum_i p[s, i] q(s, j, acts[s, i]), q the _continuation at v (spec.reward
+    """(S, J) table sum_i p[s, i] q(s, j, acts[s, i]), q the (S, J, B) r + gamma E[v] (spec.reward
     for None), from the (S, m, J) slice on acts' _skeleton, for a None p the slice itself:
     a pure y's column bit for bit; a mixed y's may differ in the last bits from q @ y.probs."""
     cols, prob, *_, q = _skeleton(spec, acts)
@@ -411,9 +404,10 @@ def _adversary_iteration(spec: GameSpec, x: TeamPolicy, gathered: list[np.ndarra
     w, memo, M = _product(spec, gathered), _recall(spec, x), None
     if not memo:
         r = (w[:, None, :] @ spec.reward)[:, 0, :]
-        v_hat, greedy, M = _policy_iteration(spec, r, lambda v: _adversary_q(spec, w, r, v),
-                                             lambda u: _chain_rows(spec, w, u[:, None]),
-                                             None if start is None else _support(start)[0][:, 0])
+        v_hat, greedy, M = _policy_iteration(
+            spec, r, lambda v: _adversary_q(spec, w, r, _next_mean(spec, v)),
+            lambda u: _chain_rows(spec, w, u[:, None]),
+            None if start is None else _support(start)[0][:, 0])
         v_hat.setflags(write=False)
         memo = _skeleton(spec, greedy[:, None])[4], v_hat
         object.__setattr__(x, "_memo", (spec, *memo))

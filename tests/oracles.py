@@ -22,7 +22,7 @@ player's best response contracts the full (S, J, B) tables with y over all
 B actions, the reference for the library's contraction over y's support.
 The adversary's best response and the gradient at it contract the full
 (S, J, B) table r + gamma E[v] with the team weights, the reference for the
-library's backup, which folds the weights into the expected next values.
+library's backup, which contracts the expected next values alone.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ from atmg.mdp import (
     _TIE_RTOL,
     _bellman_rows,
     _chain_rows,
-    _continuation,
     _gathered,
+    _next_mean,
     _player_q,
     _policy_iteration,
     _product,
@@ -90,6 +90,11 @@ def dense_successor_mean(spec: GameSpec, v: np.ndarray) -> np.ndarray:
     return np.einsum("sjbt,t->sjb", dense_transition(spec.transition), v)
 
 
+def continuation(spec: GameSpec, v: np.ndarray) -> np.ndarray:
+    """Full (S, J, B) table r(s, j, b) + gamma sum_{s'} P(s' | s, j, b) v(s')."""
+    return spec.reward + spec.discount * _next_mean(spec, v)
+
+
 def greedy_rows(q: np.ndarray):
     """mdp._greedy's (best, slack), reduced along each row of the (S, U) table q."""
     slack = _TIE_RTOL * np.abs(q).max(axis=1)
@@ -121,7 +126,7 @@ def full_table_player_best_response(
     v_max, greedy, _ = _policy_iteration(
         spec,
         -_player_q(spec, others, k, mixed(spec.reward)),
-        lambda v: -_player_q(spec, others, k, mixed(_continuation(spec, -v))),
+        lambda v: -_player_q(spec, others, k, mixed(continuation(spec, -v))),
         lambda policy: _chain_rows(spec, others * (digit == policy[:, None]), *support),
     )
     return np.eye(spec.team_sizes[k])[greedy], -float(spec.initial_dist @ v_max)
@@ -129,14 +134,14 @@ def full_table_player_best_response(
 
 def full_table_adversary_best_response(spec: GameSpec, x: TeamPolicy):
     """mdp.policy_gradient from a cold start with the adversary's backup taken
-    from the full (S, J, B) table, w @ _continuation(spec, v), and y_star's
+    from the full (S, J, B) table, w @ continuation(spec, v), and y_star's
     column for the gradient read from that table at v_hat: (y_star, v_hat, grad)."""
     gathered = _gathered(spec, x)
     w = _product(spec, gathered)
     tables = []
 
     def q_of(v):
-        tables.append(_continuation(spec, v))
+        tables.append(continuation(spec, v))
         return (w[:, None, :] @ tables[-1])[:, 0, :]
 
     r = (w[:, None, :] @ spec.reward)[:, 0, :]
@@ -258,7 +263,7 @@ def team_policy_gradient(
     At y = y_star(x), given d from atmg.mdp's own solver, it is the
     gradient atmg.mdp.policy_gradient returns, bit for bit.
     """
-    mixed = (_continuation(spec, value_vector(spec, x, y)) @ y.probs[:, :, None])[:, :, 0]
+    mixed = (continuation(spec, value_vector(spec, x, y)) @ y.probs[:, :, None])[:, :, 0]
     d = visitation(spec, x, y) if d is None else d
     return np.concatenate([
         d[:, None]

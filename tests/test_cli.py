@@ -225,10 +225,14 @@ def test_gridworld_3_file_is_small(tmp_path):
 
 
 def test_solve_manual_requires_eta_and_iters(tmp_path, capsys, pennies_file):
+    # argparse refuses the command before any game is built.
     out = tmp_path / "run"
-    code = main(["solve", "--game", str(pennies_file), "--out", str(out)])
-    assert code == 1
-    assert "requires eta and iters" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--game", str(pennies_file), "--out", str(out)])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: atmg solve")
+    assert "error: the following arguments are required: --eta, --iters" in err
     assert not out.exists()
 
 
@@ -270,7 +274,8 @@ def test_solve_blames_epsilon_for_a_derived_step_that_is_not_finite_and_positive
     tmp_path, capsys, pennies_file, args, problem
 ):
     out = tmp_path / "run"
-    code = main(["solve", "--game", str(pennies_file), "--out", str(out)] + args)
+    code = main(["solve", "--game", str(pennies_file), "--eta", "0.1", "--iters", "5",
+                 "--out", str(out)] + args)
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {problem}") and err.count("\n") == 1

@@ -21,6 +21,8 @@ from atmg.lp import FEASIBLE, INFEASIBLE, RESIDUAL_LIMIT, find_feasible, residua
 from atmg.mdp import (
     AdversaryPolicy,
     TeamPolicy,
+    _adversary_q,
+    _next_mean,
     adversary_best_response,
     check_policies,
     smoothness_constants,
@@ -28,12 +30,13 @@ from atmg.mdp import (
 )
 from conftest import (
     count_calls,
+    make_mixed_support_game,
     make_random_game,
     pennies_game,
     random_game_dims,
     random_policies,
 )
-from oracles import lp_adv_reference, qnlp_residuals, whole_program
+from oracles import joint_action_distribution, lp_adv_reference, qnlp_residuals, whole_program
 
 
 def half_game() -> GameSpec:
@@ -170,14 +173,39 @@ def test_lp_adv_matches_row_by_row_reference(gridworld2):
 
 def test_lp_adv_evaluates_x_hat_once(gridworld2, monkeypatch):
     # Every deviation row and the slack rows read one gather of x_hat's
-    # blocks and one continuation table at v_hat, which comes from x_hat's
-    # memo; no other gather of x_hat is made, in extension or in mdp.
+    # blocks and one table of expected next values at v_hat, which comes
+    # from x_hat's memo; no other gather of x_hat or of next values is made,
+    # in extension or in mdp.
     x = uniform_team_policy(gridworld2)
-    adversary_best_response(gridworld2, x)
+    _, v_hat = adversary_best_response(gridworld2, x)
     gathers = [count_calls(monkeypatch, m, "_gathered") for m in (atmg.extension, atmg.mdp)]
-    tables = count_calls(monkeypatch, atmg.extension, "_continuation")
+    tables = [count_calls(monkeypatch, m, "_next_mean") for m in (atmg.extension, atmg.mdp)]
     build_lp_adv(gridworld2, x, 0.01)
-    assert (sum(map(len, gathers)), len(tables)) == (1, 1)
+    assert (sum(map(len, gathers)), [len(t) for t in tables]) == (1, [1, 0])
+    assert tables[0][0][1] is v_hat
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda rng: grid_world(2), id="grid2"),
+    pytest.param(lambda rng: make_random_game(rng, 5, (2, 3), 3, 0.9), id="stochastic"),
+    pytest.param(lambda rng: make_mixed_support_game(rng, 5, (2, 3), 3, 0.9), id="mixed-support"),
+])
+def test_lp_adv_slack_rows_are_the_adversarys_backup(make):
+    # The (b) and (c) rows hold the adversary's Bellman slack at x_hat: its
+    # policy-iteration backup at v_hat, less v_hat, bit for bit, so the LP
+    # and the best response evaluate one formula.
+    rng = np.random.default_rng(200)
+    spec = make(rng)
+    x = random_policies(rng, spec)[0]
+    _, v_hat = adversary_best_response(spec, x)
+    w = joint_action_distribution(spec, x)
+    r = (w[:, None, :] @ spec.reward)[:, 0, :]
+    want = _adversary_q(spec, w, r, _next_mean(spec, v_hat)) - v_hat[:, None]
+    A, B = spec.sum_team_actions, spec.adversary_actions
+    for s, lp in enumerate(build_lp_adv(spec, x, 0.01)):
+        for rows in (lp.lhs[A : A + B], lp.lhs[A + B : A + 2 * B]):
+            assert np.diagonal(rows).tobytes() == want[s].tobytes()
+            np.testing.assert_array_equal(rows, np.diag(want[s]))
 
 
 def test_lp_adv_memory_grows_with_states_not_their_square():

@@ -427,7 +427,9 @@ def test_prox_point_matches_grid_search():
 
 def test_prox_point_scores_its_last_iterate(monkeypatch):
     # From x = (0.9, 0.1) psi falls on each of the first three steps, so the
-    # last iterate, which takes no step, is the best one.
+    # last iterate, which takes no step, is the best one; it takes a best
+    # response and no gradient.  The first best response read is x's own,
+    # which seeds the repeat gate.
     monkeypatch.setattr(atmg.ipgmax, "PROX_MAX_ITER", 3)
     spec = pennies_game()
     x = TeamPolicy(blocks=(np.array([[0.9, 0.1]]),))
@@ -447,22 +449,25 @@ def test_prox_point_scores_its_last_iterate(monkeypatch):
     result = prox_point(spec, x)
     assert (result.iterations, result.converged) == (3, False)
     np.testing.assert_array_equal(result.x_tilde.as_vector(), iterates[-1].as_vector())
-    assert len(gradients) == 3 and len(finals) == 1
+    assert len(gradients) == 3 and len(finals) == 2
+    assert finals[0][1] is x and finals[1][1] is not x
 
 
 def test_prox_point_starts_warm_from_the_anchors_memoized_response(monkeypatch):
-    # x's memoized best response counts as the one before prox_point's
-    # first, which is that memo again, so the second starts from it; a copy
-    # of x without the memo starts the second cold.  The result is the same.
+    # x's best response, its memo or, for a copy of x without one, solved
+    # first, counts as the one before prox_point's first, which is that
+    # response again, so the second, at the first x' other than x, starts
+    # from it.  The result is the same.
     spec = normalize_rewards(grid_world(2))[0]
     solved = run(spec, None, IpgmaxConfig(eta=0.1, iters=3, iterate_selection="none")).policies[-1]
     y, _ = adversary_best_response(spec, solved)
     fresh = TeamPolicy(solved.blocks)
     results = []
-    for x, second_start in ((solved, y), (fresh, None)):
+    for x in (solved, fresh):
         calls = count_calls(monkeypatch, atmg.mdp, "_adversary_iteration")
         results.append(prox_point(spec, x))
-        assert calls[0][1] is x and calls[1][3] is second_start
+        second = next(call for call in calls if call[1] is not x)
+        assert calls[0][1] is x and second[3] is y
         monkeypatch.undo()
     assert results[0].x_tilde.as_vector().tobytes() == results[1].x_tilde.as_vector().tobytes()
     assert results[0].iterations == results[1].iterations

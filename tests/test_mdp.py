@@ -18,7 +18,7 @@ from atmg.mdp import (
     _bellman_rows,
     _adversary_q,
     _chain_rows,
-    _continuation,
+    _next_mean,
     _project_simplex_rows,
     _skeleton,
     _solve,
@@ -258,38 +258,36 @@ def test_deterministic_successor_mean_is_the_reduction_bit_for_bit(gridworld2):
     pytest.param(grid_world(2), 1, id="grid2"),
     pytest.param(make_random_game(np.random.default_rng(41), 5, (2, 2), 3, 0.9), 5, id="stochastic"),
 ])
-def test_continuation_fills_one_fresh_table(spec, K):
-    # r + gamma E[v(next)] is built in place in the successor mean's table,
-    # with the bits of the out-of-place sum; it shares no memory with the
-    # game.  On the deterministic grid the dense oracle has those bits too;
-    # on K > 1 successors it sums in another order, so it agrees to round-off.
-    assert spec.transition.succ.shape[-1] == K
+def test_next_mean_fills_one_fresh_table(spec, K):
+    # E[v(next)] is the successor mean of the game's lists in a fresh table
+    # that shares no memory with the game.  On the deterministic grid the
+    # dense oracle has its bits too; on K > 1 successors it sums in another
+    # order, so it agrees to round-off.
+    T = spec.transition
+    assert T.succ.shape[-1] == K
     v = np.random.default_rng(43).normal(size=spec.state_count)
-    reward = spec.reward.tobytes()
-    q = _continuation(spec, v)
-    mean = _successor_mean(spec.transition.succ, spec.transition.prob, v)
-    assert q.tobytes() == (spec.reward + spec.discount * mean).tobytes()
-    dense = spec.reward + spec.discount * dense_successor_mean(spec, v)
+    nxt = _next_mean(spec, v)
+    assert nxt.tobytes() == _successor_mean(T.succ, T.prob, v).tobytes()
+    dense = dense_successor_mean(spec, v)
     if K == 1:
-        assert q.tobytes() == dense.tobytes()
-    np.testing.assert_allclose(q, dense, rtol=0, atol=1e-15)
-    assert spec.reward.tobytes() == reward
-    for table in (spec.reward, spec.transition.prob, spec.transition.succ, _continuation(spec, v)):
-        assert not np.shares_memory(q, table)
+        assert nxt.tobytes() == dense.tobytes()
+    np.testing.assert_allclose(nxt, dense, rtol=0, atol=1e-15)
+    for table in (spec.reward, T.prob, T.succ, v, _next_mean(spec, v)):
+        assert not np.shares_memory(nxt, table)
 
 
 def test_one_sweep_best_response_gathers_the_continuation_twice(gridworld2, monkeypatch):
-    # The adversary's backup, once for the value-iteration step that starts
-    # policy iteration, once at v_hat; the rewards are not gathered at v = 0,
-    # and no full r + gamma E[v] table is built.  One sweep builds one chain.
+    # The adversary's backup and its table of expected next values, once for
+    # the value-iteration step that starts policy iteration, once at v_hat;
+    # the rewards are not gathered at v = 0.  One sweep builds one chain.
     chains = count_calls(monkeypatch, atmg.mdp, "_chain_rows")
-    tables = count_calls(monkeypatch, atmg.mdp, "_continuation")
+    tables = count_calls(monkeypatch, atmg.mdp, "_next_mean")
     gathers = count_calls(monkeypatch, atmg.mdp, "_adversary_q")
     _, v_hat = adversary_best_response(gridworld2, uniform_team_policy(gridworld2))
     assert len(chains) == 1
     assert len(gathers) == 2
-    assert gathers[1][3] is v_hat
-    assert tables == []
+    assert len(tables) == 2
+    assert tables[1][1] is v_hat
 
 
 # ---------------------------------------------------------------------------
@@ -1137,7 +1135,7 @@ def test_contraction_over_the_support_matches_the_full_tables(spec, monkeypatch)
                spec.initial_dist, transpose=True)
     want = team_policy_gradient(spec, x, y_star, d).tobytes()
     assert grad.tobytes() == want
-    tables = count_calls(monkeypatch, atmg.mdp, "_continuation")
+    tables = count_calls(monkeypatch, atmg.mdp, "_next_mean")
     assert policy_gradient(spec, x)[2].tobytes() == want
     pure = AdversaryPolicy(np.eye(B)[rng.integers(B, size=S)])
     for y, exact in ((y_star, True), (pure, True), (mixed, False),
@@ -1231,18 +1229,19 @@ def test_a_certain_game_multiplies_no_probability_but_a_near_certain_one_does(mo
         passed.clear()
         P = spec.transition.prob
         expected = (P * v[T.succ]).sum(axis=-1)
-        q = _continuation(spec, v)
-        assert q.tobytes() == (spec.reward + spec.discount * expected).tobytes()
-        backup = _adversary_q(spec, w, r, v)
+        nxt = _next_mean(spec, v)
+        assert nxt.tobytes() == expected.tobytes()
+        backup = _adversary_q(spec, w, r, nxt)
         folded = (w[:, None, :] @ expected)[:, 0, :]
         assert backup.tobytes() == (r + spec.discount * folded).tobytes()
         M = _chain_rows(spec, w, acts)
         for got, want in zip(M[:3], chain_rows(spec, w, acts)[:3]):
             assert got.tobytes() == want.tobytes()
         mixed = atmg.mdp._on_support(spec, acts, np.ones((S, 1)), v)
+        q = spec.reward + spec.discount * expected
         assert mixed.tobytes() == q[np.arange(S), :, acts[:, 0]].tobytes()
-        assert passed == [spec is near] * len(passed) and len(passed) == 3
-        tables[spec is near] = (q, backup, M[1])
+        assert passed == [spec is near] * len(passed) and len(passed) == 2
+        tables[spec is near] = (nxt, backup, M[1])
     for certain, near_certain in zip(tables[False], tables[True]):
         assert certain.tobytes() != near_certain.tobytes()
 

@@ -1,4 +1,5 @@
-"""The README's library example, run as written, and its CLI commands, parsed.
+"""The README's library example, run as written, its CLI commands, parsed,
+and the bytes of its grid-world solve, pinned.
 
 The example is the documented use of the top-level `atmg` namespace, so the
 test also pins that namespace to exactly the names the example imports.
@@ -7,6 +8,8 @@ test also pins that namespace to exactly the names the example imports.
 from __future__ import annotations
 
 import ast
+import hashlib
+import json
 import re
 import shlex
 from pathlib import Path
@@ -14,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import atmg
-from atmg.cli import build_parser
+from atmg.cli import build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -55,3 +58,28 @@ def test_readme_has_cli_commands():
 def test_readme_cli_command_parses(command):
     # A usage error exits with SystemExit; a parsed command runs nothing.
     build_parser().parse_args(shlex.split(command)[1:])
+
+
+# SHA-256 prefixes of `atmg solve --gridworld 2 --eta 0.1 --iters 2000`'s
+# outputs, report.json as sorted JSON without its wall-clock time and its
+# file paths.  A change that moves these bits updates them and says why.
+SOLVE_DIGESTS = {
+    "trace.csv": "bf2d341f783064bb",
+    "policies.json": "83089eb68098f375",
+    "report.json": "d9341bd7b36ea41d",
+}
+
+
+def digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def test_readme_solve_outputs_keep_their_bytes(tmp_path):
+    out = tmp_path / "grid"
+    argv = ["solve", "--gridworld", "2", "--eta", "0.1", "--iters", "2000", "--out", str(out)]
+    assert main(argv) == 0
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    del report["wall_clock_seconds"], report["files"]
+    digests = {name: digest((out / name).read_bytes()) for name in ("trace.csv", "policies.json")}
+    digests["report.json"] = digest(json.dumps(report, sort_keys=True).encode())
+    assert digests == SOLVE_DIGESTS
