@@ -115,63 +115,10 @@ def _gap_payload(report) -> dict:
     }
 
 
-def _certify(normalized: GameSpec, trace, report: dict, out_dir: Path, started: float) -> int:
-    """Adversary LP, exact verification and the three output files for the
-    iterate selected in trace; report arrives with its game, config and
-    normalization entries."""
-    t_star, x_hat = trace.t_star, trace.x_hat
-    measured = trace.prox_gaps[t_star]
-    lp_epsilon = 1.1 * measured
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    trace_path = out_dir / "trace.csv"
-    policies_path = out_dir / "policies.json"
-    report_path = out_dir / "report.json"
-    _write_trace(trace_path, trace, normalized.n_players)
-    report.update({
-        "t_star": t_star,
-        "prox_gap_measured": measured,
-        "lp_epsilon": lp_epsilon,
-        "files": {
-            "trace": str(trace_path),
-            "policies": str(policies_path),
-            "report": str(report_path),
-        },
-    })
-
-    try:
-        y_hat, lam = adv_nash_policy(normalized, x_hat, lp_epsilon)
-    except LpAdvInfeasibleError as exc:
-        y_hat = lam = gap = None
-        report["lp_status"] = "infeasible"
-        report["lp_diagnostics"] = {"max_violation": exc.max_violation}
-        print(f"error: {exc}", file=sys.stderr)
-    else:
-        gap = nash_gap(normalized, x_hat, y_hat)
-        report["lp_status"] = "feasible"
-        report["nash_gap"] = _gap_payload(gap)
-        # Gaps are value differences, so the additive shift cancels and only
-        # the scale maps them back to the input game's units.
-        scale = report["normalization"]["scale"]
-        report["nash_gap_raw_units"] = {
-            key: [v / scale for v in value] if isinstance(value, list) else value / scale
-            for key, value in report["nash_gap"].items()
-        }
-    report["wall_clock_seconds"] = time.perf_counter() - started
-    policies_path.write_text(json.dumps(_policies_payload(x_hat, y_hat, lam), indent=2) + "\n")
-    report_path.write_text(json.dumps(report, indent=2) + "\n")
-    if gap is None:
-        return EXIT_LP_INFEASIBLE
-    log.info(
-        "t_star=%d prox_gap=%.3e certified=%.3e", t_star, measured, gap.epsilon_certified
-    )
-    return EXIT_OK
-
-
 def cmd_solve(args) -> int:
     """Run the gradient loop, then extract and verify the selected iterate."""
     out = Path(args.out)
-    # _certify's mkdir would fail only after the loop; refuse such an --out now.
+    # The mkdir below would fail only after the loop; refuse such an --out now.
     base = next(p for p in (out, *out.parents) if p.exists())
     if not base.is_dir():
         return _fail(f"cannot write {out}: {base} is not a directory")
@@ -193,6 +140,12 @@ def cmd_solve(args) -> int:
     except ValueError as exc:
         return _fail(str(exc))
 
+    t_star, x_hat = trace.t_star, trace.x_hat
+    measured = trace.prox_gaps[t_star]
+    lp_epsilon = 1.1 * measured
+    out.mkdir(parents=True, exist_ok=True)
+    paths = {"trace": out / "trace.csv", "policies": out / "policies.json",
+             "report": out / "report.json"}
     report = {
         "game": {
             "states": spec.state_count,
@@ -202,16 +155,47 @@ def cmd_solve(args) -> int:
         },
         "config": {
             "epsilon": args.epsilon,
-            "eta": trace.eta,
-            "iters": trace.iterations,
+            "eta": config.eta,
+            "iters": config.iters,
             "select": args.select,
             "delta": args.delta,
             "seed": args.seed,
         },
         "paper_schedules": schedules,
         "normalization": {"shift": shift, "scale": scale},
+        "t_star": t_star,
+        "prox_gap_measured": measured,
+        "lp_epsilon": lp_epsilon,
+        "files": {key: str(path) for key, path in paths.items()},
     }
-    return _certify(normalized, trace, report, out, started)
+    _write_trace(paths["trace"], trace, normalized.n_players)
+
+    try:
+        y_hat, lam = adv_nash_policy(normalized, x_hat, lp_epsilon)
+    except LpAdvInfeasibleError as exc:
+        y_hat = lam = gap = None
+        report["lp_status"] = "infeasible"
+        report["lp_diagnostics"] = {"max_violation": exc.max_violation}
+        print(f"error: {exc}", file=sys.stderr)
+    else:
+        gap = nash_gap(normalized, x_hat, y_hat)
+        report["lp_status"] = "feasible"
+        report["nash_gap"] = _gap_payload(gap)
+        # Gaps are value differences, so the additive shift cancels and only
+        # the scale maps them back to the input game's units.
+        report["nash_gap_raw_units"] = {
+            key: [v / scale for v in value] if isinstance(value, list) else value / scale
+            for key, value in report["nash_gap"].items()
+        }
+    report["wall_clock_seconds"] = time.perf_counter() - started
+    paths["policies"].write_text(json.dumps(_policies_payload(x_hat, y_hat, lam), indent=2) + "\n")
+    paths["report"].write_text(json.dumps(report, indent=2) + "\n")
+    if gap is None:
+        return EXIT_LP_INFEASIBLE
+    log.info(
+        "t_star=%d prox_gap=%.3e certified=%.3e", t_star, measured, gap.epsilon_certified
+    )
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -220,11 +204,13 @@ def cmd_solve(args) -> int:
 
 def _policies_from_json(payload: dict) -> tuple[TeamPolicy, AdversaryPolicy]:
     try:
-        blocks = tuple(
-            np.asarray(block, dtype=np.float64) for block in payload["x"]
-        )
+        # An infeasible solve writes "y": null, which numpy would read as a 0-d NaN.
+        for key, name in (("x", "team"), ("y", "adversary")):
+            if payload.get(key) is None:
+                raise ValueError(f"it holds no {name} policy ({key!r} is null or missing)")
+        blocks = tuple(np.asarray(block, dtype=np.float64) for block in payload["x"])
         probs = np.asarray(payload["y"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"policies file does not match schema: {exc}") from exc
     return TeamPolicy(blocks=blocks), AdversaryPolicy(probs=probs)
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import logging
 import math
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -98,26 +97,23 @@ class RunTrace:
     random draws kept, none for iterate_selection="none".  policies holds
     x(t) for each t in kept, which lists 0, T and the candidates in
     ascending order; no other iterate or adversary policy is kept, since
-    the loop's y(t) is the memoized best response to x(t-1).  eta is the
-    step the run took.  phi[t] is the best-response value of x(t) for every
-    t, including t = T, whose entry costs one extra best-response solve
-    after the loop unless the iterate stopped moving.  frob_norms[t] is the
-    Frobenius norm of the consecutive joint-policy difference, zero at
-    t = 0 by convention; at t = 1 only the team part can move since there
-    is no previous adversary policy.  prox_gaps holds each scored
-    candidate's proximal gap; indices that hold the same policy object, as
-    the copied fixed tail does, share one evaluation.  Iterate selection
-    sets t_star; x_hat is x(t_star).
+    the loop's y(t) is the memoized best response to x(t-1).  phi[t] is
+    the best-response value of x(t) for every t, including t = T, whose
+    entry costs one extra best-response solve after the loop unless the
+    iterate stopped moving.  frob_norms[t] is the Frobenius norm of the
+    consecutive joint-policy difference, zero at t = 0 by convention; at
+    t = 1 only the team part can move since there is no previous adversary
+    policy.  prox_gaps holds each scored candidate's proximal gap; indices
+    that hold the same policy object, as the copied fixed tail does, share
+    one evaluation.  Iterate selection sets t_star; x_hat is x(t_star).
     """
 
     policies: list[TeamPolicy]
     candidates: list[int]
     phi: np.ndarray
     frob_norms: np.ndarray
-    eta: float
     prox_gaps: dict[int, float] = field(default_factory=dict)
     t_star: int | None = None
-    wall_clock: float = 0.0
 
     @property
     def iterations(self) -> int:
@@ -234,7 +230,6 @@ def run(spec: GameSpec, x0: TeamPolicy | None, config: IpgmaxConfig) -> RunTrace
         x0 = uniform_team_policy(spec)
     check_policies(spec, x0)
 
-    started = time.perf_counter()
     rho = spec.initial_dist
     policies = [x0]
     phi = np.empty(T + 1)
@@ -283,10 +278,9 @@ def run(spec: GameSpec, x0: TeamPolicy | None, config: IpgmaxConfig) -> RunTrace
         _, v_final = adversary_best_response(spec, x, start)
         phi[T] = float(rho @ v_final)
 
-    trace = RunTrace(policies=policies, candidates=candidates, phi=phi, frob_norms=frob, eta=eta)
+    trace = RunTrace(policies=policies, candidates=candidates, phi=phi, frob_norms=frob)
     if candidates:
         select_iterate(spec, trace)
-    trace.wall_clock = time.perf_counter() - started
     return trace
 
 

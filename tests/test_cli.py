@@ -340,10 +340,11 @@ def test_solve_gridworld_proposition(tmp_path):
     assert len((out / "trace.csv").read_text().splitlines()) == 4
 
 
-def test_solve_lp_infeasible_exit_code(tmp_path, pennies_file, monkeypatch, capsys):
-    def always_infeasible(spec, x_hat, epsilon, **kwargs):
-        raise LpAdvInfeasibleError("forced for the test", 0.123)
+def always_infeasible(spec, x_hat, epsilon, **kwargs):
+    raise LpAdvInfeasibleError("forced for the test", 0.123)
 
+
+def test_solve_lp_infeasible_exit_code(tmp_path, pennies_file, monkeypatch, capsys):
     monkeypatch.setattr(atmg.cli, "adv_nash_policy", always_infeasible)
     out = tmp_path / "run"
     code = main(["solve", "--game", str(pennies_file),
@@ -352,6 +353,9 @@ def test_solve_lp_infeasible_exit_code(tmp_path, pennies_file, monkeypatch, caps
     assert "forced for the test" in capsys.readouterr().err
 
     report = read_report(out)
+    assert list(report) == ["game", "config", "paper_schedules", "normalization", "t_star",
+                            "prox_gap_measured", "lp_epsilon", "files", "lp_status",
+                            "lp_diagnostics", "wall_clock_seconds"]
     assert report["lp_status"] == "infeasible"
     assert report["lp_diagnostics"]["max_violation"] == 0.123
     assert "nash_gap" not in report
@@ -360,6 +364,22 @@ def test_solve_lp_infeasible_exit_code(tmp_path, pennies_file, monkeypatch, caps
     assert policies["x"] is not None
     assert policies["y"] is None
     assert policies["lambda"] is None
+
+
+def test_verify_refuses_the_policies_of_an_infeasible_solve(
+        tmp_path, pennies_file, monkeypatch, capsys):
+    monkeypatch.setattr(atmg.cli, "adv_nash_policy", always_infeasible)
+    out = tmp_path / "run"
+    assert main(["solve", "--game", str(pennies_file),
+                 "--eta", "0.05", "--iters", "5", "--out", str(out)]) == 2
+    capsys.readouterr()
+    pol = out / "policies.json"
+    code = main(["verify", "--game", str(pennies_file), "--policies", str(pol), "--epsilon", "0.1"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: cannot load {pol}: policies file does not match schema: "
+                            "it holds no adversary policy ('y' is null or missing)\n")
+    assert captured.out == ""
 
 
 # ---------------------------------------------------------------------------

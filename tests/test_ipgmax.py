@@ -305,7 +305,6 @@ def test_run_trace_shapes():
     assert trace.frob_norms.shape == (8,)
     assert trace.frob_norms[0] == 0.0
     assert trace.iterations == 7
-    assert trace.wall_clock > 0.0
 
 
 def test_run_pennies_converges_to_uniform():

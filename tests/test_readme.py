@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import atmg
+import atmg.cli
 from atmg.cli import build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -69,17 +70,45 @@ SOLVE_DIGESTS = {
     "report.json": "d9341bd7b36ea41d",
 }
 
+# The same solve's trace at full precision: trace.csv keeps 12 significant
+# digits, so it misses changes below about 1e-12 relative.
+TRACE_DIGESTS = {
+    "phi": "69bf002969a896a0",
+    "frob_norms": "1658d167a97baf71",
+    "prox_gaps": "9aecefcfd06911a8",
+}
+
+REPORT_KEYS = ["game", "config", "paper_schedules", "normalization", "t_star",
+               "prox_gap_measured", "lp_epsilon", "files", "lp_status", "nash_gap",
+               "nash_gap_raw_units", "wall_clock_seconds"]
+
 
 def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-def test_readme_solve_outputs_keep_their_bytes(tmp_path):
+def test_readme_solve_outputs_keep_their_bytes(tmp_path, monkeypatch):
+    traces = []
+    real_run = atmg.cli.run
+
+    def spy(*args, **kwargs):
+        traces.append(real_run(*args, **kwargs))
+        return traces[-1]
+
+    monkeypatch.setattr(atmg.cli, "run", spy)
     out = tmp_path / "grid"
     argv = ["solve", "--gridworld", "2", "--eta", "0.1", "--iters", "2000", "--out", str(out)]
     assert main(argv) == 0
     report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert list(report) == REPORT_KEYS
     del report["wall_clock_seconds"], report["files"]
     digests = {name: digest((out / name).read_bytes()) for name in ("trace.csv", "policies.json")}
     digests["report.json"] = digest(json.dumps(report, sort_keys=True).encode())
     assert digests == SOLVE_DIGESTS
+
+    (trace,) = traces
+    assert {
+        "phi": digest(trace.phi.tobytes()),
+        "frob_norms": digest(trace.frob_norms.tobytes()),
+        "prox_gaps": digest(repr(sorted(trace.prox_gaps.items())).encode()),
+    } == TRACE_DIGESTS
