@@ -33,7 +33,6 @@ from .mdp import (
     policy_gradient,
     project_product_simplex,
     smoothness_constants,
-    team_policy_from_vector,
     uniform_team_policy,
 )
 
@@ -303,20 +302,19 @@ def prox_point(spec: GameSpec, x: TeamPolicy) -> ProxResult:
     Steps shrink as 2/(ell (t+2)).  psi is evaluated exactly at every
     iterate (the best-response solve provides phi for free; the last
     iterate takes no step, so it needs no gradient), and the best iterate
-    seen is returned; starting from x' = x makes the method exact at
-    stationary points.  Stops early once an iterate moves less than
-    PROX_TOL; otherwise runs all PROX_MAX_ITER steps and reports
-    converged=False.  iterations counts the steps taken.  As in run, a best
-    response starts from the last one once that one has repeated; x's own
-    response (its memo, filled here if empty) counts as the one before x' = x's.
+    seen is returned itself, x when no step lowers psi: starting from
+    x' = x makes the method exact at stationary points.  Stops early once
+    an iterate moves less than PROX_TOL; otherwise runs all PROX_MAX_ITER
+    steps and reports converged=False.  iterations counts the steps taken.
+    As in run, a best response starts from the last one once it repeats;
+    x's own response (its memo, filled here if empty) is the one before x' = x's.
     """
     ell = smoothness_constants(spec).ell
     rho = spec.initial_dist
     anchor = x.as_vector()
 
-    current, current_vec = x, anchor.copy()
-    best_vec, best_psi = current_vec, np.inf
-    converged = False
+    current = best = x
+    best_psi, converged = np.inf, False
     y, start = adversary_best_response(spec, x)[0], None
     for t in range(PROX_MAX_ITER + 1):
         last = converged or t == PROX_MAX_ITER
@@ -326,19 +324,18 @@ def prox_point(spec: GameSpec, x: TeamPolicy) -> ProxResult:
         else:
             y, v_hat, grad = policy_gradient(spec, current, start)
         start = y if y is y_last else None
-        diff = current_vec - anchor
+        vec = current.as_vector()
+        diff = vec - anchor
         psi_val = float(rho @ v_hat) + ell * float(np.dot(diff, diff))
         if psi_val < best_psi:
-            best_psi, best_vec = psi_val, current_vec
+            best_psi, best = psi_val, current
         if last:
             break
         step = 2.0 / (ell * (t + 2))
-        current = project_product_simplex(spec, current_vec - step * (grad + 2.0 * ell * diff))
-        nxt_vec = current.as_vector()
-        converged = float(np.linalg.norm(nxt_vec - current_vec)) < PROX_TOL
-        current_vec = nxt_vec
+        current = project_product_simplex(spec, vec - step * (grad + 2.0 * ell * diff))
+        converged = float(np.linalg.norm(current.as_vector() - vec)) < PROX_TOL
 
-    return ProxResult(team_policy_from_vector(spec, best_vec), converged, iterations=t)
+    return ProxResult(best, converged, iterations=t)
 
 
 def prox_gap(spec: GameSpec, x: TeamPolicy) -> float:
@@ -369,7 +366,9 @@ def selection_candidates(T: int, mode: str, *, delta: float = 0.5, seed: int = 0
     if mode == "random":
         _check_delta(delta)
         rng = np.random.default_rng(seed)
-        return [int(i) for i in rng.integers(0, T, size=math.ceil(math.log(1.0 / delta)))]
+        log_inverse = math.log(1.0 / delta)  # inf for a delta below 5.6e-309; -ln delta is not
+        draws = math.ceil(log_inverse if log_inverse < math.inf else -math.log(delta))
+        return [int(i) for i in rng.integers(0, T, size=draws)]
     if mode == "none":
         return []
     raise ValueError(f"unknown selection mode {mode!r}")

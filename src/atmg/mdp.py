@@ -186,8 +186,6 @@ def _successor_mean(succ: np.ndarray, prob: np.ndarray | None, v: np.ndarray) ->
     A certain game's prob, all exactly 1.0, is passed as None and not multiplied in."""
     if prob is None:
         return v[succ[..., 0]]
-    if succ.shape[-1] == 1:  # deterministic moves: no length-1 reduction
-        return prob[..., 0] * v[succ[..., 0]]
     return (prob * v[succ]).sum(axis=-1)
 
 

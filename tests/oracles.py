@@ -23,6 +23,9 @@ B actions, the reference for the library's contraction over y's support.
 The adversary's best response and the gradient at it contract the full
 (S, J, B) table r + gamma E[v] with the team weights, the reference for the
 library's backup, which contracts the expected next values alone.
+A game whose adversary has one action is an MDP over joint team actions,
+and its optimum comes from policy iteration on the dense tensor, apart from
+atmg.mdp: the known answer for the team's values and gaps.
 """
 
 from __future__ import annotations
@@ -373,3 +376,28 @@ def adversary_mdp_primal_dual(spec: GameSpec, x: TeamPolicy):
         raise RuntimeError(f"dual MDP LP ended {dual_sol.status}")
 
     return primal_sol.x[:S] - primal_sol.x[S:], dual_sol.x.reshape(S, B)
+
+
+def team_optimum(spec: GameSpec) -> tuple[TeamPolicy, float]:
+    """(x, V_opt) of a game with B = 1: the product policy of the joint team
+    actions that minimize the value, by policy iteration on the dense tensor,
+    and V_opt = rho . v at it.  A switch must gain more than 1e-12, so
+    round-off cannot make the iteration cycle."""
+    if spec.adversary_actions != 1:
+        raise ValueError("team_optimum needs a game whose adversary has one action")
+    S, gamma = spec.state_count, spec.discount
+    r = spec.reward[:, :, 0]
+    P = dense_transition(spec.transition)[:, :, 0]
+    states = np.arange(S)
+    joint = np.zeros(S, dtype=np.int64)
+    while True:
+        v = np.linalg.solve(np.eye(S) - gamma * P[states, joint], r[states, joint])
+        q = r + gamma * P @ v
+        switch = q[states, joint] - q.min(axis=1) > 1e-12
+        if not switch.any():
+            break
+        joint = np.where(switch, q.argmin(axis=1), joint)
+    # Player 1's action varies fastest in the joint index.
+    digits = np.unravel_index(joint, spec.team_sizes[::-1])[::-1]
+    x = TeamPolicy(tuple(np.eye(a)[d] for a, d in zip(spec.team_sizes, digits)))
+    return x, float(spec.initial_dist @ v)

@@ -49,6 +49,16 @@ def test_gridworld_rejects_tiny_grid(tmp_path, capsys):
     assert "at least 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("side", ["1", "0"])
+def test_solve_rejects_a_tiny_grid(tmp_path, capsys, monkeypatch, side):
+    runs = count_calls(monkeypatch, atmg.cli, "run")
+    out = tmp_path / "run"
+    assert main(["solve", "--gridworld", side, "--eta", "0.1", "--iters", "5",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: --gridworld needs a side of at least 2, got {side}\n"
+    assert runs == [] and not out.exists()
+
+
 @pytest.mark.parametrize("args", [
     ["--gamma", "1.5"],
     ["--gamma", "nan"],
@@ -134,6 +144,17 @@ def test_solve_random_selection(tmp_path, pennies_file):
     assert report["config"]["select"] == "random"
     assert report["config"]["seed"] == 11
     assert 0 <= report["t_star"] < 30
+
+
+def test_solve_takes_a_delta_whose_inverse_overflows(tmp_path, capsys):
+    # 1/delta is inf at 5e-324; the run draws ceil(-ln delta) = 745 candidates.
+    out = tmp_path / "run"
+    assert main(["solve", "--gridworld", "2", "--eta", "0.1", "--iters", "5",
+                 "--select", "random", "--delta", "5e-324", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    report = read_report(out)
+    assert report["config"]["delta"] == 5e-324
+    assert 0 <= report["t_star"] < 5
 
 
 def test_solve_missing_game(tmp_path, capsys):
@@ -456,12 +477,16 @@ NOT_UTF8 = b'{"schema": "\xff"}'
 
 
 @pytest.mark.parametrize("command", ["verify", "solve"])
-@pytest.mark.parametrize("kind", ["fractional-states", "not-utf8", "not-json"])
+@pytest.mark.parametrize("kind", ["fractional-states", "not-utf8", "not-json", "not-an-object"])
 def test_game_load_errors_name_the_file_once(tmp_path, capsys, pennies_file, command, kind):
     payload = json.loads(pennies_file.read_text())
     payload["states"] = 1.5
-    content = {"fractional-states": json.dumps(payload).encode(),
-               "not-utf8": NOT_UTF8, "not-json": b'{"states": '}[kind]
+    content, problem = {
+        "fractional-states": (json.dumps(payload).encode(), "malformed game data"),
+        "not-utf8": (NOT_UTF8, "not valid UTF-8 JSON"),
+        "not-json": (b'{"states": ', "not valid UTF-8 JSON"),
+        "not-an-object": (b"[1, 2]", "top level must be an object"),
+    }[kind]
     bad = tmp_path / "bad-game.json"
     bad.write_bytes(content)
     if command == "verify":
@@ -473,19 +498,23 @@ def test_game_load_errors_name_the_file_once(tmp_path, capsys, pennies_file, com
                 "--out", str(tmp_path / "o")]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: cannot load {bad}: ")
+    assert err.startswith(f"error: cannot load {bad}: {problem}")
     assert err.count("bad-game.json") == 1 and "Traceback" not in err
 
 
-@pytest.mark.parametrize("content", [NOT_UTF8, b'{"x": ', b'{"y": [[0.5, 0.5]]}'],
-                         ids=["not-utf8", "not-json", "no-x"])
-def test_policy_load_errors_name_the_file_once(tmp_path, capsys, pennies_file, content):
+@pytest.mark.parametrize("content,problem", [
+    (NOT_UTF8, "'utf-8' codec can't decode"),
+    (b'{"x": ', "Expecting value"),
+    (b'{"y": [[0.5, 0.5]]}', "policies file does not match schema"),
+    (b'{"x": [[[0.4, 0.3, 0.3]]], "y": [[0.5, 0.5]]}', "block 0 has shape (1, 3), expected (1, 2)"),
+], ids=["not-utf8", "not-json", "no-x", "block-shape"])
+def test_policy_load_errors_name_the_file_once(tmp_path, capsys, pennies_file, content, problem):
     pol = tmp_path / "bad-policies.json"
     pol.write_bytes(content)
     assert main(["verify", "--game", str(pennies_file),
                  "--policies", str(pol), "--epsilon", "0.1"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: cannot load {pol}: ")
+    assert err.startswith(f"error: cannot load {pol}: {problem}")
     assert err.count("bad-policies.json") == 1 and "Traceback" not in err
 
 

@@ -127,6 +127,27 @@ def test_validate_flags_bad_scalars():
     assert any("reward shape" in p for p in validate(bad_shape))
 
 
+@pytest.mark.parametrize("overrides,problem", [
+    (dict(team_sizes=(0,)), "team_sizes must be positive integers, got (0,)"),
+    (dict(team_sizes=()), "team_sizes must be positive integers, got ()"),
+    (dict(adversary_actions=0), "adversary_actions must be positive, got 0"),
+    (dict(transition=np.full((2, 2, 2, 3), 1 / 3)),
+     "transition shape (2, 2, 2, 3) != expected (2, 2, 2, 2)"),
+    (dict(initial_dist=np.array([0.2, 0.3, 0.5])), "initial_dist shape (3,) != expected (2,)"),
+    (dict(transition=np.full((2, 2, 2, 2), np.nan)),
+     "transition has non-finite entry at (s=0, a_joint=0, b=0, s'=0)"),
+    (dict(initial_dist=np.array([np.nan, 1.0])), "initial_dist has non-finite entries"),
+], ids=["player-without-actions", "no-players", "adversary-without-actions",
+        "transition-shape", "initial-dist-shape", "transition-nan", "initial-dist-nan"])
+def test_validate_names_the_problem(overrides, problem):
+    assert problem in validate(small_game(**overrides))
+
+
+def test_from_dense_rejects_a_scalar():
+    with pytest.raises(ValueError, match="must be an \\(S, A_joint, B, S\\) array, got a scalar"):
+        Transitions.from_dense(0.5)
+
+
 def test_validate_reports_nonfinite_entries():
     r = small_game().reward.copy()
     r[0, 0, 0] = np.nan

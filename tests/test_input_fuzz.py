@@ -6,18 +6,22 @@ never raise, and an edit that leaves a file malformed must give exit code 1.
 The number flags of `atmg gridworld` and `atmg verify` get arbitrary floats,
 nan, infinities and negatives included: gridworld must return 0 or 1 and
 write a valid game only on 0, and verify must return 1 exactly when
---epsilon is not a finite number >= 0.
+--epsilon is not a finite number >= 0.  Random iterate selection takes any
+delta in (0, 1), subnormals included, and draws ceil(ln(1/delta)) indices
+wherever 1/delta is finite.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from atmg.cli import main
 from atmg.game import load_game, save_game, validate
+from atmg.ipgmax import selection_candidates
 from conftest import make_random_game, v1_document
 
 pytest.importorskip("hypothesis")
@@ -129,3 +133,15 @@ def test_verify_epsilon_flag_never_raises(tmp_path, epsilon):
                  flag("epsilon", epsilon)])
     assert code in (0, 1, 3)
     assert (code == 1) == (not (np.isfinite(epsilon) and epsilon >= 0.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(delta=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+       | st.sampled_from([5e-324, 1e-310, 5.5e-309, 5.6e-309, 2.2250738585072014e-308]))
+def test_random_selection_takes_any_delta_in_the_open_unit_interval(delta):
+    candidates = selection_candidates(7, "random", delta=delta, seed=0)
+    assert all(0 <= t < 7 for t in candidates)
+    if 1.0 / delta < math.inf:
+        assert len(candidates) == math.ceil(math.log(1.0 / delta))
+    else:
+        assert len(candidates) == math.ceil(-math.log(delta))

@@ -472,6 +472,14 @@ def test_prox_point_starts_warm_from_the_anchors_memoized_response(monkeypatch):
     assert results[0].iterations == results[1].iterations
 
 
+def test_prox_point_returns_a_stationary_start_itself():
+    # The uniform policy is stationary on pennies: no step lowers psi, so the
+    # best iterate is the start, and prox_point returns that object.
+    spec = pennies_game()
+    x = uniform_team_policy(spec)
+    assert prox_point(spec, x).x_tilde is x
+
+
 def test_prox_point_reports_iterations(monkeypatch):
     monkeypatch.setattr(atmg.ipgmax, "PROX_MAX_ITER", 50)
     spec = pennies_game()
@@ -540,6 +548,14 @@ def test_random_selection_checks_delta_as_the_config_does(delta):
         IpgmaxConfig(eta=0.05, iters=10, iterate_selection="random", delta=delta).validate()
     with pytest.raises(ValueError, match=message):
         selection_candidates(50, "random", delta=delta)
+
+
+@pytest.mark.parametrize("delta,draws", [(5e-324, 745), (1e-310, 714)])
+def test_random_selection_takes_a_delta_whose_inverse_overflows(delta, draws):
+    # 1/delta is inf here, so the count is ceil(-ln delta), from the same stream.
+    assert 1.0 / delta == math.inf
+    candidates = selection_candidates(50, "random", delta=delta, seed=1)
+    assert candidates == np.random.default_rng(1).integers(0, 50, size=draws).tolist()
 
 
 def test_select_iterate_random_is_seeded():

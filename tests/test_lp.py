@@ -108,6 +108,8 @@ def test_shape_and_sense_validation():
         LinearProgram(objective=[1.0, 1.0], lhs=[[1.0]], senses=("<=",), rhs=[1.0])
     with pytest.raises(ValueError, match="sense"):
         LinearProgram(objective=[1.0], lhs=[[1.0]], senses=("<",), rhs=[1.0])
+    with pytest.raises(ValueError, match="one sense per row required"):
+        LinearProgram(objective=[1.0], lhs=[[1.0]], senses=("<=", "<="), rhs=[1.0])
     with pytest.raises(ValueError, match="finite"):
         LinearProgram(objective=[np.nan], lhs=[[1.0]], senses=("<=",), rhs=[1.0])
 

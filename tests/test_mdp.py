@@ -246,12 +246,15 @@ def test_policy_iteration_rewards_are_q_at_zero(spec, K, monkeypatch):
 
 
 def test_deterministic_successor_mean_is_the_reduction_bit_for_bit(gridworld2):
-    # Grid moves are deterministic (K = 1), so the mean reads the single
-    # successor instead of summing over a length-1 axis.
+    # Grid moves are deterministic (K = 1).  A sum over the length-1 axis
+    # returns its one term (save the sign of a zero term: -0.0 comes back
+    # +0.0), and a certain game's prob, passed as None, reads the term alone.
     T = gridworld2.transition
-    assert T.succ.shape[-1] == 1
+    assert T.succ.shape[-1] == 1 and T.certain
     v = np.random.default_rng(33).normal(size=gridworld2.state_count)
-    assert _successor_mean(T.succ, T.prob, v).tobytes() == (T.prob * v[T.succ]).sum(-1).tobytes()
+    reduction = (T.prob * v[T.succ]).sum(-1).tobytes()
+    assert _successor_mean(T.succ, T.prob, v).tobytes() == reduction
+    assert _successor_mean(T.succ, None, v).tobytes() == reduction
 
 
 @pytest.mark.parametrize("spec,K", [
