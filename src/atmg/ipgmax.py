@@ -358,7 +358,7 @@ def prox_gap(spec: GameSpec, x: TeamPolicy) -> float:
 def selection_candidates(T: int, mode: str, *, delta: float = 0.5, seed: int = 0) -> list[int]:
     """The trace indices iterate selection scores, in scoring order; run
     keeps these iterates.  "prox": every ceil(T/100)-th plus T - 1.
-    "random": ceil(ln(1/delta)) uniform draws from {0, ..., T-1} by
+    "random": ceil(-ln delta) uniform draws from {0, ..., T-1} by
     default_rng(seed), the random output rule of Ghadimi and Lan (2013).
     """
     if mode == "prox":
@@ -366,9 +366,7 @@ def selection_candidates(T: int, mode: str, *, delta: float = 0.5, seed: int = 0
     if mode == "random":
         _check_delta(delta)
         rng = np.random.default_rng(seed)
-        log_inverse = math.log(1.0 / delta)  # inf for a delta below 5.6e-309; -ln delta is not
-        draws = math.ceil(log_inverse if log_inverse < math.inf else -math.log(delta))
-        return [int(i) for i in rng.integers(0, T, size=draws)]
+        return [int(i) for i in rng.integers(0, T, size=math.ceil(-math.log(delta)))]
     if mode == "none":
         return []
     raise ValueError(f"unknown selection mode {mode!r}")

@@ -114,11 +114,6 @@ def _block_views(spec: GameSpec, vec: np.ndarray) -> list[np.ndarray]:
     return blocks
 
 
-def team_policy_from_vector(spec: GameSpec, vec: np.ndarray) -> TeamPolicy:
-    """Inverse of TeamPolicy.as_vector for this game's block sizes."""
-    return TeamPolicy(tuple(_block_views(spec, vec)))
-
-
 def joint_policy_vector(x: TeamPolicy, y: AdversaryPolicy) -> np.ndarray:
     """Concatenated (team, adversary) coordinates; used for joint-policy norms."""
     return np.concatenate([x.as_vector(), y.probs.ravel()])

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from atmg.game import GameSpec, Transitions, grid_world
-from atmg.mdp import AdversaryPolicy, TeamPolicy
+from atmg.mdp import AdversaryPolicy, TeamPolicy, _block_views
 
 
 def dense_transition(transitions: Transitions) -> np.ndarray:
@@ -113,6 +113,11 @@ def random_policies(
     )
     probs = rng.dirichlet(np.ones(spec.adversary_actions), size=spec.state_count)
     return TeamPolicy(blocks=blocks), AdversaryPolicy(probs=probs)
+
+
+def team_policy_from_vector(spec: GameSpec, vec: np.ndarray) -> TeamPolicy:
+    """Inverse of TeamPolicy.as_vector for this game's block sizes."""
+    return TeamPolicy(tuple(_block_views(spec, vec)))
 
 
 def with_block(x: TeamPolicy, k: int, block: np.ndarray) -> TeamPolicy:

@@ -552,7 +552,7 @@ def test_random_selection_checks_delta_as_the_config_does(delta):
 
 @pytest.mark.parametrize("delta,draws", [(5e-324, 745), (1e-310, 714)])
 def test_random_selection_takes_a_delta_whose_inverse_overflows(delta, draws):
-    # 1/delta is inf here, so the count is ceil(-ln delta), from the same stream.
+    # 1/delta is inf here; the count ceil(-ln delta) is not.
     assert 1.0 / delta == math.inf
     candidates = selection_candidates(50, "random", delta=delta, seed=1)
     assert candidates == np.random.default_rng(1).integers(0, 50, size=draws).tolist()

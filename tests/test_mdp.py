@@ -30,7 +30,6 @@ from atmg.mdp import (
     project_product_simplex,
     smoothness_constants,
     team_player_best_response,
-    team_policy_from_vector,
     uniform_team_policy,
     value_rho,
     value_vector,
@@ -44,6 +43,7 @@ from conftest import (
     pennies_game,
     random_game_dims,
     random_policies,
+    team_policy_from_vector,
     uniform_adversary_policy,
     with_block,
 )
