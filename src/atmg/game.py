@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import os
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
@@ -346,6 +347,14 @@ def grid_world(
     """
     if n_grid < 2:
         raise ValueError(f"n_grid must be at least 2, got {n_grid}")
+    # The reward, successor and probability arrays: 8 bytes per (s, a_joint, b) each.
+    needed = (int(n_grid) ** 6 + 1) * 16 * 4 * 24
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if needed > memory:
+        raise ValueError(
+            f"grid_world({n_grid}) needs {needed / 2**30:.3g} GiB for its reward and "
+            f"transition arrays, more than the {memory / 2**30:.3g} GiB of physical memory"
+        )
 
     cells = n_grid * n_grid
     live = cells**3          # non-terminal states
@@ -370,29 +379,20 @@ def grid_world(
     # terminal state's rows keep this fill, a self-loop.
     succ = np.full((S, A_joint, B, 1), terminal)
 
+    # Cells reached, broadcast over the axes (state, a2, a1, b): the joint
+    # index a1 + 4 a2 is the row-major order of (a2, a1), so the live rows
+    # of reward and succ are written through (live, 4, 4, B) views.
     s_all = np.arange(live)
-    p1 = s_all % cells
-    p2 = (s_all // cells) % cells
-    pa = s_all // (cells * cells)
-
-    for a1 in range(4):
-        for a2 in range(4):
-            j = a1 + 4 * a2
-            q1 = moved[p1, a1]
-            q2 = moved[p2, a2]
-            covered = ((q1 == landmark_a) & (q2 == landmark_b)) | (
-                (q1 == landmark_b) & (q2 == landmark_a)
-            )
-            for b in range(4):
-                qa = moved[pa, b]
-                adv_arrived = (qa == landmark_a) | (qa == landmark_b)
-                team_win = covered
-                adv_win = adv_arrived & ~covered
-                done = team_win | adv_win
-                nxt = np.where(done, terminal, q1 + cells * q2 + cells * cells * qa)
-                succ[s_all, j, b, 0] = nxt
-                reward[s_all[team_win], j, b] = -1.0
-                reward[s_all[adv_win], j, b] = 1.0
+    q1 = moved[s_all % cells][:, None, :, None]
+    q2 = moved[(s_all // cells) % cells][:, :, None, None]
+    qa = moved[s_all // (cells * cells)][:, None, None, :]
+    covered = ((q1 == landmark_a) & (q2 == landmark_b)) | ((q1 == landmark_b) & (q2 == landmark_a))
+    adv_win = ((qa == landmark_a) | (qa == landmark_b)) & ~covered
+    payoff, moves = reward[:live].reshape(live, 4, 4, B), succ[:live].reshape(live, 4, 4, B)
+    np.copyto(payoff, -1.0, where=covered)
+    np.copyto(payoff, 1.0, where=adv_win)
+    np.add(q1 + cells * q2, cells * cells * qa, out=moves)
+    np.copyto(moves, terminal, where=covered | adv_win)
 
     raw = GameSpec(
         state_count=S,

@@ -389,11 +389,11 @@ def _recall(spec: GameSpec, x: TeamPolicy):
 
 
 def _adversary_iteration(spec: GameSpec, x: TeamPolicy, gathered: list[np.ndarray], start=None):
-    """(y_star, v_hat, _bellman_rows of the chain (x, y_star), y_star's (S, J)
-    _on_support table at v_hat) of the adversary's best response, from x's
-    _gathered tables, policy iteration on the _adversary_q backup starting at
-    pure start's _support if given.  Fills x's memo, y_star from its _skeleton;
-    on a memo hit start is unread and only the last two are rebuilt."""
+    """(y_star, v_hat, _bellman_rows of the chain (x, y_star)) of the adversary's
+    best response, from x's _gathered tables, policy iteration on the
+    _adversary_q backup starting at pure start's _support if given.  Fills x's
+    memo, y_star from its _skeleton; on a memo hit start is unread and only the
+    rows are rebuilt."""
     w, memo, M = _product(spec, gathered), _recall(spec, x), None
     if not memo:
         r = (w[:, None, :] @ spec.reward)[:, 0, :]
@@ -404,8 +404,7 @@ def _adversary_iteration(spec: GameSpec, x: TeamPolicy, gathered: list[np.ndarra
         v_hat.setflags(write=False)
         memo = _skeleton(spec, greedy[:, None])[4], v_hat
         object.__setattr__(x, "_memo", (spec, *memo))
-    acts, p = _support(memo[0])
-    return *memo, M or _chain_rows(spec, w, acts), _on_support(spec, acts, p, memo[1])
+    return *memo, M or _chain_rows(spec, w, _support(memo[0])[0])
 
 
 def adversary_best_response(spec: GameSpec, x: TeamPolicy, start: AdversaryPolicy | None = None):
@@ -465,8 +464,9 @@ def policy_gradient(spec: GameSpec, x: TeamPolicy, start: AdversaryPolicy | None
     blocks.  On a memo hit only y_star's chain rows and _on_support table are built.
     """
     gathered = _gathered(spec, x)
-    y_star, v_hat, M, mixed = _adversary_iteration(spec, x, gathered, start)
+    y_star, v_hat, M = _adversary_iteration(spec, x, gathered, start)
     d = _solve(M, spec.initial_dist, transpose=True)
+    mixed = _on_support(spec, *_support(y_star), v_hat)
     grad = np.concatenate([
         d[:, None] * _player_q(spec, _product(spec, gathered, k), k, mixed)
         for k in range(spec.n_players)

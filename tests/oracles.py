@@ -25,7 +25,9 @@ The adversary's best response and the gradient at it contract the full
 library's backup, which contracts the expected next values alone.
 A game whose adversary has one action is an MDP over joint team actions,
 and its optimum comes from policy iteration on the dense tensor, apart from
-atmg.mdp: the known answer for the team's values and gaps.
+atmg.mdp: the known answer for the team's values and gaps.  The grid world's
+rewards and successors are filled by a loop over the 16 x 4 joint moves, the
+reference for the library's broadcast over them.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from atmg.extension import extension_constants
-from atmg.game import GameSpec
+from atmg.game import GameSpec, Transitions, normalize_rewards
 from atmg.lp import OPTIMAL, LinearProgram, solve
 from atmg.mdp import (
     AdversaryPolicy,
@@ -401,3 +403,39 @@ def team_optimum(spec: GameSpec) -> tuple[TeamPolicy, float]:
     digits = np.unravel_index(joint, spec.team_sizes[::-1])[::-1]
     x = TeamPolicy(tuple(np.eye(a)[d] for a, d in zip(spec.team_sizes, digits)))
     return x, float(spec.initial_dist @ v)
+
+
+def grid_world_loop(n_grid: int) -> GameSpec:
+    """grid_world(n_grid) with its rewards and successors filled joint move by joint move."""
+    cells = n_grid * n_grid
+    live = cells**3
+    S, terminal, landmark_a, landmark_b = live + 1, live, 0, cells - 1
+    rows, cols = np.divmod(np.arange(cells), n_grid)
+    moved = np.empty((cells, 4), dtype=np.int64)
+    moved[:, 0] = np.maximum(rows - 1, 0) * n_grid + cols
+    moved[:, 1] = np.minimum(rows + 1, n_grid - 1) * n_grid + cols
+    moved[:, 2] = rows * n_grid + np.maximum(cols - 1, 0)
+    moved[:, 3] = rows * n_grid + np.minimum(cols + 1, n_grid - 1)
+
+    reward = np.zeros((S, 16, 4))
+    succ = np.full((S, 16, 4, 1), terminal)
+    s_all = np.arange(live)
+    p1, p2, pa = s_all % cells, (s_all // cells) % cells, s_all // (cells * cells)
+    for a1 in range(4):
+        for a2 in range(4):
+            j = a1 + 4 * a2
+            q1, q2 = moved[p1, a1], moved[p2, a2]
+            covered = ((q1 == landmark_a) & (q2 == landmark_b)) | (
+                (q1 == landmark_b) & (q2 == landmark_a))
+            for b in range(4):
+                qa = moved[pa, b]
+                adv_win = ((qa == landmark_a) | (qa == landmark_b)) & ~covered
+                done = covered | adv_win
+                succ[s_all, j, b, 0] = np.where(done, terminal, q1 + cells * q2 + cells * cells * qa)
+                reward[s_all[covered], j, b] = -1.0
+                reward[s_all[adv_win], j, b] = 1.0
+
+    raw = GameSpec(state_count=S, team_sizes=(4, 4), adversary_actions=4, reward=reward,
+                   transition=Transitions(succ, np.ones(succ.shape), S), discount=0.9,
+                   initial_dist=np.full(S, 1.0 / S))
+    return normalize_rewards(raw, delta=0.05)[0]

@@ -4,6 +4,7 @@ import json
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +78,27 @@ def test_gridworld_rejects_out_of_range_numbers(tmp_path, capsys, args):
     assert "error:" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["gridworld", "--n", "40"],
+    ["solve", "--gridworld", "40", "--eta", "0.1", "--iters", "2"],
+], ids=["gridworld", "solve"])
+def test_a_grid_larger_than_memory_is_refused_before_it_is_built(tmp_path, capsys, argv):
+    # grid_world(40) has 1600**3 + 1 states, whose arrays would take 5.7 TiB.
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = main(argv + ["--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: grid_world(40) needs 5.86e+03 GiB") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
+    assert peak < 4 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import atmg.game
 from atmg.game import (
     DegenerateRewardsError,
     GameSpec,
@@ -23,6 +24,7 @@ from conftest import (
     pennies_game,
     v1_document,
 )
+from oracles import grid_world_loop
 
 
 def small_game(**overrides) -> GameSpec:
@@ -232,6 +234,28 @@ def test_grid_world_dimensions(gridworld2):
 def test_grid_world_rejects_tiny_grids():
     with pytest.raises(ValueError):
         grid_world(1)
+
+
+@pytest.mark.parametrize("n_grid", [2, 3, 4])
+def test_grid_world_broadcast_matches_the_joint_move_loop(n_grid):
+    spec, reference = grid_world(n_grid), grid_world_loop(n_grid)
+    assert spec.transition.succ.tobytes() == reference.transition.succ.tobytes()
+    assert spec.reward.tobytes() == reference.reward.tobytes()
+
+
+def test_grid_world_refuses_arrays_larger_than_physical_memory(monkeypatch):
+    # grid_world(2)'s reward, successors and probabilities take 65 x 64 x 24
+    # bytes: a machine with exactly that much memory builds it, one with a
+    # byte less refuses it.
+    needed = 65 * 16 * 4 * 24
+    for pages, ok in ((needed, True), (needed - 1, False)):
+        monkeypatch.setattr(atmg.game.os, "sysconf",
+                            lambda name, pages=pages: 1 if name == "SC_PAGE_SIZE" else pages)
+        if ok:
+            assert grid_world(2).state_count == 65
+        else:
+            with pytest.raises(ValueError, match=r"grid_world\(2\) needs .* GiB of physical memory"):
+                grid_world(2)
 
 
 def test_grid_world_transitions_deterministic(gridworld2):

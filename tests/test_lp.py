@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from atmg import lp
+from atmg.extension import build_lp_adv
 from atmg.lp import LinearProgram, find_feasible, solve
 from atmg.mdp import adversary_best_response, uniform_team_policy
 from conftest import count_calls, make_random_game, pennies_game, random_policies
@@ -167,8 +170,8 @@ def test_zero_rhs_at_least_rows_need_no_artificial_column(monkeypatch):
         senses=(">=",) * k + ("<=",),
         rhs=np.append(np.zeros(k), 3.0),
     )
-    sf = lp._standardize(prog)
-    assert sf.matrix.shape[1] == sf.art_start
+    T, _, art = lp._tableau(prog)
+    assert T.shape[1] - 1 == art
 
     pivots = count_calls(monkeypatch, lp, "_pivot")
     sol = find_feasible(prog)
@@ -180,6 +183,64 @@ def test_zero_rhs_at_least_rows_need_no_artificial_column(monkeypatch):
     assert opt.status == lp.OPTIMAL
     assert lp.residuals(prog, opt.x) <= lp.RESIDUAL_LIMIT
     assert opt.objective >= sol.objective - 1e-12
+
+
+def pin_corpus():
+    """Seeded programs for the output pin: 400 random ones, half with small
+    integer entries (ties and degenerate vertices), some right-hand sides
+    zero, some with repeated equality rows, some without bounding rows so
+    all four statuses occur; then the per-state adversary programs of 30
+    random games at five values of epsilon."""
+    rng = np.random.default_rng(2024)
+    for i in range(400):
+        n, k = int(rng.integers(1, 6)), int(rng.integers(1, 8))
+        if i % 2:
+            lhs = rng.integers(-3, 4, size=(k, n)).astype(float)
+            rhs = rng.integers(-3, 4, size=k).astype(float)
+        else:
+            lhs = rng.normal(size=(k, n))
+            rhs = np.where(rng.random(k) < 0.25, 0.0, rng.normal(size=k))
+        senses = tuple(rng.choice(["<=", ">=", "="], size=k, p=[0.45, 0.4, 0.15]))
+        if i % 5 == 4:  # a repeated equality row is redundant after phase one
+            m = k // 2 + 1
+            lhs, rhs = np.vstack([lhs, lhs[:m]]), np.append(rhs, rhs[:m])
+            senses = ("=",) * m + senses[m:] + ("=",) * m
+        if i % 3:  # rows x_j <= 5 keep the program bounded
+            lhs, senses = np.vstack([lhs, np.eye(n)]), senses + ("<=",) * n
+            rhs = np.append(rhs, np.full(n, 5.0))
+        yield LinearProgram(rng.normal(size=n), lhs, senses, rhs)
+    for _ in range(30):
+        spec = make_random_game(
+            rng, int(rng.integers(2, 5)), [(2,), (3,), (2, 2)][int(rng.integers(3))],
+            int(rng.integers(2, 4)), float(rng.choice([0.5, 0.9])))
+        x, _ = random_policies(rng, spec)
+        for epsilon in (0.0, 0.01, 0.1, 1.0, 10.0):
+            yield from build_lp_adv(spec, x, epsilon)
+
+
+def pin_digest() -> tuple[str, dict]:
+    """SHA-256 over (status, x bytes, objective, max_violation) of every
+    corpus program through find_feasible and then solve, and the status counts."""
+    digest, counts = hashlib.sha256(), {}
+    for prog in pin_corpus():
+        for entry in (find_feasible, solve):
+            sol = entry(prog)
+            counts[sol.status] = counts.get(sol.status, 0) + 1
+            x = b"-" if sol.x is None else sol.x.tobytes()
+            digest.update(f"{sol.status}|{sol.objective!r}|{sol.max_violation!r}|".encode() + x)
+    return digest.hexdigest(), counts
+
+
+PIN_DIGEST = "ff4164fd33d36de7cf0a36c39bef5b8c558a0d2555957ad3d8fb14be7ca60d31"
+PIN_COUNTS = {"infeasible": 664, "feasible": 558, "optimal": 530, "unbounded": 28}
+
+
+def test_lp_outputs_are_pinned():
+    # Every status, point, objective and violation of the corpus keeps its
+    # bytes: a change to the simplex's bookkeeping must leave its pivots alone.
+    digest, counts = pin_digest()
+    assert counts == PIN_COUNTS
+    assert digest == PIN_DIGEST
 
 
 # ---------------------------------------------------------------------------

@@ -293,6 +293,18 @@ def test_one_sweep_best_response_gathers_the_continuation_twice(gridworld2, monk
     assert tables[1][1] is v_hat
 
 
+def test_only_the_gradient_builds_an_on_support_table(gridworld2, monkeypatch):
+    # A best response on a memo miss builds no _on_support table of y_star;
+    # policy_gradient builds one, on a memo hit or a miss.
+    tables = count_calls(monkeypatch, atmg.mdp, "_on_support")
+    x = uniform_team_policy(gridworld2)
+    adversary_best_response(gridworld2, x)
+    assert tables == []
+    policy_gradient(gridworld2, x)
+    policy_gradient(gridworld2, TeamPolicy(x.blocks))
+    assert len(tables) == 2
+
+
 # ---------------------------------------------------------------------------
 # Values and visitation
 # ---------------------------------------------------------------------------
