@@ -30,6 +30,7 @@ import numpy as np
 from .extension import LpAdvInfeasibleError, adv_nash_policy, nash_gap
 from .game import (
     GameSpec,
+    _numbers,
     grid_world,
     load_game,
     normalize_rewards,
@@ -208,8 +209,8 @@ def _policies_from_json(payload: dict) -> tuple[TeamPolicy, AdversaryPolicy]:
         for key, name in (("x", "team"), ("y", "adversary")):
             if payload.get(key) is None:
                 raise ValueError(f"it holds no {name} policy ({key!r} is null or missing)")
-        blocks = tuple(np.asarray(block, dtype=np.float64) for block in payload["x"])
-        probs = np.asarray(payload["y"], dtype=np.float64)
+        blocks = tuple(_numbers("x", block) for block in payload["x"])
+        probs = _numbers("y", payload["y"])
     except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"policies file does not match schema: {exc}") from exc
     return TeamPolicy(blocks=blocks), AdversaryPolicy(probs=probs)

@@ -54,6 +54,14 @@ def _count(name: str, value) -> int:
     return int(value)
 
 
+def _numbers(name: str, value, dtype=np.float64) -> np.ndarray:
+    """The array of value's nested lists; ValueError unless each entry is a JSON
+    number, an int or a float (a bool, a string or null is not)."""
+    if not set(map(type, np.asarray(value, dtype=object).flat)) <= {int, float}:
+        raise ValueError(f"{name} must hold only numbers")
+    return np.asarray(value, dtype=dtype)
+
+
 @dataclass(frozen=True, eq=False)
 class Transitions:
     """Successor lists of the transition kernel P[s, a_joint, b, s'].
@@ -154,6 +162,8 @@ class GameSpec:
         object.__setattr__(self, "team_sizes", sizes)
         for name in ("state_count", "adversary_actions"):
             object.__setattr__(self, name, _count(name, getattr(self, name)))
+        if isinstance(self.discount, bool) or not isinstance(self.discount, numbers.Real):
+            raise ValueError(f"discount must be a real number, got {self.discount!r}")
         object.__setattr__(self, "discount", float(self.discount))
 
     @property
@@ -347,12 +357,13 @@ def grid_world(
     """
     if n_grid < 2:
         raise ValueError(f"n_grid must be at least 2, got {n_grid}")
-    # The reward, successor and probability arrays: 8 bytes per (s, a_joint, b) each.
-    needed = (int(n_grid) ** 6 + 1) * 16 * 4 * 24
+    # The build's peak per (s, a_joint, b): 8 bytes each for the raw and the normalized
+    # reward, the successors and the probabilities, and 4 for its masks and cell indices.
+    needed = (int(n_grid) ** 6 + 1) * 16 * 4 * 36
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if needed > memory:
         raise ValueError(
-            f"grid_world({n_grid}) needs {needed / 2**30:.3g} GiB for its reward and "
+            f"grid_world({n_grid}) needs {needed / 2**30:.3g} GiB to build its reward and "
             f"transition arrays, more than the {memory / 2**30:.3g} GiB of physical memory"
         )
 
@@ -460,19 +471,20 @@ def load_game(path) -> GameSpec:
         raise ValueError(f"{path}: missing fields {missing}")
     try:
         if schema == _DENSE_SCHEMA:
-            transition = np.asarray(doc["transition"], dtype=np.float64)
+            transition = _numbers("transition", doc["transition"])
         else:
-            transition = Transitions(
-                doc["transition"]["successors"], doc["transition"]["probabilities"], doc["states"]
-            )
+            lists = doc["transition"]
+            transition = Transitions(_numbers("successors", lists["successors"], None),
+                                     _numbers("probabilities", lists["probabilities"]),
+                                     doc["states"])
         return GameSpec(
             state_count=doc["states"],
             team_sizes=tuple(doc["team_sizes"]),
             adversary_actions=doc["adversary_actions"],
-            reward=np.asarray(doc["reward"], dtype=np.float64),
+            reward=_numbers("reward", doc["reward"]),
             transition=transition,
             discount=doc["gamma"],
-            initial_dist=np.asarray(doc["rho"], dtype=np.float64),
+            initial_dist=_numbers("rho", doc["rho"]),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: malformed game data: {exc}") from exc

@@ -1,8 +1,8 @@
 """Exact evaluation machinery for one game instance.
 
 Everything here is model-based and deterministic: induced Markov chains,
-value vectors by exact linear solve (one sweep per level on an acyclic chain,
-the schedule serving its visitation solve too; dense on a cyclic one),
+value vectors by exact linear solve (a chain's depth of sweeps when it is
+acyclic, the count serving its visitation solve too; dense on a cyclic one),
 discounted visitation measures, best responses by policy iteration, exact
 policy gradients under the direct parametrization, Euclidean projection onto
 the product of simplices, and the Lipschitz/smoothness constants of the
@@ -11,7 +11,7 @@ Transition contractions read the game's successor lists: a chain is two (S, n)
 row lists of successors and weights taken from them, and a gather gives
 expected next-state values; neither multiplies by weights of exactly 1.0,
 passed as None (a certain game's moves, a pure y's support).  No (S, ., S)
-table is built, nor an S x S matrix unless a chain has no level schedule.
+table is built, nor an S x S matrix unless a chain has no depth.
 Every chain, and every table taken against an adversary policy, reads the
 skeleton of its support, kept on the GameSpec.  Only the adversary's backup,
 which maximizes over all B actions, gathers an (S, J, B) table, of next values,
@@ -43,9 +43,9 @@ _POLICY_SUM_TOL = 1e-12
 # makes policy iteration cycle.
 _TIE_RTOL = 1e-12
 
-# A chain with more levels is solved densely.  Per level, the schedule and both
-# sweeps took 30 us at S = 200 and 50 us at S = 730 (2-core host, one BLAS thread):
-# 32 levels cost 1.0 and 1.6 ms, the dense pair 1.5 and 30 ms.  Grid worlds take 2-4.
+# A chain deeper than this is solved densely.  Per sweep, a step of _depth and a sweep
+# of both solves took 30 us at S = 200 and 50 us at S = 730 (2-core host, one BLAS
+# thread): 32 cost 1.0 and 1.6 ms, the dense pair 1.5 and 30 ms.  Grid worlds take 1-3.
 _MAX_LEVELS = 32
 
 
@@ -222,24 +222,15 @@ def _player_q(spec: GameSpec, others: np.ndarray, k: int, mixed: np.ndarray) -> 
 # Values
 # ---------------------------------------------------------------------------
 
-def _bellman_rows(chain, gamma: float, loops: np.ndarray, levels=None):
-    """M = I - gamma P of the row lists (cols, wts) as (cols, off, diag, gamma,
-    levels): P's weights off the diagonal, M's diagonal and levels, by default
-    their _levels.  loops is cols' self-loop mask."""
-    cols, wts = chain
-    off, diag = np.where(loops, 0.0, wts), 1.0 - gamma * np.where(loops, wts, 0.0).sum(axis=1)
-    return cols, off, diag, gamma, _levels(cols, off) if levels is None else levels
-
-
 _SKELETONS = 4  # kept per game; a short grid_world(3) run and its certificate use 3
 
 
 def _skeleton(spec: GameSpec, acts: np.ndarray) -> tuple:
-    """(cols, prob, loops, levels, y, reward) of the (S, m) adversary support
-    acts: the (S, m J K) successors and (S, m, J, K) probabilities (None on a
-    certain game, not gathered) of each row's (i, j, k), the self-loop mask, that
-    full pattern's _levels, if m = 1 the one-hot y, its _support memo (a copy of
-    acts, None) set so it is never sorted, and the read-only (S, m, J) rewards."""
+    """(cols, prob, loops, looped, depth, y, reward) of the (S, m) adversary support
+    acts: the (S, m J K) successors and (S, m, J, K) probabilities (None on a certain
+    game, not gathered) of each row's (i, j, k), the self-loop mask and its rows, the
+    full pattern's _depth, if m = 1 the one-hot y, its _support memo (a copy of acts,
+    None) set so it is never sorted, and the read-only (S, m, J) rewards."""
     cache, key = spec._skeletons, acts.tobytes()
     skeleton = cache.pop(key, None)
     if skeleton is None:
@@ -252,55 +243,54 @@ def _skeleton(spec: GameSpec, acts: np.ndarray) -> tuple:
         if acts.shape[1] == 1:
             y = AdversaryPolicy(np.eye(spec.adversary_actions)[acts[:, 0]])
             object.__setattr__(y, "_support", (_own(acts, np.intp), None))
-        skeleton = (cols, prob, loops,
-                    _levels(cols, ~loops if prob is None else prob.reshape(cols.shape) * ~loops), y,
+        skeleton = (cols, prob, loops, np.flatnonzero(loops.any(axis=1)),
+                    _depth(cols, ~loops if prob is None else prob.reshape(cols.shape) * ~loops), y,
                     _own(spec.reward[states, :, acts]))
     cache[key] = skeleton
     return skeleton
 
 
 def _chain_rows(spec: GameSpec, w: np.ndarray, acts: np.ndarray, p: np.ndarray | None = None):
-    """_bellman_rows of the chain of the team's (S, J) joint-action weights w
-    against acts[s, i] played with probability p[s, i], on acts' _skeleton:
-    with its full pattern's schedule, else the chain's own.  Sweeps past the
-    chain's own depth leave an exact z unchanged; a None p is not multiplied in."""
-    cols, prob, loops, levels, *_ = _skeleton(spec, acts)
+    """M = I - gamma P of the chain of the team's (S, J) weights w against acts[s, i]
+    played with probability p[s, i] (None: not multiplied in), as (cols, off, diag,
+    gamma, depth): P off the diagonal, M's diagonal (1 but on the self-loop rows of
+    acts' _skeleton) and its _depth, else the chain's own: extra sweeps keep z exact."""
+    cols, prob, loops, looped, depth, *_ = _skeleton(spec, acts)
     wts = w[:, None, :] if p is None else w[:, None, :] * p[:, :, None]
-    wts = wts if prob is None else wts[..., None] * prob
-    return _bellman_rows((cols, wts.reshape(cols.shape)), spec.discount, loops, levels)
+    wts = (wts if prob is None else wts[..., None] * prob).reshape(cols.shape)
+    off, diag = np.where(loops, 0.0, wts), np.ones(cols.shape[0])
+    diag[looped] = 1.0 - spec.discount * np.where(loops[looped], wts[looped], 0.0).sum(axis=1)
+    return cols, off, diag, spec.discount, _depth(cols, off) if depth is None else depth
 
 
-def _levels(cols: np.ndarray, off: np.ndarray) -> np.ndarray | None:
-    """Each state's level: 0 for a row with no off-diagonal entry, else one
-    more than the deepest level its row reaches.  None on a cycle (self-loops
-    aside) or past _MAX_LEVELS levels.  The states above the current level
-    only shrink, so once their count stalls the rest is cyclic."""
+def _depth(cols: np.ndarray, off: np.ndarray) -> int | None:
+    """The sweeps that make a solve on the row lists exact (0 if no row has an off-diagonal
+    entry), or None on a cycle (self-loops aside) or past _MAX_LEVELS.  The rows not yet
+    exact only shrink, so once their count stalls the rest is cyclic."""
     edges = off != 0.0
     blocked, last = edges.any(axis=1), -1
-    levels = np.zeros(blocked.size, dtype=np.intp)
-    for _ in range(_MAX_LEVELS):
+    for depth in range(_MAX_LEVELS + 1):
         count = np.count_nonzero(blocked)
         if count == 0 or count == last:
-            break
-        levels += blocked
+            return None if count else depth
         blocked, last = (edges & blocked[cols]).any(axis=1), count
-    return None if blocked.any() else levels
+    return None
 
 
 def _solve(M, b: np.ndarray, transpose: bool = False) -> np.ndarray:
     """The one value solver: z with M z = b (M' z = b with transpose) for
-    M = I - gamma P from _bellman_rows.
+    M = I - gamma P from _chain_rows.
 
-    With levels, z = b / diag is exact on level 0, and each sweep of
-    z = (b + gamma off z) / diag, off z gathered along the rows (scattered for M'),
-    makes one more level exact.  With None, M built densely by one bincount goes
-    to np.linalg.solve.  Either matrix is strictly diagonally dominant (by rows or
-    by columns) for gamma < 1, so neither solve can fail; the residual is checked
-    against 1e-10 * S anyway, in units of max |b| once that exceeds 1, since
-    round-off grows with the rewards' magnitude.  It takes a fresh carry at the
+    With a depth, z = b / diag is exact on rows with no off-diagonal weight, and each of
+    depth sweeps z = (b + gamma off z) / diag, off z gathered along the rows (scattered
+    for M'), makes exact the rows that reach only exact ones.  With None, M built densely
+    by one bincount goes to np.linalg.solve.  Either matrix is strictly diagonally
+    dominant (by rows or by columns) for gamma < 1, so neither solve can fail; the
+    residual is checked against 1e-10 * S anyway, in units of max |b| once that exceeds
+    1, since round-off grows with the rewards' magnitude.  It takes a fresh carry at the
     returned z: the last sweep's carry makes diag z - carry - b round-off by construction.
     """
-    cols, off, diag, gamma, levels = M
+    cols, off, diag, gamma, depth = M
     S = b.size
 
     def carried(z):  # gamma off z
@@ -308,14 +298,14 @@ def _solve(M, b: np.ndarray, transpose: bool = False) -> np.ndarray:
             return gamma * np.bincount(cols.ravel(), (off * z[:, None]).ravel(), S)
         return gamma * (off * z[cols]).sum(axis=1)
 
-    if levels is None:
+    if depth is None:
         flat = (np.arange(S)[:, None] * S + cols).ravel()
         dense = np.bincount(flat, (-gamma * off).ravel(), S * S).reshape(S, S)
         dense.flat[:: S + 1] = diag
         z = np.linalg.solve(dense.T if transpose else dense, b)
     else:
         z = b / diag
-        for _ in range(levels.max()):
+        for _ in range(depth):
             z = (b + carried(z)) / diag
     residual = float(np.abs(diag * z - carried(z) - b).max())
     if residual > 1e-10 * S and residual > 1e-10 * S * float(np.abs(b).max()):
@@ -357,7 +347,7 @@ def _policy_iteration(spec: GameSpec, r: np.ndarray, q_of, rows_of, start=None):
 
     r is the agent's (S, U) table of one-step payoffs, and q_of(v) is r
     plus gamma times the expected continuation value v;
-    rows_of(policy) is the _bellman_rows of the chain when the agent plays
+    rows_of(policy) is the _chain_rows of the chain when the agent plays
     action policy[s] in state s.  Howard's policy iteration starts from
     start, an (S,) action array, when given; else from the greedy policy
     of one value-iteration step from v = 0, q_of(max_u r), which sees a
@@ -389,7 +379,7 @@ def _recall(spec: GameSpec, x: TeamPolicy):
 
 
 def _adversary_iteration(spec: GameSpec, x: TeamPolicy, gathered: list[np.ndarray], start=None):
-    """(y_star, v_hat, _bellman_rows of the chain (x, y_star)) of the adversary's
+    """(y_star, v_hat, _chain_rows of the chain (x, y_star)) of the adversary's
     best response, from x's _gathered tables, policy iteration on the
     _adversary_q backup starting at pure start's _support if given.  Fills x's
     memo, y_star from its _skeleton; on a memo hit start is unread and only the
@@ -402,7 +392,7 @@ def _adversary_iteration(spec: GameSpec, x: TeamPolicy, gathered: list[np.ndarra
             lambda u: _chain_rows(spec, w, u[:, None]),
             None if start is None else _support(start)[0][:, 0])
         v_hat.setflags(write=False)
-        memo = _skeleton(spec, greedy[:, None])[4], v_hat
+        memo = _skeleton(spec, greedy[:, None])[5], v_hat
         object.__setattr__(x, "_memo", (spec, *memo))
     return *memo, M or _chain_rows(spec, w, _support(memo[0])[0])
 

@@ -41,8 +41,8 @@ from atmg.mdp import (
     AdversaryPolicy,
     TeamPolicy,
     _TIE_RTOL,
-    _bellman_rows,
     _chain_rows,
+    _depth,
     _gathered,
     _next_mean,
     _player_q,
@@ -177,11 +177,18 @@ def chain(spec: GameSpec, w: np.ndarray, acts: np.ndarray, p: np.ndarray | None)
     return T.succ[states, :, acts].reshape(S, -1), wts.reshape(S, -1)
 
 
+def list_rows(cols: np.ndarray, wts: np.ndarray, gamma: float):
+    """M = I - gamma P of the row lists (cols, wts) as _solve reads it, (cols, off,
+    diag, gamma, depth): every row's diagonal summed over its full row, and the
+    lists' own _depth."""
+    loops = cols == np.arange(cols.shape[0])[:, None]
+    off, diag = np.where(loops, 0.0, wts), 1.0 - gamma * np.where(loops, wts, 0.0).sum(axis=1)
+    return cols, off, diag, gamma, _depth(cols, off)
+
+
 def chain_rows(spec: GameSpec, w: np.ndarray, acts: np.ndarray, p: np.ndarray | None = None):
-    """mdp._chain_rows without a skeleton: _bellman_rows of the chain's row
-    lists, with its own self-loop mask and schedule."""
-    cols, wts = chain(spec, w, acts, p)
-    return _bellman_rows((cols, wts), spec.discount, cols == np.arange(spec.state_count)[:, None])
+    """mdp._chain_rows without a skeleton: the list_rows of the chain's row lists."""
+    return list_rows(*chain(spec, w, acts, p), spec.discount)
 
 
 def induced_transition(spec: GameSpec, x: TeamPolicy, y: AdversaryPolicy) -> np.ndarray:

@@ -85,7 +85,7 @@ def test_gridworld_rejects_out_of_range_numbers(tmp_path, capsys, args):
     ["solve", "--gridworld", "40", "--eta", "0.1", "--iters", "2"],
 ], ids=["gridworld", "solve"])
 def test_a_grid_larger_than_memory_is_refused_before_it_is_built(tmp_path, capsys, argv):
-    # grid_world(40) has 1600**3 + 1 states, whose arrays would take 5.7 TiB.
+    # grid_world(40) has 1600**3 + 1 states, whose build would take 8.6 TiB.
     out = tmp_path / "out"
     tracemalloc.start()
     try:
@@ -95,7 +95,7 @@ def test_a_grid_larger_than_memory_is_refused_before_it_is_built(tmp_path, capsy
         tracemalloc.stop()
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith("error: grid_world(40) needs 5.86e+03 GiB") and err.count("\n") == 1
+    assert err.startswith("error: grid_world(40) needs 8.79e+03 GiB") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not out.exists()
     assert peak < 4 * 2**20
@@ -197,22 +197,39 @@ def test_solve_rejects_malformed_game(tmp_path, capsys):
     assert "cannot load" in capsys.readouterr().err
 
 
+# pennies' transition with one bool probability, and with one bool successor.
+BOOL_PROBABILITY = ('{"successors": [[[[0], [0]], [[0], [0]]]], '
+                    '"probabilities": [[[[1.0], [true]], [[1.0], [1.0]]]]}')
+BOOL_SUCCESSOR = ('{"successors": [[[[0], [0]], [[0], [false]]]], '
+                  '"probabilities": [[[[1.0], [1.0]], [[1.0], [1.0]]]]}')
+
+
 @pytest.mark.parametrize("command", ["verify", "solve"])
 @pytest.mark.parametrize("field,literal", [("states", "1e999"),
                                            ("reward", "[[[1" + "0" * 400 + ", 0.1]]]"),
                                            ("states", "1.5"),
                                            ("states", "true"),
                                            ("adversary_actions", "2.5"),
-                                           ("team_sizes", "[2.5]")],
+                                           ("team_sizes", "[2.5]"),
+                                           ("gamma", "false"),
+                                           ("gamma", '"0.9"'),
+                                           ("rho", '["1.0"]'),
+                                           ("reward", '[[["0.9", 0.1], [0.1, 0.9]]]'),
+                                           ("reward", "[[[true, 0.1], [0.1, 0.9]]]"),
+                                           ("transition", BOOL_PROBABILITY),
+                                           ("transition", BOOL_SUCCESSOR)],
                          ids=["inf-states", "huge-int-reward", "fractional-states",
                               "bool-states", "fractional-adversary-actions",
-                              "fractional-team-size"])
+                              "fractional-team-size", "bool-gamma", "string-gamma",
+                              "string-rho", "string-reward", "bool-reward",
+                              "bool-probability", "bool-successor"])
 def test_out_of_range_numbers_in_game_file(tmp_path, capsys, pennies_file, command,
                                            field, literal):
     # 1e999 parses as inf and a 401-digit integer as an int no float holds;
     # either must be reported as a bad game file, not raise OverflowError.
     # A count that is not a whole number, or is a bool, must not be
-    # truncated into a valid one.
+    # truncated into a valid one, nor a bool or a numeric string read as the
+    # number it resembles.
     text = pennies_file.read_text()
     payload = json.loads(text)
     payload[field] = "PLACEHOLDER"
@@ -227,7 +244,7 @@ def test_out_of_range_numbers_in_game_file(tmp_path, capsys, pennies_file, comma
                 "--out", str(tmp_path / "o")]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_solve_rejects_invalid_game(tmp_path, capsys, pennies_file):
@@ -496,6 +513,7 @@ def test_verify_rejects_a_wrong_team_block_count(tmp_path, capsys, n_blocks):
 
 
 NOT_UTF8 = b'{"schema": "\xff"}'
+SCHEMA = "policies file does not match schema: "
 
 
 @pytest.mark.parametrize("command", ["verify", "solve"])
@@ -529,7 +547,12 @@ def test_game_load_errors_name_the_file_once(tmp_path, capsys, pennies_file, com
     (b'{"x": ', "Expecting value"),
     (b'{"y": [[0.5, 0.5]]}', "policies file does not match schema"),
     (b'{"x": [[[0.4, 0.3, 0.3]]], "y": [[0.5, 0.5]]}', "block 0 has shape (1, 3), expected (1, 2)"),
-], ids=["not-utf8", "not-json", "no-x", "block-shape"])
+    (b'{"x": [[["0.5", 0.5]]], "y": [[0.5, 0.5]]}', SCHEMA + "x must hold only numbers\n"),
+    (b'{"x": [[[true, false]]], "y": [[0.5, 0.5]]}', SCHEMA + "x must hold only numbers\n"),
+    (b'{"x": [[[0.5, 0.5]]], "y": [["0.5", "0.5"]]}', SCHEMA + "y must hold only numbers\n"),
+    (b'{"x": [[[0.5, 0.5]]], "y": [[true, false]]}', SCHEMA + "y must hold only numbers\n"),
+], ids=["not-utf8", "not-json", "no-x", "block-shape", "string-x", "bool-x", "string-y",
+        "bool-y"])
 def test_policy_load_errors_name_the_file_once(tmp_path, capsys, pennies_file, content, problem):
     pol = tmp_path / "bad-policies.json"
     pol.write_bytes(content)

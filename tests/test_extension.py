@@ -399,8 +399,8 @@ def test_grid3_certify_takes_one_evaluation_per_best_response(monkeypatch):
     # the two team players one each.  From the myopic greedy start every
     # best response took a second sweep, 15 solves in all.  Under the
     # adversary's pure best response each chain here is acyclic apart from
-    # self-loops, so every solve, transposed ones included, sweeps its
-    # levels on the chain's row lists: none reaches LAPACK, and the whole
+    # self-loops, so every solve, transposed ones included, sweeps to its
+    # depth on the chain's row lists: none reaches LAPACK, and the whole
     # pattern peaks below one S x S float64 matrix.  Every adversary policy
     # here is a best response, whose skeleton hands it its support, so no
     # support is sorted.  Only the adversary's policy iterations build full

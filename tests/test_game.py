@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -145,6 +146,14 @@ def test_validate_names_the_problem(overrides, problem):
     assert problem in validate(small_game(**overrides))
 
 
+@pytest.mark.parametrize("discount", [False, True, "0.9", None, [0.9]])
+def test_a_discount_must_be_a_real_number(discount):
+    # A bool is not truncated into gamma = 0 or 1, nor a string parsed.
+    with pytest.raises(ValueError, match="discount must be a real number"):
+        small_game(discount=discount)
+    assert small_game(discount=np.float64(0.5)).discount == 0.5
+
+
 def test_from_dense_rejects_a_scalar():
     with pytest.raises(ValueError, match="must be an \\(S, A_joint, B, S\\) array, got a scalar"):
         Transitions.from_dense(0.5)
@@ -244,10 +253,9 @@ def test_grid_world_broadcast_matches_the_joint_move_loop(n_grid):
 
 
 def test_grid_world_refuses_arrays_larger_than_physical_memory(monkeypatch):
-    # grid_world(2)'s reward, successors and probabilities take 65 x 64 x 24
-    # bytes: a machine with exactly that much memory builds it, one with a
-    # byte less refuses it.
-    needed = 65 * 16 * 4 * 24
+    # grid_world(2)'s build is counted at 65 x 64 x 36 bytes: a machine with
+    # exactly that much memory builds it, one with a byte less refuses it.
+    needed = 65 * 16 * 4 * 36
     for pages, ok in ((needed, True), (needed - 1, False)):
         monkeypatch.setattr(atmg.game.os, "sysconf",
                             lambda name, pages=pages: 1 if name == "SC_PAGE_SIZE" else pages)
@@ -256,6 +264,22 @@ def test_grid_world_refuses_arrays_larger_than_physical_memory(monkeypatch):
         else:
             with pytest.raises(ValueError, match=r"grid_world\(2\) needs .* GiB of physical memory"):
                 grid_world(2)
+
+
+@pytest.mark.parametrize("n_grid", [3, 4])
+def test_grid_world_memory_guard_covers_the_builds_peak(n_grid, monkeypatch):
+    # The guard counts at least the build's traced peak: a machine with a byte
+    # less than that peak refuses it.
+    tracemalloc.start()
+    try:
+        grid_world(n_grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(atmg.game.os, "sysconf",
+                        lambda name: 1 if name == "SC_PAGE_SIZE" else peak - 1)
+    with pytest.raises(ValueError, match="physical memory"):
+        grid_world(n_grid)
 
 
 def test_grid_world_transitions_deterministic(gridworld2):

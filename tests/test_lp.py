@@ -57,6 +57,26 @@ def test_unbounded():
     assert sol.status == lp.UNBOUNDED
 
 
+def test_a_simplex_past_its_pivot_budget_raises(monkeypatch):
+    # The two-variable vertex takes two pivots of phase two.
+    program = LinearProgram(objective=[1.0, 1.0], lhs=[[1.0, 2.0], [3.0, 1.0]],
+                            senses=("<=", "<="), rhs=[4.0, 6.0])
+    monkeypatch.setattr(lp, "_MAX_PIVOTS", 1)
+    with pytest.raises(lp.NumericInstabilityError, match="^simplex exceeded the pivot budget$"):
+        solve(program)
+
+
+def test_a_vertex_past_the_residual_limit_raises(monkeypatch):
+    # x = 0.7 / 0.3 rounds to a point whose row misses 0.7 by 1.1e-16.
+    program = LinearProgram(objective=[1.0], lhs=[[0.3]], senses=("=",), rhs=[0.7])
+    assert lp.residuals(program, solve(program).x) == 2.0**-53
+    monkeypatch.setattr(lp, "RESIDUAL_LIMIT", 1e-16)
+    for run in (solve, find_feasible):
+        with pytest.raises(lp.NumericInstabilityError,
+                           match="^solution residual 1.11022e-16 exceeds 1e-16$"):
+            run(program)
+
+
 def test_equality_row_with_upper_bound():
     # The bound x_0 <= 0.3 is an explicit row.
     sol = solve(LinearProgram(

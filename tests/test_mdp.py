@@ -15,7 +15,6 @@ from atmg.mdp import (
     TeamPolicy,
     _SKELETONS,
     _TIE_RTOL,
-    _bellman_rows,
     _adversary_q,
     _chain_rows,
     _next_mean,
@@ -59,6 +58,7 @@ from oracles import (
     induced_reward,
     induced_transition,
     joint_action_distribution,
+    list_rows,
     marginal_reward_table,
     q_table as oracle_q_table,
     team_policy_gradient,
@@ -412,11 +412,11 @@ def layered_chain(rng: np.random.Generator, S: int, depth: int):
 
 
 def bellman_rows(P: np.ndarray, gamma: float):
-    """_bellman_rows of the dense chain P, whose row lists keep each row's
+    """The list_rows of the dense chain P, whose row lists keep each row's
     nonzeros in column order, padded with zero entries to the widest row.
-    Its last entry is the level of each state, or None."""
+    Its last entry is the chain's depth, or None."""
     T = Transitions.from_dense(P)
-    return _bellman_rows((T.succ, T.prob), gamma, T.succ == np.arange(P.shape[0])[:, None])
+    return list_rows(T.succ, T.prob, gamma)
 
 
 def test_acyclic_chains_solve_both_ways_from_one_schedule(monkeypatch):
@@ -427,7 +427,7 @@ def test_acyclic_chains_solve_both_ways_from_one_schedule(monkeypatch):
         P, layer = layered_chain(rng, S, depth)
         gamma = rng.uniform(0.0, 0.99)
         M = bellman_rows(P, gamma)
-        assert M[-1].tolist() == layer.tolist()
+        assert M[-1] == layer.max()
         b = rng.uniform(0.05, 0.95, S)
         z, d = _solve(M, b), _solve(M, b, transpose=True)
         assert lapack == []
@@ -438,16 +438,16 @@ def test_acyclic_chains_solve_both_ways_from_one_schedule(monkeypatch):
 
 
 def test_a_schedule_one_level_short_fails_the_residual_check():
-    # The residual is taken with a fresh carry, so a solve whose schedule stops
-    # one level short of the chain's depth (1 to 4) is caught in both
-    # directions, and the true schedule passes.
+    # The residual is taken with a fresh carry, so a solve that stops one
+    # sweep short of the chain's depth (1 to 4) is caught in both
+    # directions, and the true depth passes.
     rng = np.random.default_rng(211)
     for depth in range(1, 5):
         for S in range(depth + 1, depth + 40):
             P, _ = layered_chain(rng, S, depth + 1)
             M = bellman_rows(P, rng.uniform(0.05, 0.99))
-            assert M[-1].max() == depth
-            short = (*M[:-1], np.minimum(M[-1], depth - 1))
+            assert M[-1] == depth
+            short = (*M[:-1], depth - 1)
             b = rng.uniform(0.05, 0.95, S)
             for transpose in (False, True):
                 _solve(M, b, transpose)
@@ -482,7 +482,7 @@ def test_cyclic_chains_solve_densely_bit_for_bit():
 @pytest.mark.parametrize("gamma", [0.0, 0.9])
 def test_an_all_self_loop_chain_is_one_level(S, gamma):
     M = bellman_rows(np.eye(S), gamma)
-    assert M[-1].tolist() == [0] * S
+    assert M[-1] == 0
     b = np.random.default_rng(97).uniform(0.05, 0.95, S)
     assert _solve(M, b).tobytes() == (b / (1.0 - gamma)).tobytes()
     assert _solve(M, b, transpose=True).tobytes() == (b / (1.0 - gamma)).tobytes()
@@ -490,7 +490,7 @@ def test_an_all_self_loop_chain_is_one_level(S, gamma):
 
 def path_chain(S: int, rng: np.random.Generator) -> np.ndarray:
     """A permuted path: state i loops or moves to state i - 1, state 0 loops.
-    Its schedule has S levels."""
+    Its depth is S - 1."""
     P = 0.5 * np.eye(S) + 0.5 * np.eye(S, k=-1)
     P[0, 0] = 1.0
     perm = rng.permutation(S)
@@ -510,16 +510,18 @@ def test_a_chain_deeper_than_the_level_cap_solves_densely(S, monkeypatch):
     # solution to round-off.
     monkeypatch.setattr(atmg.mdp, "_MAX_LEVELS", S)
     M = bellman_rows(P, 0.99)
-    assert sorted(M[-1].tolist()) == list(range(S))
+    assert M[-1] == S - 1
     np.testing.assert_allclose(_solve(M, b), z, rtol=1e-12)
     np.testing.assert_allclose(_solve(M, b, transpose=True), d, rtol=1e-12)
     assert len(lapack) == 2
 
 
 def test_a_chain_as_deep_as_the_level_cap_is_substituted():
-    depth = atmg.mdp._MAX_LEVELS
-    M = bellman_rows(path_chain(depth, np.random.default_rng(101)), 0.99)
-    assert sorted(M[-1].tolist()) == list(range(depth))
+    # A path of cap + 1 states takes exactly the cap's sweeps; one state more
+    # is past the cap.
+    depth, rng = atmg.mdp._MAX_LEVELS, np.random.default_rng(101)
+    assert bellman_rows(path_chain(depth + 1, rng), 0.99)[-1] == depth
+    assert bellman_rows(path_chain(depth + 2, rng), 0.99)[-1] is None
 
 
 def unequal_support_games():
@@ -612,7 +614,7 @@ def team_weights(rng: np.random.Generator, spec: GameSpec, zeros: bool) -> np.nd
 def assert_skeleton_rows_match(rng, spec, w, acts, p=None):
     """Check that the rows built on the skeleton of acts, at its first use
     and at a later one, and both of their solves equal those of the chain
-    built from scratch, byte for byte.  Returns the later use's schedule and
+    built from scratch, byte for byte.  Returns the later use's depth and
     the chain's own."""
     chain = chain_rows(spec, w, acts, p)
     b = rng.uniform(-1.0, 1.0, spec.state_count)
@@ -633,14 +635,14 @@ def test_skeleton_rows_and_solves_match_the_chain_bit_for_bit():
         for _ in range(3):
             policy = rng.integers(3, size=S)
             w = team_weights(rng, spec, False)
-            levels, own = assert_skeleton_rows_match(rng, spec, w, policy[:, None])
-            assert levels is not None and own is not None
-            assert levels.max() >= own.max()
+            depth, own = assert_skeleton_rows_match(rng, spec, w, policy[:, None])
+            assert depth is not None and own is not None
+            assert depth >= own
 
 
 def test_skeleton_schedule_deeper_than_the_chains_keeps_the_bits():
     # Zero team weights drop edges of the full pattern, so the chain's own
-    # schedule can be shallower than the skeleton's, which the solves sweep.
+    # depth can be below the skeleton's, which the solves sweep.
     rng = np.random.default_rng(137)
     deeper = 0
     for S in range(3, 9):
@@ -648,9 +650,9 @@ def test_skeleton_schedule_deeper_than_the_chains_keeps_the_bits():
         for _ in range(4):
             policy = rng.integers(3, size=S)
             w = team_weights(rng, spec, True)
-            levels, own = assert_skeleton_rows_match(rng, spec, w, policy[:, None])
-            assert levels.max() >= own.max()
-            deeper += levels.max() > own.max()
+            depth, own = assert_skeleton_rows_match(rng, spec, w, policy[:, None])
+            assert depth >= own
+            deeper += depth > own
     assert deeper >= 5
 
 
@@ -660,13 +662,13 @@ def test_cyclic_full_pattern_falls_back_to_the_chains_own_schedule():
         spec = layered_game(rng, S, back_edge=True)
         acts = rng.integers(3, size=(S, 1))
         # With joint action 0 weighted in state S-1 the chain is cyclic too
-        # and is solved densely; without it, it has a schedule of its own.
+        # and is solved densely; without it, it has a depth of its own.
         w = team_weights(rng, spec, False)
         assert assert_skeleton_rows_match(rng, spec, w, acts) == (None, None)
-        assert atmg.mdp._skeleton(spec, acts)[3] is None
+        assert atmg.mdp._skeleton(spec, acts)[4] is None
         w[S - 1, 0] = 0.0
-        levels, own = assert_skeleton_rows_match(rng, spec, w, acts)
-        assert own is not None and levels.tobytes() == own.tobytes()
+        depth, own = assert_skeleton_rows_match(rng, spec, w, acts)
+        assert own is not None and depth == own
 
 
 def test_mixed_support_rows_and_solves_match_the_chain_bit_for_bit():
@@ -685,10 +687,10 @@ def test_mixed_support_rows_and_solves_match_the_chain_bit_for_bit():
                 w = team_weights(rng, spec, zeros)
                 w[S - 1, 0] *= not zeros  # with zeros, the chain keeps no back edge
                 assert_skeleton_rows_match(rng, spec, w, acts[:, :1])
-                levels, own = assert_skeleton_rows_match(rng, spec, w, acts, p)
-                assert (levels is None) == (own is None)
-                assert own is None or levels.max() >= own.max()
-                full = atmg.mdp._skeleton(spec, acts)[3]
+                depth, own = assert_skeleton_rows_match(rng, spec, w, acts, p)
+                assert (depth is None) == (own is None)
+                assert own is None or depth >= own
+                full = atmg.mdp._skeleton(spec, acts)[4]
                 fallbacks += full is None and own is not None
                 cyclic += own is None
     assert fallbacks >= 5 and cyclic >= 5
@@ -725,29 +727,29 @@ def test_best_responses_on_skeletons_match_the_chain_path(back_edge, monkeypatch
 
 
 def test_a_skeleton_is_built_whole_at_its_first_use(monkeypatch):
-    # The full pattern is scheduled once, when its skeleton is built, and a
-    # hit schedules nothing.  A pure support's one-hot policy is built with
+    # The full pattern's depth is taken once, when its skeleton is built, and
+    # a hit takes none.  A pure support's one-hot policy is built with
     # it and shared by every team policy with that best response; a mixed
     # support has none.
     rng = np.random.default_rng(163)
     spec = layered_game(rng, 6)
     x = TeamPolicy(team_blocks(rng, spec, False))
-    levels = count_calls(monkeypatch, atmg.mdp, "_levels")
+    depths = count_calls(monkeypatch, atmg.mdp, "_depth")
     y, _ = adversary_best_response(spec, x)
-    built = len(levels)
+    built = len(depths)
     assert built == len(spec._skeletons)
     policy = y.probs.argmax(axis=1)[:, None]
-    assert atmg.mdp._skeleton(spec, policy)[4] is y
+    assert atmg.mdp._skeleton(spec, policy)[5] is y
     policy_gradient(spec, x)
     value_vector(spec, x, y)
     assert adversary_best_response(spec, TeamPolicy(x.blocks))[0] is y
-    assert len(levels) == built
+    assert len(depths) == built
     acts, p = _support(AdversaryPolicy(unequal_support_table(rng, 6, 3)))
     w = team_weights(rng, spec, False)
     for _ in range(3):
         _chain_rows(spec, w, acts, p)
-    assert len(levels) == built + 1
-    assert atmg.mdp._skeleton(spec, acts)[4] is None
+    assert len(depths) == built + 1
+    assert atmg.mdp._skeleton(spec, acts)[5] is None
 
 
 def test_a_pure_skeleton_hands_its_policy_the_support_unsorted(monkeypatch):
@@ -758,7 +760,7 @@ def test_a_pure_skeleton_hands_its_policy_the_support_unsorted(monkeypatch):
     spec = layered_game(rng, 6)
     acts = rng.integers(3, size=(6, 1))
     sorts = count_calls(monkeypatch, np, "argsort")
-    y = _skeleton(spec, acts)[4]
+    y = _skeleton(spec, acts)[5]
     got = _support(y)
     assert sorts == []
     assert got[0].tobytes() == acts.tobytes() and got[0].dtype == acts.dtype
