@@ -22,11 +22,8 @@ from .lp import FEASIBLE, LinearProgram, find_feasible
 from .mdp import (
     AdversaryPolicy,
     TeamPolicy,
-    _adversary_q,
-    _gathered,
-    _next_mean,
-    _product,
     adversary_best_response,
+    bellman_slacks,
     check_policies,
     smoothness_constants,
     team_player_best_response,
@@ -118,24 +115,10 @@ def build_lp_adv(spec: GameSpec, x_hat: TeamPolicy, epsilon: float) -> StateProg
     check_policies(spec, x_hat)
     _, v_hat = adversary_best_response(spec, x_hat)
 
-    S, B = spec.state_count, spec.adversary_actions
-    A = spec.sum_team_actions
+    S, B, A = spec.state_count, spec.adversary_actions, spec.sum_team_actions
     cons = extension_constants(spec)
-
-    # One gather of x_hat and one table of expected next values serve every
-    # row, each weight table backed up as in the adversary's policy iteration.
-    # A pure block's factors are exactly 0 or 1, so each deviation's masked
-    # weights equal x_hat's with k's block pinned, bit for bit.
-    gathered, nxt = _gathered(spec, x_hat), _next_mean(spec, v_hat)
-
-    def bellman_slack(w):  # r(s, w, b) + gamma E[v_hat(t)] - v_hat(s)
-        return _adversary_q(spec, w, (w[:, None, :] @ spec.reward)[:, 0, :], nxt) - v_hat[:, None]
-
-    deviation = np.stack([
-        bellman_slack(_product(spec, gathered, k) * (spec.action_digits[:, k] == a))
-        for k, size in enumerate(spec.team_sizes) for a in range(size)
-    ], axis=1)
-    slack = bellman_slack(_product(spec, gathered))[:, :, None] * np.eye(B)
+    slack, deviation = bellman_slacks(spec, x_hat, v_hat)
+    slack = slack[:, :, None] * np.eye(B)
     lhs = np.concatenate([deviation, slack, slack, np.ones((S, 2, B))], axis=1)
 
     senses = (">=",) * A + ("<=",) * B + (">=",) * B + (">=", "<=")

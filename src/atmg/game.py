@@ -304,10 +304,12 @@ def normalize_rewards(
     shift followed by a positive scaling, hence strategically neutral: it
     preserves best responses, equilibria, and the ordering of deviations.
 
-    Raises ValueError unless delta is finite and >= 0, and
+    Raises ValueError unless delta is a finite number >= 0 (a bool is not), and
     DegenerateRewardsError when all rewards are equal, before or after the
     map (a delta that swamps the reward span rounds them all together).
     """
+    if isinstance(delta, (bool, np.bool_)):
+        raise ValueError(f"reward margin delta must be a number, got {delta!r}")
     if not (np.isfinite(delta) and delta >= 0.0):
         raise ValueError(f"reward margin delta must be finite and >= 0, got {delta}")
     lo = float(spec.reward.min())
@@ -355,11 +357,11 @@ def grid_world(
     the midpoint to both sides.  The initial distribution is uniform over
     all states (terminal included) so that it has full support.
     """
-    if n_grid < 2:
+    if (n_grid := _count("n_grid", n_grid)) < 2:
         raise ValueError(f"n_grid must be at least 2, got {n_grid}")
     # The build's peak per (s, a_joint, b): 8 bytes each for the raw and the normalized
     # reward, the successors and the probabilities, and 4 for its masks and cell indices.
-    needed = (int(n_grid) ** 6 + 1) * 16 * 4 * 36
+    needed = (n_grid**6 + 1) * 16 * 4 * 36
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if needed > memory:
         raise ValueError(

@@ -25,7 +25,6 @@ import numpy as np
 
 from .game import GameSpec, _count
 from .mdp import (
-    _POLICY_SUM_TOL,
     TeamPolicy,
     adversary_best_response,
     check_policies,
@@ -235,7 +234,6 @@ def run(spec: GameSpec, x0: TeamPolicy | None, config: IpgmaxConfig) -> RunTrace
     frob = np.zeros(T + 1)
 
     x, vec = x0, x0.as_vector()
-    row_starts = np.r_[0, np.repeat(spec.team_sizes, spec.state_count).cumsum()[:-1]]
     prev_joint: np.ndarray | None = None
     y = start = None
     for t in range(1, T + 1):
@@ -246,8 +244,8 @@ def run(spec: GameSpec, x0: TeamPolicy | None, config: IpgmaxConfig) -> RunTrace
         if eta == 0.0:
             x_next = x
         else:
-            # A finite eta can still overflow the step or the projection's
-            # sums; that would make the iterate NaN.
+            # A finite eta can still overflow the step or the projection's sums
+            # (a NaN iterate) or round x's entries away (off the simplex).
             try:
                 with np.errstate(over="raise", invalid="raise"):
                     x_next = project_product_simplex(spec, vec - eta * grad)
@@ -255,10 +253,11 @@ def run(spec: GameSpec, x0: TeamPolicy | None, config: IpgmaxConfig) -> RunTrace
                 raise ValueError(
                     f"iterate {t} is not finite: the step eta = {eta:g} overflows ({exc})"
                 ) from None
+            except ValueError:
+                raise ValueError(
+                    f"iterate {t} is off the simplex: the step eta = {eta:g} is too large"
+                ) from None
         joint = joint_policy_vector(x_next, y)
-        # A huge step rounds x's entries away; the projection may then miss the simplex.
-        if not np.abs(np.add.reduceat(joint[: vec.size], row_starts) - 1.0).max() <= _POLICY_SUM_TOL:
-            raise ValueError(f"iterate {t} is off the simplex: the step eta = {eta:g} is too large")
         if prev_joint is None:
             # No y(0) exists; compare against (x(0), y(1)) so only the team
             # contributes to the first recorded step norm.

@@ -30,6 +30,7 @@ share that layout.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -194,6 +195,21 @@ def _adversary_q(spec: GameSpec, w: np.ndarray, r: np.ndarray, nxt: np.ndarray) 
     """(S, B) backup r + gamma w @ nxt of the adversary against the team's (S, J)
     weights w, r = w @ spec.reward and nxt = _next_mean(spec, v)."""
     return r + spec.discount * (w[:, None, :] @ nxt)[:, 0, :]
+
+
+def bellman_slacks(spec: GameSpec, x: TeamPolicy, v: np.ndarray):
+    """(slack, deviation): the (S, B) Bellman slack r(s, w, b) + gamma E[v(next)] - v(s) of x's
+    weights w, and the (S, sum_k A_k, B) slacks of each (k, a), k's teammates' product masked to
+    the joint actions where k plays a (x's own w where k's block is pure at a), all backed up by
+    _adversary_q at v, less v, from one gather of x and one _next_mean."""
+    gathered, nxt = _gathered(spec, x), _next_mean(spec, v)
+
+    def slack(w):
+        return _adversary_q(spec, w, (w[:, None, :] @ spec.reward)[:, 0, :], nxt) - v[:, None]
+
+    deviation = np.stack([slack(_product(spec, gathered, k) * mask) for k, masks
+                          in enumerate(spec.action_masks) for mask in masks.T], axis=1)
+    return slack(_product(spec, gathered)), deviation
 
 
 def _on_support(spec: GameSpec, acts: np.ndarray, p, v: np.ndarray | None = None):
@@ -469,15 +485,12 @@ def policy_gradient(spec: GameSpec, x: TeamPolicy, start: AdversaryPolicy | None
 # ---------------------------------------------------------------------------
 
 def _project_simplex_rows(mat: np.ndarray) -> np.ndarray:
-    """Project each row of `mat` onto the probability simplex.
-
-    Sort-and-threshold: with u the row sorted in descending order and
-    css its cumulative sum, the threshold is tau = (css_rho - 1) / rho at
-    the largest rho with u_rho > (css_rho - 1) / rho; the projection is
-    max(row - tau, 0).  It runs on an action-major copy (numpy is slow on short rows)
-    sorted by an odd-even transposition network, with the bits of the row-wise formula.
-    """
-    m, d = mat.shape
+    """Project each row of `mat` onto the probability simplex: max(row - tau, 0), where, with u
+    the row sorted in descending order and css its cumulative sum, tau = (css_rho - 1) / rho at
+    the largest rho with u_rho above it (rho = d if rounding leaves none).  An action-major copy
+    (numpy is slow on short rows), sorted by an odd-even transposition network and scanned for
+    each row's last tau, gives the bits of the row-wise formula."""
+    d = mat.shape[1]
     u = mat.T.copy()
     for r in range(d):
         for i in range(r % 2, d - 1, 2):
@@ -485,9 +498,12 @@ def _project_simplex_rows(mat: np.ndarray) -> np.ndarray:
             top = np.maximum(hi, lo)
             np.minimum(hi, lo, out=lo)
             hi[...] = top
-    css = u.cumsum(axis=0) - 1.0
-    rho = d - (u > css / np.arange(1.0, d + 1)[:, None])[::-1].argmax(axis=0)  # the last rho
-    out = mat - (css[rho - 1, np.arange(m)] / rho)[:, None]
+    css = list(accumulate(u))
+    tau = (css[-1] - 1.0) / d
+    for r in range(d):
+        theta = (css[r] - 1.0) / (r + 1)
+        tau = np.where(u[r] > theta, theta, tau)
+    out = mat - tau[:, None]
     return np.maximum(out, 0.0, out=out)
 
 
@@ -496,12 +512,15 @@ def project_product_simplex(spec: GameSpec, z: np.ndarray) -> TeamPolicy:
 
     Each (player, state) block is projected independently, so the operator
     is nonexpansive on the whole team vector; one call projects the blocks
-    of all players with the same action count.
+    of all players with the same action count.  Raises ValueError if rounding
+    (of a huge step's entries) leaves a row off the simplex by more than _POLICY_SUM_TOL.
     """
     blocks = _block_views(spec, z)
     for a in set(spec.team_sizes):
         players = [k for k, size in enumerate(spec.team_sizes) if size == a]
         rows = _project_simplex_rows(np.concatenate([blocks[k] for k in players]))
+        if not np.abs(rows.sum(axis=1) - 1.0).max() <= _POLICY_SUM_TOL:
+            raise ValueError("a projected row is off the simplex")
         for k, projected in zip(players, rows.reshape(len(players), -1, a)):
             blocks[k] = projected
     return TeamPolicy(tuple(blocks))

@@ -10,6 +10,9 @@ pennies-prox workload and use criterion 07's ceiling of 0.1.  Only seeds 0
 and 2 run here.  At seed 2 the LP's phase one returns a vertex far from
 equilibrium inside the epsilon corridor (ROADMAP item 1), so that row is an
 expected failure until item 1 lands.
+
+The grid-3 row certifies the uniform team policy: one step at eta = 0.1
+selects t* = 0, the uniform start.
 """
 
 from __future__ import annotations
@@ -18,11 +21,15 @@ import numpy as np
 import pytest
 
 from atmg.extension import adv_nash_policy, nash_gap
+from atmg.game import grid_world
 from atmg.ipgmax import IpgmaxConfig, run
 from atmg.mdp import TeamPolicy
 from conftest import pennies_game
 
 PENNIES_CEILING = 0.1
+# grid_world(3) at the uniform team policy certifies 0.3365431907004446; the
+# ceiling leaves 4% of headroom, for item 1 to lower.
+GRID3_UNIFORM_CEILING = 0.35
 
 
 def pennies_start(seed: int) -> float:
@@ -47,3 +54,7 @@ def test_pennies_certifies_within_the_ceiling(seed):
     p = pennies_start(seed)
     x0 = TeamPolicy(blocks=(np.array([[p, 1.0 - p]]),))
     assert certified_gap(pennies_game(), x0, eta=0.05, iters=30) <= PENNIES_CEILING
+
+
+def test_grid3_uniform_policy_certifies_within_the_ceiling():
+    assert certified_gap(grid_world(3), None, eta=0.1, iters=1) <= GRID3_UNIFORM_CEILING

@@ -174,15 +174,15 @@ def test_lp_adv_matches_row_by_row_reference(gridworld2):
 def test_lp_adv_evaluates_x_hat_once(gridworld2, monkeypatch):
     # Every deviation row and the slack rows read one gather of x_hat's
     # blocks and one table of expected next values at v_hat, which comes
-    # from x_hat's memo; no other gather of x_hat or of next values is made,
-    # in extension or in mdp.
+    # from x_hat's memo; no other gather of x_hat or of next values is made.
+    # extension takes both tables from mdp.bellman_slacks.
     x = uniform_team_policy(gridworld2)
     _, v_hat = adversary_best_response(gridworld2, x)
-    gathers = [count_calls(monkeypatch, m, "_gathered") for m in (atmg.extension, atmg.mdp)]
-    tables = [count_calls(monkeypatch, m, "_next_mean") for m in (atmg.extension, atmg.mdp)]
+    gathers = count_calls(monkeypatch, atmg.mdp, "_gathered")
+    tables = count_calls(monkeypatch, atmg.mdp, "_next_mean")
     build_lp_adv(gridworld2, x, 0.01)
-    assert (sum(map(len, gathers)), [len(t) for t in tables]) == (1, [1, 0])
-    assert tables[0][0][1] is v_hat
+    assert (len(gathers), len(tables)) == (1, 1)
+    assert tables[0][1] is v_hat
 
 
 @pytest.mark.parametrize("make", [

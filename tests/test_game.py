@@ -228,6 +228,15 @@ def test_normalize_rejects_a_bad_margin(delta):
         normalize_rewards(small_game(), delta=delta)
 
 
+@pytest.mark.parametrize("delta", [True, False, np.True_], ids=["True", "False", "np.True_"])
+def test_normalize_refuses_a_boolean_margin(delta):
+    # A boolean is not a margin of 1.0 or 0.0, as in IpgmaxConfig and game files.
+    with pytest.raises(ValueError, match="delta must be a number, got"):
+        normalize_rewards(small_game(), delta=delta)
+    with pytest.raises(ValueError, match="delta must be a number, got"):
+        grid_world(2, shift_delta=delta)
+
+
 # ---------------------------------------------------------------------------
 # grid_world
 # ---------------------------------------------------------------------------
@@ -243,6 +252,20 @@ def test_grid_world_dimensions(gridworld2):
 def test_grid_world_rejects_tiny_grids():
     with pytest.raises(ValueError):
         grid_world(1)
+
+
+def test_grid_world_reads_its_size_as_a_count():
+    # n_grid is a count like every other: a whole float is its int, and a
+    # fraction or a boolean is refused before numpy sees it.
+    whole, three = grid_world(3.0), grid_world(3)
+    assert whole.state_count == three.state_count == 730
+    for name in ("reward", "initial_dist"):
+        assert getattr(whole, name).tobytes() == getattr(three, name).tobytes()
+    for name in ("succ", "prob"):
+        assert getattr(whole.transition, name).tobytes() == getattr(three.transition, name).tobytes()
+    for n_grid in (2.5, True):
+        with pytest.raises(ValueError, match="n_grid must be a whole number"):
+            grid_world(n_grid)
 
 
 @pytest.mark.parametrize("n_grid", [2, 3, 4])

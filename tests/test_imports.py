@@ -1,11 +1,13 @@
 """Lint: every name a module of atmg imports at module level is used there,
-and every private name a module defines at module level is read in atmg.
+every private name a module defines at module level is read in atmg, and
+no module but atmg.mdp imports or reads a private name of atmg.mdp.
 
 A name counts as used when the module reads it anywhere (an ast.Name) or
 exports it through a literal __all__; `from __future__` imports are exempt.
 A private name (one leading underscore) of a module-level function, class or
 assignment counts as read when any module of atmg loads it as a name or an
-attribute.
+attribute.  A private mdp name is imported by `from .mdp import _name` (or
+from atmg.mdp) and read as an attribute of a name bound to the mdp module.
 """
 
 from __future__ import annotations
@@ -82,3 +84,34 @@ def test_the_check_sees_a_dead_private_name():
 
 def test_every_private_name_is_read():
     assert dead_private_names({path.stem: path.read_text(encoding="utf-8") for path in MODULES}) == []
+
+
+def private_mdp_names(source: str) -> list[str]:
+    """Each private name of atmg.mdp that source imports from it or reads as an attribute of it."""
+    tree = ast.parse(source)
+    found, aliases = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in ("mdp", "atmg.mdp"):
+            found += [alias.name for alias in node.names]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            aliases |= {alias.asname or alias.name for alias in node.names
+                        if alias.name in ("mdp", "atmg.mdp")}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and ast.unparse(node.value) in aliases:
+            found.append(node.attr)
+    return [name for name in found if name.startswith("_") and not name.startswith("__")]
+
+
+def test_the_check_sees_a_private_mdp_name():
+    source = ("from .mdp import TeamPolicy, _product as p\nfrom . import mdp as m\nimport atmg.mdp\n"
+              "print(m._gathered, atmg.mdp._TIE_RTOL, m.__name__, TeamPolicy._memo)\n")
+    assert private_mdp_names(source) == ["_product", "_gathered", "_TIE_RTOL"]
+    assert private_mdp_names("from .game import _count\nfrom .lp import _MAX_PIVOTS\n") == []
+
+
+OUTSIDE_MDP = [path for path in MODULES if path.stem != "mdp"]
+
+
+@pytest.mark.parametrize("path", OUTSIDE_MDP, ids=[path.stem for path in OUTSIDE_MDP])
+def test_no_module_but_mdp_reads_its_private_names(path):
+    assert private_mdp_names(path.read_text(encoding="utf-8")) == []

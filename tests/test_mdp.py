@@ -60,6 +60,7 @@ from oracles import (
     joint_action_distribution,
     list_rows,
     marginal_reward_table,
+    project_simplex_rows,
     q_table as oracle_q_table,
     team_policy_gradient,
     visitation,
@@ -1400,6 +1401,25 @@ def test_projection_of_one_width_at_once_is_per_block(spec):
     for bad in (z[: -spec.team_sizes[-1]], np.concatenate([z, z[: spec.team_sizes[0]]])):
         with pytest.raises(ValueError, match="team vector has"):
             project_product_simplex(spec, bad)
+
+
+def test_projection_takes_rho_d_when_rounding_leaves_no_rho():
+    # In each row u_1 - 1 rounds to u_1, and no later rho passes its test
+    # either; the row-wise formula then thresholds at rho = d, and so must the
+    # scan, where no rho's test passes.
+    mat = np.array([[1e300, -1e300, 0.0], [1e300, 1e300, -1e300], [1e20, 0.0, 0.0]])
+    assert _project_simplex_rows(mat).tobytes() == project_simplex_rows(mat).tobytes()
+    assert _project_simplex_rows(mat[:, :2]).tobytes() == project_simplex_rows(mat[:, :2]).tobytes()
+
+
+def test_projection_refuses_a_row_that_rounding_moves_off_the_simplex():
+    # Rounding 1e20 - 1 to 1e20 leaves the threshold at 5e19 and the row
+    # [5e19, 0], which no TeamPolicy may hold; a step a million times shorter
+    # still projects onto the simplex.
+    spec = single_state_game(np.full((2, 2), 0.5), 0.5)
+    with pytest.raises(ValueError, match="off the simplex"):
+        project_product_simplex(spec, np.array([1e20, 0.0]))
+    check_policies(spec, project_product_simplex(spec, np.array([1e14, 0.0])))
 
 
 def test_projection_is_euclidean_argmin():
