@@ -9,14 +9,15 @@ is model-based and exact: values come from linear solves, best responses
 from policy iteration, and the final Nash gap from explicit unilateral
 deviations.
 
-The top level holds the names the README's library example uses; every
-other name is imported from its module (atmg.game, atmg.mdp, atmg.lp,
-atmg.ipgmax, atmg.extension).
+The top level holds the names the README's library example uses:
+grid_world, IpgmaxConfig and solve, which runs the whole pipeline (from
+atmg.cli).  Every other name is imported from its module (atmg.game,
+atmg.mdp, atmg.lp, atmg.ipgmax, atmg.extension, atmg.cli).
 """
 
-from .extension import adv_nash_policy, nash_gap
-from .game import GameSpec, grid_world
-from .ipgmax import IpgmaxConfig, run
+from .cli import solve
+from .game import grid_world
+from .ipgmax import IpgmaxConfig
 
-__all__ = ["GameSpec", "IpgmaxConfig", "run", "adv_nash_policy", "nash_gap", "grid_world"]
+__all__ = ["IpgmaxConfig", "grid_world", "solve"]
 __version__ = "0.1.0"

@@ -1,4 +1,5 @@
-"""Command-line front end.
+"""Command-line front end, and `solve`, the library pipeline that
+`atmg solve` runs once, between loading the game and writing its files.
 
 Three subcommands:
 
@@ -23,11 +24,12 @@ import logging
 import os
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .extension import LpAdvInfeasibleError, adv_nash_policy, nash_gap
+from .extension import LpAdvInfeasibleError, NashGapReport, adv_nash_policy, nash_gap
 from .game import (
     GameSpec,
     _numbers,
@@ -37,7 +39,7 @@ from .game import (
     save_game,
     validate,
 )
-from .ipgmax import SELECTION_MODES, IpgmaxConfig, run, schedule_proposition, schedule_theorem
+from .ipgmax import SELECTION_MODES, IpgmaxConfig, RunTrace, run, schedule_proposition, schedule_theorem
 from .mdp import AdversaryPolicy, TeamPolicy, check_policies
 
 log = logging.getLogger(__name__)
@@ -116,10 +118,35 @@ def _gap_payload(report) -> dict:
     }
 
 
+@dataclass(frozen=True)
+class Solution:
+    """solve's result: y_hat, lam and gap are None, and error is set, if the LP is infeasible."""
+
+    trace: RunTrace
+    lp_epsilon: float
+    y_hat: AdversaryPolicy | None = None
+    lam: np.ndarray | None = None
+    gap: NashGapReport | None = None
+    error: LpAdvInfeasibleError | None = None
+
+
+def solve(spec: GameSpec, config: IpgmaxConfig, x0: TeamPolicy | None = None) -> Solution:
+    """Run the loop from x0, extract y_hat by the LP at 1.1x x_hat's prox gap, certify the pair."""
+    if config.iterate_selection == "none":
+        raise ValueError("solve needs an iterate selection, got 'none'")
+    trace = run(spec, x0, config)
+    lp_epsilon = 1.1 * trace.prox_gaps[trace.t_star]
+    try:
+        y_hat, lam = adv_nash_policy(spec, trace.x_hat, lp_epsilon)
+    except LpAdvInfeasibleError as exc:
+        return Solution(trace, lp_epsilon, error=exc)
+    return Solution(trace, lp_epsilon, y_hat, lam, nash_gap(spec, trace.x_hat, y_hat))
+
+
 def cmd_solve(args) -> int:
-    """Run the gradient loop, then extract and verify the selected iterate."""
+    """Solve the game, then write trace.csv, policies.json and report.json."""
     out = Path(args.out)
-    # The mkdir below would fail only after the loop; refuse such an --out now.
+    # Writing --out would fail only after the solve; refuse such an --out now.
     base = next(p for p in (out, *out.parents) if p.exists())
     if not base.is_dir():
         return _fail(f"cannot write {out}: {base} is not a directory")
@@ -137,14 +164,12 @@ def cmd_solve(args) -> int:
                                    ("proposition", schedule_proposition))
         }
         started = time.perf_counter()
-        trace = run(normalized, None, config)
+        solution = solve(normalized, config)
     except ValueError as exc:
         return _fail(str(exc))
 
-    t_star, x_hat = trace.t_star, trace.x_hat
-    measured = trace.prox_gaps[t_star]
-    lp_epsilon = 1.1 * measured
-    out.mkdir(parents=True, exist_ok=True)
+    trace, gap = solution.trace, solution.gap
+    measured = trace.prox_gaps[trace.t_star]
     paths = {"trace": out / "trace.csv", "policies": out / "policies.json",
              "report": out / "report.json"}
     report = {
@@ -164,22 +189,15 @@ def cmd_solve(args) -> int:
         },
         "paper_schedules": schedules,
         "normalization": {"shift": shift, "scale": scale},
-        "t_star": t_star,
+        "t_star": trace.t_star,
         "prox_gap_measured": measured,
-        "lp_epsilon": lp_epsilon,
+        "lp_epsilon": solution.lp_epsilon,
         "files": {key: str(path) for key, path in paths.items()},
     }
-    _write_trace(paths["trace"], trace, normalized.n_players)
-
-    try:
-        y_hat, lam = adv_nash_policy(normalized, x_hat, lp_epsilon)
-    except LpAdvInfeasibleError as exc:
-        y_hat = lam = gap = None
+    if gap is None:
         report["lp_status"] = "infeasible"
-        report["lp_diagnostics"] = {"max_violation": exc.max_violation}
-        print(f"error: {exc}", file=sys.stderr)
+        report["lp_diagnostics"] = {"max_violation": solution.error.max_violation}
     else:
-        gap = nash_gap(normalized, x_hat, y_hat)
         report["lp_status"] = "feasible"
         report["nash_gap"] = _gap_payload(gap)
         # Gaps are value differences, so the additive shift cancels and only
@@ -189,12 +207,19 @@ def cmd_solve(args) -> int:
             for key, value in report["nash_gap"].items()
         }
     report["wall_clock_seconds"] = time.perf_counter() - started
-    paths["policies"].write_text(json.dumps(_policies_payload(x_hat, y_hat, lam), indent=2) + "\n")
-    paths["report"].write_text(json.dumps(report, indent=2) + "\n")
+    policies = _policies_payload(trace.x_hat, solution.y_hat, solution.lam)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        _write_trace(paths["trace"], trace, normalized.n_players)
+        paths["policies"].write_text(json.dumps(policies, indent=2) + "\n")
+        paths["report"].write_text(json.dumps(report, indent=2) + "\n")
+    except OSError as exc:
+        return _fail(f"cannot write {out}: {exc}")
     if gap is None:
+        print(f"error: {solution.error}", file=sys.stderr)
         return EXIT_LP_INFEASIBLE
     log.info(
-        "t_star=%d prox_gap=%.3e certified=%.3e", t_star, measured, gap.epsilon_certified
+        "t_star=%d prox_gap=%.3e certified=%.3e", trace.t_star, measured, gap.epsilon_certified
     )
     return EXIT_OK
 

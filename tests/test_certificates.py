@@ -1,15 +1,15 @@
 """Certificate quality: fixed cases, each with a ceiling on its certified gap.
 
-Each case runs the library pipeline: the gradient loop with the prox scan,
-the adversary LP at 1.1x the measured prox gap, and the exact Nash gap of
-the extracted pair.  The measured certified gap of each case is in a
-comment next to it.
+Each case runs the library pipeline, atmg.cli.solve: the gradient loop
+with the prox scan, the adversary LP at 1.1x the measured prox gap, and
+the exact Nash gap of the extracted pair.  The measured certified gap of
+each case is in a comment or the xfail reason next to it.
 
 The pennies rows start from the same policies as the benchmark's
-pennies-prox workload and use criterion 07's ceiling of 0.1.  Only seeds 0
-and 2 run here.  At seed 2 the LP's phase one returns a vertex far from
-equilibrium inside the epsilon corridor (ROADMAP item 1), so that row is an
-expected failure until item 1 lands.
+pennies-prox workload, seeds 0-9, and use criterion 07's ceiling of 0.1.
+Seeds 0 and 4 pass.  At the other eight the LP's phase one returns a
+vertex far from equilibrium inside the epsilon corridor (ROADMAP item 1),
+so those rows are expected failures until item 1 lands.
 
 The grid-3 row certifies the uniform team policy: one step at eta = 0.1
 selects t* = 0, the uniform start.
@@ -20,9 +20,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from atmg.extension import adv_nash_policy, nash_gap
+from atmg.cli import solve
 from atmg.game import grid_world
-from atmg.ipgmax import IpgmaxConfig, run
+from atmg.ipgmax import IpgmaxConfig
 from atmg.mdp import TeamPolicy
 from conftest import pennies_game
 
@@ -40,15 +40,27 @@ def pennies_start(seed: int) -> float:
 
 
 def certified_gap(spec, x0: TeamPolicy, eta: float, iters: int) -> float:
-    trace = run(spec, x0, IpgmaxConfig(eta=eta, iters=iters))
-    y_hat, _ = adv_nash_policy(spec, trace.x_hat, 1.1 * trace.prox_gaps[trace.t_star])
-    return nash_gap(spec, trace.x_hat, y_hat).epsilon_certified
+    return solve(spec, IpgmaxConfig(eta=eta, iters=iters), x0).gap.epsilon_certified
+
+
+def phase_one_vertex(seed: int, certified: str):
+    """A pennies row that certifies above the ceiling until ROADMAP item 1 lands."""
+    return pytest.param(seed, marks=pytest.mark.xfail(
+        strict=True, reason=f"certifies {certified}: the LP keeps phase one's vertex "
+                            "(ROADMAP item 1)"))
 
 
 @pytest.mark.parametrize("seed", [
     0,  # certifies -2.2e-16
-    pytest.param(2, marks=pytest.mark.xfail(
-        strict=True, reason="certifies 0.299: the LP keeps phase one's vertex (ROADMAP item 1)")),
+    phase_one_vertex(1, "0.3925"),
+    phase_one_vertex(2, "0.299"),
+    phase_one_vertex(3, "0.3900"),
+    4,  # certifies 0.0677
+    phase_one_vertex(5, "0.2951"),
+    phase_one_vertex(6, "0.3033"),
+    phase_one_vertex(7, "0.3941"),
+    phase_one_vertex(8, "0.2341"),
+    phase_one_vertex(9, "0.3628"),
 ])
 def test_pennies_certifies_within_the_ceiling(seed):
     p = pennies_start(seed)

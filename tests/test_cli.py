@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 import atmg.cli
-from atmg.cli import main
+from atmg.cli import _policies_payload, main, solve
 from atmg.extension import LpAdvInfeasibleError
 from atmg.game import grid_world, load_game, normalize_rewards, save_game
-from atmg.ipgmax import schedule_proposition, schedule_theorem
+from atmg.ipgmax import IpgmaxConfig, schedule_proposition, schedule_theorem
 from conftest import count_calls, make_random_game, pennies_game
 
 
@@ -426,6 +426,33 @@ def test_solve_lp_infeasible_exit_code(tmp_path, pennies_file, monkeypatch, caps
     assert policies["lambda"] is None
 
 
+def test_library_solve_gives_the_cli_answer(tmp_path, pennies_file, monkeypatch):
+    out = tmp_path / "run"
+    assert main(["solve", "--game", str(pennies_file),
+                 "--eta", "0.05", "--iters", "30", "--out", str(out)]) == 0
+    report = read_report(out)
+    spec = normalize_rewards(load_game(pennies_file))[0]
+    solution = solve(spec, IpgmaxConfig(eta=0.05, iters=30))
+    policies = _policies_payload(solution.trace.x_hat, solution.y_hat, solution.lam)
+    assert (json.dumps(policies, indent=2) + "\n").encode() == (out / "policies.json").read_bytes()
+    assert solution.trace.t_star == report["t_star"]
+    assert solution.lp_epsilon == report["lp_epsilon"]
+    assert solution.gap.epsilon_certified == report["nash_gap"]["epsilon_certified"]
+    assert solution.error is None
+
+    monkeypatch.setattr(atmg.cli, "adv_nash_policy", always_infeasible)
+    infeasible = solve(spec, IpgmaxConfig(eta=0.05, iters=5))
+    assert infeasible.y_hat is None and infeasible.lam is None and infeasible.gap is None
+    assert infeasible.error.max_violation == 0.123
+
+
+def test_library_solve_refuses_a_config_that_selects_no_iterate(monkeypatch):
+    runs = count_calls(monkeypatch, atmg.cli, "run")
+    with pytest.raises(ValueError, match="'none'"):
+        solve(pennies_game(), IpgmaxConfig(eta=0.05, iters=5, iterate_selection="none"))
+    assert runs == []
+
+
 def test_verify_refuses_the_policies_of_an_infeasible_solve(
         tmp_path, pennies_file, monkeypatch, capsys):
     monkeypatch.setattr(atmg.cli, "adv_nash_policy", always_infeasible)
@@ -633,6 +660,23 @@ def test_out_that_cannot_be_written_fails_cleanly(tmp_path, capsys, monkeypatch,
     assert err.startswith("error: cannot write ") and err.count("\n") == 1
     assert runs == []  # solve refuses before the loop
     assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("blocked,left", [
+    ("trace.csv", []),
+    ("report.json", ["policies.json", "trace.csv"]),
+], ids=["trace.csv", "report.json"])
+def test_solve_output_file_that_cannot_be_written_fails_cleanly(
+        tmp_path, capsys, pennies_file, blocked, left):
+    # A directory where solve writes a file: the files written before it stay.
+    out = tmp_path / "run"
+    (out / blocked).mkdir(parents=True)
+    assert main(["solve", "--game", str(pennies_file),
+                 "--eta", "0.05", "--iters", "5", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+    assert sorted(path.name for path in out.iterdir()) == sorted([blocked, *left])
+    assert list((out / blocked).iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Lint: every name a module of atmg imports at module level is used there,
-every private name a module defines at module level is read in atmg, and
-no module but atmg.mdp imports or reads a private name of atmg.mdp.
+every private name a module defines at module level is read in atmg, no
+module but atmg.mdp imports or reads a private name of atmg.mdp, the
+imports between atmg's modules form no cycle, and no module but the entry
+points __init__ and __main__ imports atmg.cli.
 
 A name counts as used when the module reads it anywhere (an ast.Name) or
 exports it through a literal __all__; `from __future__` imports are exempt.
@@ -115,3 +117,84 @@ OUTSIDE_MDP = [path for path in MODULES if path.stem != "mdp"]
 @pytest.mark.parametrize("path", OUTSIDE_MDP, ids=[path.stem for path in OUTSIDE_MDP])
 def test_no_module_but_mdp_reads_its_private_names(path):
     assert private_mdp_names(path.read_text(encoding="utf-8")) == []
+
+
+def atmg_imports(source: str, modules: set[str]) -> set[str]:
+    """The modules of atmg that source imports, relatively or as atmg.<module>.
+
+    A name imported from the package itself (`from . import x`, `from atmg
+    import x`) counts as module x when x is one, else as __init__.
+    """
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {(alias.name.split(".") + ["__init__"])[1] for alias in node.names
+                      if alias.name.split(".")[0] == "atmg"}
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 1:
+                path = node.module or ""
+            elif node.level == 0 and (node.module or "").split(".")[0] == "atmg":
+                path = node.module[len("atmg."):]
+            else:
+                continue
+            if path:
+                found.add(path.split(".")[0])
+            else:
+                found |= {alias.name if alias.name in modules else "__init__" for alias in node.names}
+    return found
+
+
+def import_cycle(graph: dict[str, set[str]]) -> list[str]:
+    """One cycle of the import graph, its modules in order back to the first; [] if none."""
+    done, path = set(), []
+
+    def visit(module: str) -> list[str]:
+        if module in path:
+            return path[path.index(module):] + [module]
+        if module in done:
+            return []
+        path.append(module)
+        for target in sorted(graph.get(module, ())):
+            if cycle := visit(target):
+                return cycle
+        path.pop()
+        done.add(module)
+        return []
+
+    for module in sorted(graph):
+        if cycle := visit(module):
+            return cycle
+    return []
+
+
+def cli_importers(graph: dict[str, set[str]]) -> list[str]:
+    return sorted(module for module, targets in graph.items()
+                  if "cli" in targets and module not in ("__init__", "__main__"))
+
+
+def test_the_check_sees_an_import_cycle_and_a_cli_import():
+    modules = {"__init__", "__main__", "cli", "game", "mdp"}
+    sources = {"__init__": "from .cli import solve\n", "__main__": "from .cli import main\n",
+               "cli": "from .mdp import TeamPolicy\nimport atmg.game\n",
+               "game": "import numpy\n", "mdp": "from . import game\n"}
+    graph = {module: atmg_imports(source, modules) for module, source in sources.items()}
+    assert graph == {"__init__": {"cli"}, "__main__": {"cli"}, "cli": {"mdp", "game"},
+                     "game": set(), "mdp": {"game"}}
+    assert import_cycle(graph) == [] and cli_importers(graph) == []
+    graph["game"] = atmg_imports("from atmg import __version__\n", modules)
+    assert import_cycle(graph) == ["__init__", "cli", "game", "__init__"]
+    graph["mdp"] = atmg_imports("from .cli import solve\n", modules)
+    assert cli_importers(graph) == ["mdp"]
+
+
+def module_graph() -> dict[str, set[str]]:
+    stems = {path.stem for path in MODULES}
+    return {path.stem: atmg_imports(path.read_text(encoding="utf-8"), stems) for path in MODULES}
+
+
+def test_imports_between_modules_form_no_cycle():
+    assert import_cycle(module_graph()) == []
+
+
+def test_no_module_but_the_entry_points_imports_cli():
+    assert cli_importers(module_graph()) == []
